@@ -352,9 +352,9 @@ func BenchmarkSelectorSelect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	devs := make([]core.DeviceState, 500)
-	for i := range devs {
-		devs[i] = core.DeviceState{
+	store := core.NewDeviceStore()
+	for i := 0; i < 500; i++ {
+		if err := store.Register(core.DeviceState{
 			ID:         deviceID(i),
 			Position:   geo.Offset(geo.CSDepartment, float64(i%40)*20, float64(i%25)*20),
 			BatteryPct: float64(30 + i%70),
@@ -362,7 +362,8 @@ func BenchmarkSelectorSelect(b *testing.B) {
 			LastComm:   simclock.Epoch,
 			Sensors:    []sensors.Type{sensors.Barometer},
 			Budget:     power.DefaultBudget(),
-			Responsive: true,
+		}); err != nil {
+			b.Fatal(err)
 		}
 	}
 	task := representativeTask()
@@ -371,9 +372,10 @@ func BenchmarkSelectorSelect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var sc core.SelectScratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sel.Select(reqs[0], devs, simclock.Epoch); err != nil {
+		if _, err := sel.SelectIn(store, reqs[0], simclock.Epoch, &sc); err != nil {
 			b.Fatal(err)
 		}
 	}

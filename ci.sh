@@ -10,14 +10,23 @@ go vet ./...
 go build ./...
 go test -race ./...
 go test -run '^$' -bench . -benchtime 1x ./...
+# The end-to-end benchmark is a module of its own (bench/go.mod), so the
+# commands above never enter it: vet it and run its unit tests plus the
+# toy-size smoke of each workload here, or a drift in the surface it pins
+# (bench/README.md, "Pinned surface") goes unseen until the benchmark runs.
+(cd bench && go vet . && go test .)
+# Order-dependence and shared-state check on the packages the selection
+# pass lives in: race detector with the test order shuffled.
+go test -race -shuffle=on ./internal/core/... ./internal/geo/...
 # Fault-injection smoke: the resilience suites (stalled peers, flaky
 # links, server restart) in short mode, so a quick pre-push run still
 # exercises the failure paths end to end.
 go test -race -short -run 'Fault|Stall|Resilien|Reconnect|Restart|Idle|Flaky' \
     ./internal/faultconn ./internal/wire ./internal/netserver ./internal/client
 
-# Selection benchmark record: measures the indexed hot path against the
-# pre-index full scan (1k/10k/100k devices, 1% region), writes
+# Selection benchmark record: measures the production selection pass
+# against the copying path it replaced and the pre-index full scan
+# (1k/10k/100k devices, 1% region, densities 5 and 20), writes
 # BENCH_selection.json, and FAILS on an allocation-budget or speedup-ratio
 # regression (see TestRecordSelectionBench).
 SENSEAID_BENCH_OUT="$PWD/BENCH_selection.json" \

@@ -70,7 +70,7 @@ const DefaultCellSizeM = 500
 // back into the server.
 //
 // The store maintains a cell-grid spatial index over device positions so
-// the scheduler can fetch the candidates for a task region in time
+// the scheduler can read the records of a task region, in place, in time
 // proportional to the devices *near the region*, not the total
 // registered population. The index is updated under the same lock as the
 // record itself (register, restore, deregister, and every position
@@ -226,8 +226,8 @@ func (s *DeviceStore) Len() int {
 
 // All returns copies of every record, sorted by ID for determinism.
 // Copies are fully detached (Sensors cloned), so callers may mutate them
-// freely. For region-scoped reads on the scheduling hot path use
-// AppendCandidatesIn instead, which is O(devices near the area).
+// freely. The scheduler never calls it: selection reads the records of a
+// task area in place (see scan).
 func (s *DeviceStore) All() []DeviceState {
 	s.mu.RLock()
 	out := make([]DeviceState, 0, len(s.devices))
@@ -241,51 +241,73 @@ func (s *DeviceStore) All() []DeviceState {
 	return out
 }
 
-// CandidatesIn returns copies of every device inside the area, sorted by
-// ID. It is the indexed equivalent of filtering All() with
-// area.Contains: only the cell buckets overlapping the area are
-// examined.
-func (s *DeviceStore) CandidatesIn(area geo.Circle) []DeviceState {
-	out := s.AppendCandidatesIn(nil, area)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// AppendCandidatesIn appends a copy of every device inside the area to
-// dst and returns the extended slice, in no particular order. It is the
-// scheduler's hot path: passing a reused dst makes the steady state
-// allocation-free, and only cell buckets overlapping the area are
-// visited. When the grid cannot cover the area (huge radius, polar or
-// antimeridian regions) it falls back to an exhaustive scan, so the
-// result set is identical either way.
-//
-// The appended copies share the store's immutable Sensors backing
-// arrays; callers must treat DeviceState.Sensors as read-only (use Get
-// or All for a detached copy).
-func (s *DeviceStore) AppendCandidatesIn(dst []DeviceState, area geo.Circle) []DeviceState {
+// scan runs one selection pass over the records inside the pass's area:
+// p.consider is called for each, then p.finish, all under the read lock.
+// Records are read in place, through the index's own pointers — that is
+// what the lock is held for — and p keeps none of them past finish,
+// which copies the winners out. Only the cell buckets overlapping the
+// area are visited; when the grid cannot cover the area (huge radius,
+// polar or antimeridian regions) the whole population is scanned, so the
+// records considered are the same either way. consider and finish must
+// not call back into the store.
+func (s *DeviceStore) scan(p *SelectScratch) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	b, ok := s.grid.Cover(area)
+	var batch scanBatch
+	b, ok := s.grid.Cover(p.area.Circle())
 	if !ok || b.Count() > len(s.cells) {
 		// Fallback: visiting more (mostly empty) buckets than the index
 		// holds would cost more than scanning the population.
 		for _, d := range s.devices {
-			if area.Contains(d.Position) {
-				dst = append(dst, *d)
-			}
+			batch.add(d, p)
 		}
-		return dst
-	}
-	for la := b.LatMin; la <= b.LatMax; la++ {
-		for lo := b.LonMin; lo <= b.LonMax; lo++ {
-			for _, d := range s.cells[geo.Cell{Lat: la, Lon: lo}] {
-				if area.Contains(d.Position) {
-					dst = append(dst, *d)
+	} else {
+		for la := b.LatMin; la <= b.LatMax; la++ {
+			for lo := b.LonMin; lo <= b.LonMax; lo++ {
+				for _, d := range s.cells[geo.Cell{Lat: la, Lon: lo}] {
+					batch.add(d, p)
 				}
 			}
 		}
 	}
-	return dst
+	batch.flush(p)
+	p.finish()
+}
+
+// scanBatch feeds a selection pass a few hundred records at a time. A
+// fleet's records are scattered over the heap, so the first read of each
+// is a cache miss, and a loop that walks the index, tests containment
+// and ranks in one body takes those misses one after another. Splitting
+// the work into a loop that only collects pointers, a loop that only
+// tests containment and a loop that only ranks lets the processor have
+// several misses in flight; on a 100 000-device fleet, with every task
+// area different from the last, the pass takes a sixth less time for it
+// (BenchmarkSelection's cold cases). The batch lives on scan's stack:
+// no pointer into the store outlives the lock.
+type scanBatch struct {
+	recs [256]*DeviceState
+	n    int
+}
+
+func (b *scanBatch) add(d *DeviceState, p *SelectScratch) {
+	b.recs[b.n] = d
+	b.n++
+	if b.n == len(b.recs) {
+		b.flush(p)
+	}
+}
+
+func (b *scanBatch) flush(p *SelectScratch) {
+	in := b.recs[:0]
+	for _, d := range b.recs[:b.n] {
+		if p.area.Contains(d.Position) {
+			in = append(in, d)
+		}
+	}
+	for _, d := range in {
+		p.consider(d)
+	}
+	b.n = 0
 }
 
 // UpdateState applies a device's periodic control report (battery level,
@@ -337,12 +359,15 @@ func (s *DeviceStore) UpdateBudget(id string, b power.Budget) error {
 	return nil
 }
 
-// NoteSelected records a selection (U_i) for fairness accounting.
-func (s *DeviceStore) NoteSelected(id string) {
+// NoteSelected records one selection (U_i) of each device for fairness
+// accounting: a request's winners are bumped under one lock acquisition.
+func (s *DeviceStore) NoteSelected(ids ...string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if d, ok := s.devices[id]; ok {
-		d.TimesUsed++
+	for _, id := range ids {
+		if d, ok := s.devices[id]; ok {
+			d.TimesUsed++
+		}
 	}
 }
 

@@ -26,6 +26,20 @@ func fullScanIn(s *DeviceStore, area geo.Circle) []DeviceState {
 	return out
 }
 
+// sameAsScan checks both readers of the index against the full scan: the
+// oracle's CandidatesIn record by record, and the production selection
+// pass (which copies no candidates) by how many records it found inside.
+func sameAsScan(t *testing.T, label string, store *DeviceStore, area geo.Circle) {
+	t.Helper()
+	want := fullScanIn(store, area)
+	sameDeviceSets(t, label, store.CandidatesIn(area), want)
+	var sc SelectScratch
+	task := Task{Sensor: sensors.Barometer, Area: area, SpatialDensity: 1}
+	if inArea, _ := benchSelector(t).pick(store, &task, simclock.Epoch, 0, &sc); inArea != len(want) {
+		t.Fatalf("%s: selection pass found %d records inside, full scan %d", label, inArea, len(want))
+	}
+}
+
 func sameDeviceSets(t *testing.T, label string, indexed, scanned []DeviceState) {
 	t.Helper()
 	if len(indexed) != len(scanned) {
@@ -93,12 +107,12 @@ func TestCandidatesInMatchesFullScan(t *testing.T) {
 		}
 		if step%50 == 0 {
 			area := randArea()
-			sameDeviceSets(t, fmt.Sprintf("step %d", step), store.CandidatesIn(area), fullScanIn(store, area))
+			sameAsScan(t, fmt.Sprintf("step %d", step), store, area)
 		}
 	}
 	// Fallback envelope: an area the grid cannot cover must agree too.
 	huge := geo.Circle{Center: base, RadiusM: 5_000_000}
-	sameDeviceSets(t, "huge-area fallback", store.CandidatesIn(huge), fullScanIn(store, huge))
+	sameAsScan(t, "huge-area fallback", store, huge)
 }
 
 // TestCandidatesInAcrossShardedRehomes drives devices back and forth
@@ -140,8 +154,7 @@ func TestCandidatesInAcrossShardedRehomes(t *testing.T) {
 					t.Fatal(err)
 				}
 				area := geo.Circle{Center: reg.Area.Center, RadiusM: 800 + rng.Float64()*1500}
-				sameDeviceSets(t, fmt.Sprintf("step %d shard %s", step, reg.Name),
-					shard.Devices().CandidatesIn(area), fullScanIn(shard.Devices(), area))
+				sameAsScan(t, fmt.Sprintf("step %d shard %s", step, reg.Name), shard.Devices(), area)
 			}
 		}
 	}

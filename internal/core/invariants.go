@@ -118,8 +118,8 @@ func (s *ShardedServer) CheckHomingInvariants() []string {
 // shard the index names, and every stored task is routed. Same contract
 // as CheckHomingInvariants: empty means healthy.
 func (s *ShardedServer) CheckTaskRoutingInvariants() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.taskMu.RLock()
+	defer s.taskMu.RUnlock()
 	var violations []string
 	stored := make(map[TaskID]int)
 	for i, sh := range s.shards {

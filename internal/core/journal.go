@@ -555,9 +555,9 @@ func (s *Server) applyRecord(rec *JournalRecord, sinkFor func(TaskID) DataSink) 
 				continue
 			}
 			s.pending[id] = append(s.pending[id], pendingDispatch{req: r, deviceID: dev})
-			s.devices.NoteSelected(dev)
 			sel.Devices = append(sel.Devices, dev)
 		}
+		s.devices.NoteSelected(sel.Devices...)
 		s.statsMu.Lock()
 		s.sellog.add(sel)
 		s.stats.RequestsSatisfied++

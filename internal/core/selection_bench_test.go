@@ -6,7 +6,9 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,12 +18,17 @@ import (
 	"senseaid/internal/simclock"
 )
 
-// selectionAllocBudget is the CI gate on the indexed selection path:
-// steady-state allocations per selection (candidate fetch + qualify +
-// rank) must stay at or under this. The path is designed to be
-// allocation-free once its scratch buffers have grown; the budget leaves
-// slack for map-iteration internals, not for per-candidate allocations.
+// selectionAllocBudget is the CI gate on the production selection pass:
+// steady-state allocations per selection must stay at or under this.
+// The pass is designed to be allocation-free once its scratch has grown;
+// the budget leaves slack for map-iteration internals, not for
+// per-candidate allocations.
 const selectionAllocBudget = 32
+
+// fusedOverOracleMin is the CI gate on what the fused pass buys: at 100k
+// devices, density 20, it must be at least this many times faster than
+// the copying path it replaced, on a cached region and on rotating ones.
+const fusedOverOracleMin = 4
 
 // benchSpreadM is the square the benchmark population is scattered over.
 const benchSpreadM = 10_000
@@ -57,7 +64,7 @@ func benchStore(tb testing.TB, n int) *DeviceStore {
 	return store
 }
 
-func benchRequest(tb testing.TB, area geo.Circle) Request {
+func benchRequest(tb testing.TB, area geo.Circle, density int) Request {
 	tb.Helper()
 	task := Task{
 		ID:             "bench-task",
@@ -66,7 +73,7 @@ func benchRequest(tb testing.TB, area geo.Circle) Request {
 		Start:          simclock.Epoch,
 		End:            simclock.Epoch.Add(time.Hour),
 		Area:           area,
-		SpatialDensity: 5,
+		SpatialDensity: density,
 	}
 	reqs, err := (&task).Expand()
 	if err != nil {
@@ -86,47 +93,110 @@ func benchSelector(tb testing.TB) *Selector {
 	return sel
 }
 
-// fullScanSelect is the pre-index selection path, kept measurable: copy
-// and sort the whole datastore, qualify with the reason map, rank.
-func fullScanSelect(tb testing.TB, sel *Selector, store *DeviceStore, req Request) {
-	if _, err := sel.Select(req, store.All(), simclock.Epoch); err != nil {
-		tb.Fatal(err)
-	}
+// selectionCase is one measured selection path over one store.
+type selectionCase struct {
+	name    string
+	devices int
+	run     func(b *testing.B)
 }
 
-// indexedSelect is the production hot path: region-scoped candidates
-// from the spatial index, allocation-free qualify and rank via scratch.
-func indexedSelect(tb testing.TB, sel *Selector, store *DeviceStore, req Request, cands *[]DeviceState, sc *SelectScratch) {
-	*cands = store.AppendCandidatesIn((*cands)[:0], req.Task.Area)
-	if _, err := sel.SelectFrom(req, *cands, simclock.Epoch, sc); err != nil {
-		tb.Fatal(err)
+// benchDensities are the spatial densities measured: the paper's campus
+// scale and the end-to-end benchmark's city scale (skipped where the 1%
+// region of a small population cannot hold it).
+var benchDensities = []int{5, 20}
+
+// selectionCases builds the benchmark matrix for one population size,
+// with the task region holding ~1% of it:
+//
+//   - full-scan: the pre-index path (copy and sort the whole datastore,
+//     qualify with the reason map, rank) — O(total devices) per request;
+//   - oracle: the indexed copying path production ran until the fused
+//     pass replaced it (copy the in-area candidates out, qualify, sort
+//     them all);
+//   - fused: the production pass (Selector.SelectIn).
+//
+// Those cases select over one region again and again, so its records
+// stay in the processor's cache. The cold cases (largest population
+// only) rotate through coldRegions different regions, as a server with
+// many tasks does: every pass reads records the previous ones evicted.
+func selectionCases(tb testing.TB, n int) []selectionCase {
+	store := benchStore(tb, n)
+	sel := benchSelector(tb)
+	area := benchRegion(1)
+	var cold []Request
+	if n == benchSizes[len(benchSizes)-1] {
+		rng := rand.New(rand.NewSource(400))
+		span := benchSpreadM - 2*area.RadiusM
+		for i := 0; i < coldRegions; i++ {
+			center := geo.Offset(geo.CSDepartment, area.RadiusM+rng.Float64()*span, area.RadiusM+rng.Float64()*span)
+			cold = append(cold, benchRequest(tb, geo.Circle{Center: center, RadiusM: area.RadiusM}, 20))
+		}
 	}
+	cases := []selectionCase{{
+		name: fmt.Sprintf("full-scan/density=5/devices=%d", n), devices: n,
+		run: func(b *testing.B) {
+			req := benchRequest(b, area, 5)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sel.Select(req, store.All(), simclock.Epoch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+	}}
+	oracleCase := func(name string, reqs []Request) selectionCase {
+		return selectionCase{name: name, devices: n, run: func(b *testing.B) {
+			var cands []DeviceState
+			var sc oracleScratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := oracleSelect(sel, store, reqs[i%len(reqs)], simclock.Epoch, &cands, &sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}}
+	}
+	fusedCase := func(name string, reqs []Request) selectionCase {
+		return selectionCase{name: name, devices: n, run: func(b *testing.B) {
+			var sc SelectScratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sel.SelectIn(store, reqs[i%len(reqs)], simclock.Epoch, &sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}}
+	}
+	for _, k := range benchDensities {
+		if n/100 < 2*k {
+			continue // the 1% region must hold the density with room to rank
+		}
+		warm := []Request{benchRequest(tb, area, k)}
+		cases = append(cases,
+			oracleCase(fmt.Sprintf("oracle/density=%d/devices=%d", k, n), warm),
+			fusedCase(fmt.Sprintf("fused/density=%d/devices=%d", k, n), warm))
+	}
+	if cold != nil {
+		cases = append(cases,
+			oracleCase(fmt.Sprintf("oracle-cold/density=20/devices=%d", n), cold),
+			fusedCase(fmt.Sprintf("fused-cold/density=20/devices=%d", n), cold))
+	}
+	return cases
 }
+
+var benchSizes = []int{1_000, 10_000, 100_000}
+
+// coldRegions is how many task regions the cold cases rotate through:
+// the end-to-end benchmark's task count.
+const coldRegions = 400
 
 // BenchmarkSelection measures one device selection as the registered
-// population grows, with the task region holding ~1% of it. full-scan is
-// the pre-index path (O(total devices) per request); indexed is the
-// production path (O(candidates in the region)).
+// population grows; see selectionCases for the three paths.
 func BenchmarkSelection(b *testing.B) {
-	area := benchRegion(1)
-	for _, n := range []int{1_000, 10_000, 100_000} {
-		store := benchStore(b, n)
-		req := benchRequest(b, area)
-		sel := benchSelector(b)
-		b.Run(fmt.Sprintf("full-scan/devices=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				fullScanSelect(b, sel, store, req)
-			}
-		})
-		b.Run(fmt.Sprintf("indexed/devices=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			var cands []DeviceState
-			var sc SelectScratch
-			for i := 0; i < b.N; i++ {
-				indexedSelect(b, sel, store, req, &cands, &sc)
-			}
-		})
+	for _, n := range benchSizes {
+		for _, c := range selectionCases(b, n) {
+			b.Run(c.name, c.run)
+		}
 	}
 }
 
@@ -140,49 +210,27 @@ type benchRecord struct {
 }
 
 // TestRecordSelectionBench runs the selection benchmark matrix and
-// writes BENCH_selection.json so the perf trajectory is recorded in CI
-// from this PR onward. It is gated on SENSEAID_BENCH_OUT (ci.sh sets
-// it); besides recording, it FAILS when the indexed path's allocations
-// per selection exceed selectionAllocBudget, or when the 100k-device
-// case shows less than a 10x advantage in both ns/op and allocs/op over
-// the pre-index full scan.
+// writes BENCH_selection.json in the BENCH_*.json common schema. It is
+// gated on SENSEAID_BENCH_OUT (ci.sh sets it); besides recording, it
+// FAILS when the production pass allocates more than
+// selectionAllocBudget per selection at any size, when it is less than
+// fusedOverOracleMin times faster than the copying path it replaced at
+// 100k devices and density 20 (same region every time, or a rotation of
+// regions), or when it has lost its 10x advantage in time and
+// allocations over the pre-index full scan.
 func TestRecordSelectionBench(t *testing.T) {
 	out := os.Getenv("SENSEAID_BENCH_OUT")
 	if out == "" {
 		t.Skip("SENSEAID_BENCH_OUT not set; benchmark recording runs from ci.sh")
 	}
-	area := benchRegion(1)
-	sizes := []int{1_000, 10_000, 100_000}
 	var records []benchRecord
 	byName := make(map[string]benchRecord)
-	for _, n := range sizes {
-		store := benchStore(t, n)
-		req := benchRequest(t, area)
-		sel := benchSelector(t)
-		cases := []struct {
-			name string
-			run  func(b *testing.B)
-		}{
-			{fmt.Sprintf("full-scan/devices=%d", n), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					fullScanSelect(b, sel, store, req)
-				}
-			}},
-			{fmt.Sprintf("indexed/devices=%d", n), func(b *testing.B) {
-				b.ReportAllocs()
-				var cands []DeviceState
-				var sc SelectScratch
-				for i := 0; i < b.N; i++ {
-					indexedSelect(b, sel, store, req, &cands, &sc)
-				}
-			}},
-		}
-		for _, c := range cases {
+	for _, n := range benchSizes {
+		for _, c := range selectionCases(t, n) {
 			res := testing.Benchmark(c.run)
 			rec := benchRecord{
 				Name:        c.name,
-				Devices:     n,
+				Devices:     c.devices,
 				NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
 				AllocsPerOp: res.AllocsPerOp(),
 				BytesPerOp:  res.AllocedBytesPerOp(),
@@ -193,44 +241,54 @@ func TestRecordSelectionBench(t *testing.T) {
 		}
 	}
 
-	// Gate 1: the indexed path's allocation hygiene.
-	for _, n := range sizes {
-		rec := byName[fmt.Sprintf("indexed/devices=%d", n)]
-		if rec.AllocsPerOp > selectionAllocBudget {
-			t.Errorf("indexed selection at %d devices allocates %d/op, budget %d — the hot path regressed",
-				n, rec.AllocsPerOp, selectionAllocBudget)
+	// Gate 1: the production pass's allocation hygiene.
+	for _, rec := range records {
+		if strings.HasPrefix(rec.Name, "fused") && rec.AllocsPerOp > selectionAllocBudget {
+			t.Errorf("%s allocates %d/op, budget %d — the hot path regressed",
+				rec.Name, rec.AllocsPerOp, selectionAllocBudget)
 		}
 	}
 
-	// Gate 2: the index must beat the full scan by >= 10x at 100k
-	// devices with a 1%% region, in both time and allocations.
-	full := byName["full-scan/devices=100000"]
-	idx := byName["indexed/devices=100000"]
-	nsRatio := full.NsPerOp / maxf(idx.NsPerOp, 1)
-	allocRatio := float64(full.AllocsPerOp) / maxf(float64(idx.AllocsPerOp), 1)
-	if nsRatio < 10 {
-		t.Errorf("indexed path only %.1fx faster than full scan at 100k devices, want >= 10x", nsRatio)
+	// Gate 2: the fused pass against the path it replaced.
+	ratios := make(map[string]float64)
+	for _, k := range benchDensities {
+		oracle := byName[fmt.Sprintf("oracle/density=%d/devices=100000", k)]
+		fused := byName[fmt.Sprintf("fused/density=%d/devices=100000", k)]
+		ratios[fmt.Sprintf("oracle_over_fused_ns_100k_density_%d", k)] = oracle.NsPerOp / math.Max(fused.NsPerOp, 1)
 	}
-	if allocRatio < 10 {
-		t.Errorf("indexed path only %.1fx fewer allocs than full scan at 100k devices, want >= 10x", allocRatio)
+	ratios["oracle_over_fused_ns_100k_density_20_cold"] = byName["oracle-cold/density=20/devices=100000"].NsPerOp /
+		math.Max(byName["fused-cold/density=20/devices=100000"].NsPerOp, 1)
+	for _, name := range []string{"oracle_over_fused_ns_100k_density_20", "oracle_over_fused_ns_100k_density_20_cold"} {
+		if ratios[name] < fusedOverOracleMin {
+			t.Errorf("%s = %.1f: the fused pass must be >= %dx faster than the copying path", name, ratios[name], fusedOverOracleMin)
+		}
 	}
 
-	doc := struct {
-		Benchmark   string        `json:"benchmark"`
-		Go          string        `json:"go"`
-		RegionPct   float64       `json:"region_pct_of_population"`
-		AllocBudget int           `json:"indexed_alloc_budget_per_selection"`
-		NsRatio100k float64       `json:"ns_ratio_fullscan_over_indexed_100k"`
-		AllocRatio  float64       `json:"alloc_ratio_fullscan_over_indexed_100k"`
-		Cases       []benchRecord `json:"cases"`
-	}{
-		Benchmark:   "BenchmarkSelection (internal/core)",
-		Go:          runtime.Version(),
-		RegionPct:   1,
-		AllocBudget: selectionAllocBudget,
-		NsRatio100k: nsRatio,
-		AllocRatio:  allocRatio,
-		Cases:       records,
+	// Gate 3: the index must still beat the full scan by >= 10x at 100k
+	// devices, in both time and allocations.
+	full := byName["full-scan/density=5/devices=100000"]
+	fused := byName["fused/density=5/devices=100000"]
+	ratios["fullscan_over_fused_ns_100k"] = full.NsPerOp / math.Max(fused.NsPerOp, 1)
+	ratios["fullscan_over_fused_allocs_100k"] = float64(full.AllocsPerOp) / math.Max(float64(fused.AllocsPerOp), 1)
+	for _, name := range []string{"fullscan_over_fused_ns_100k", "fullscan_over_fused_allocs_100k"} {
+		if ratios[name] < 10 {
+			t.Errorf("%s = %.1f, want >= 10", name, ratios[name])
+		}
+	}
+
+	doc := map[string]interface{}{
+		"schema":                   "senseaid-bench-selection/2",
+		"go":                       runtime.Version(),
+		"recorded_at":              time.Now().UTC().Format(time.RFC3339),
+		"commit":                   headCommit(),
+		"region_pct_of_population": 1,
+		"ratios":                   ratios,
+		"cases":                    records,
+		"gates": []string{
+			fmt.Sprintf("fused allocs/op <= %d at every size and density", selectionAllocBudget),
+			fmt.Sprintf("oracle ns/op over fused ns/op >= %d at 100k devices, density 20, one region and rotating regions", fusedOverOracleMin),
+			"full-scan over fused >= 10 at 100k devices, in ns/op and allocs/op",
+		},
 	}
 	blob, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -239,12 +297,19 @@ func TestRecordSelectionBench(t *testing.T) {
 	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s (ns ratio %.1fx, alloc ratio %.1fx at 100k)", out, nsRatio, allocRatio)
+	t.Logf("wrote %s (%v)", out, ratios)
 }
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
+// headCommit names the commit the recording ran on top of ("unknown"
+// outside a git checkout; "-dirty" when the tree had local changes).
+func headCommit() string {
+	rev, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		return "unknown"
 	}
-	return b
+	commit := strings.TrimSpace(string(rev))
+	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(st) > 0 {
+		commit += "-dirty"
+	}
+	return commit
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
+
+	"senseaid/internal/geo"
 )
 
 // SelectorConfig holds the scoring weights and hard cutoffs of the device
@@ -91,6 +94,12 @@ const TTLCapSeconds = 3600
 // Score computes the paper's scoring function for one device at an
 // instant; lower is better.
 func (s *Selector) Score(d DeviceState, now time.Time) float64 {
+	return s.score(&d, now)
+}
+
+// score is Score by pointer: the selection pass scores store records in
+// place.
+func (s *Selector) score(d *DeviceState, now time.Time) float64 {
 	var ttl float64
 	if d.LastComm.IsZero() {
 		// Never communicated: no tail, worst TTL — explicitly, instead of
@@ -128,18 +137,17 @@ const (
 	ReasonUnreliable      DisqualifyReason = "reliability below minimum"
 )
 
-// disqualify returns the reason d is ineligible for the request, or ""
-// when it qualifies. It is the single source of truth behind Qualify,
-// QualifyAppend, and CountQualified.
-func (s *Selector) disqualify(req Request, d *DeviceState) DisqualifyReason {
+// cutoff returns the reason a device already known to be inside the
+// task's area is ineligible, or "" when it qualifies. It is the single
+// source of truth for every non-spatial cut-off; the area test is the
+// selection pass's (and ReasonOutOfRegion its verdict).
+func (s *Selector) cutoff(t *Task, d *DeviceState) DisqualifyReason {
 	switch {
 	case !d.Responsive:
 		return ReasonUnresponsive
-	case !req.Task.Area.Contains(d.Position):
-		return ReasonOutOfRegion
-	case !d.HasSensor(req.Task.Sensor):
+	case !slices.Contains(d.Sensors, t.Sensor): // HasSensor would copy the record
 		return ReasonNoSensor
-	case req.Task.DeviceType != "" && d.DeviceType != req.Task.DeviceType:
+	case t.DeviceType != "" && d.DeviceType != t.DeviceType:
 		return ReasonWrongDeviceType
 	case d.TimesUsed >= s.cfg.MaxUses:
 		return ReasonOverused
@@ -154,47 +162,6 @@ func (s *Selector) disqualify(req Request, d *DeviceState) DisqualifyReason {
 	}
 }
 
-// Qualify splits devices into those eligible for the request and, for the
-// rest, the reason they were excluded. It allocates the reason map, so it
-// suits diagnostics and one-off calls; the scheduling hot path uses
-// QualifyAppend/CountQualified, which allocate nothing.
-func (s *Selector) Qualify(req Request, devices []DeviceState) (qualified []DeviceState, excluded map[string]DisqualifyReason) {
-	excluded = make(map[string]DisqualifyReason)
-	for i := range devices {
-		if r := s.disqualify(req, &devices[i]); r != "" {
-			excluded[devices[i].ID] = r
-		} else {
-			qualified = append(qualified, devices[i])
-		}
-	}
-	return qualified, excluded
-}
-
-// QualifyAppend appends the devices eligible for the request to dst and
-// returns the extended slice. Unlike Qualify it records no exclusion
-// reasons, so a reused dst makes the steady state allocation-free.
-func (s *Selector) QualifyAppend(req Request, devices []DeviceState, dst []DeviceState) []DeviceState {
-	for i := range devices {
-		if s.disqualify(req, &devices[i]) == "" {
-			dst = append(dst, devices[i])
-		}
-	}
-	return dst
-}
-
-// CountQualified reports how many of devices are eligible for the
-// request, allocating nothing (the wait-queue re-check only needs the
-// count).
-func (s *Selector) CountQualified(req Request, devices []DeviceState) int {
-	n := 0
-	for i := range devices {
-		if s.disqualify(req, &devices[i]) == "" {
-			n++
-		}
-	}
-	return n
-}
-
 // ErrNotEnoughDevices reports an unsatisfiable request: fewer qualified
 // devices than the task's spatial density.
 type ErrNotEnoughDevices struct {
@@ -207,66 +174,155 @@ func (e *ErrNotEnoughDevices) Error() string {
 	return fmt.Sprintf("core: request %s needs %d devices, only %d qualified", e.Request, e.Want, e.Got)
 }
 
-// scoredDevice pairs a candidate with its precomputed score so the sort
-// evaluates Score once per device instead of once per comparison.
-type scoredDevice struct {
-	dev   DeviceState
+// ranked is one qualified record in the running top-k: a pointer into
+// the store (valid only while its read lock is held) and the score
+// computed once for it.
+type ranked struct {
 	score float64
+	dev   *DeviceState
 }
 
-// SelectScratch holds the reusable buffers of the allocation-free
-// selection path. A zero value is ready to use; reusing one across
-// SelectFrom calls (the scheduler keeps one per server, under its
+// compare orders ranked records best first: lowest score, ties broken by
+// device ID so runs are deterministic.
+func (a ranked) compare(b ranked) int {
+	switch {
+	case a.score < b.score:
+		return -1
+	case a.score > b.score:
+		return 1
+	}
+	return strings.Compare(a.dev.ID, b.dev.ID)
+}
+
+// keepAll makes a selection pass keep every qualified device (the
+// SelectAll ablation); keep 0 makes it count only.
+const keepAll = math.MaxInt
+
+// SelectScratch holds one selection pass: its parameters, its running
+// top-k and its results. A zero value is ready to use; reusing one
+// across passes (the scheduler keeps one per server, under its
 // scheduling lock) makes the steady state allocation-free. Not safe for
 // concurrent use.
 type SelectScratch struct {
-	scored   []scoredDevice
-	selected []DeviceState
+	sel  *Selector
+	task *Task
+	now  time.Time
+	area geo.PreparedCircle
+	keep int
+
+	// inArea counts the records found inside the area; qualified those
+	// among them known to pass every cut-off — all of them while fewer
+	// than keep have been found (and always when counting only or
+	// keeping all), at least keep otherwise.
+	inArea, qualified int
+	// top holds the best keep records seen so far; once it is full it is
+	// a max-heap on compare, so its root is the record the next better
+	// one evicts.
+	top []ranked
+	// winners are the kept records, copied out of the store best first
+	// before its lock is released.
+	winners []DeviceState
 }
 
-// Select picks the request's spatial-density-many best devices from the
-// qualified set (lowest score first; ties broken by device ID so runs are
-// deterministic). It returns ErrNotEnoughDevices when n > N. The result
-// is freshly allocated; the hot path uses SelectFrom with a reused
-// scratch instead.
-func (s *Selector) Select(req Request, devices []DeviceState, now time.Time) ([]DeviceState, error) {
-	var sc SelectScratch
-	sel, err := s.SelectFrom(req, devices, now, &sc)
-	if err != nil {
-		return nil, err
-	}
-	return slices.Clone(sel), nil
-}
-
-// SelectFrom is the allocation-conscious form of Select: candidates are
-// qualified, scored once each, ranked (lowest score first, ties broken
-// by device ID), and the top spatial-density-many returned. The result
-// aliases the scratch buffers and is valid only until the next
-// SelectFrom call with the same scratch; callers copy what they keep.
-func (s *Selector) SelectFrom(req Request, candidates []DeviceState, now time.Time, sc *SelectScratch) ([]DeviceState, error) {
-	sc.scored = sc.scored[:0]
-	for i := range candidates {
-		if s.disqualify(req, &candidates[i]) != "" {
-			continue
+// consider is called by DeviceStore.scan, under the store's read lock,
+// for every record inside the area.
+func (p *SelectScratch) consider(d *DeviceState) {
+	p.inArea++
+	full := p.keep > 0 && len(p.top) == p.keep
+	var r ranked
+	if full {
+		// Score before qualifying. A record that cannot displace the
+		// worst one kept is not a winner whether or not it qualifies,
+		// and once the heap has filled almost every record is such: it
+		// is dismissed on the fields the score reads, without touching
+		// its sensor list or the rest of the cut-offs.
+		r = ranked{score: p.sel.score(d, p.now), dev: d}
+		if r.compare(p.top[0]) >= 0 {
+			return
 		}
-		sc.scored = append(sc.scored, scoredDevice{dev: candidates[i], score: s.Score(candidates[i], now)})
 	}
-	n := req.Task.SpatialDensity
-	if n > len(sc.scored) {
-		return nil, &ErrNotEnoughDevices{Request: req.ID(), Want: n, Got: len(sc.scored)}
+	if p.sel.cutoff(p.task, d) != "" {
+		return
 	}
-	slices.SortFunc(sc.scored, func(a, b scoredDevice) int {
-		if a.score != b.score {
-			if a.score < b.score {
-				return -1
+	p.qualified++
+	switch {
+	case p.keep <= 0: // count only
+	case full:
+		p.top[0] = r
+		p.siftDown(0)
+	default:
+		p.top = append(p.top, ranked{score: p.sel.score(d, p.now), dev: d})
+		if len(p.top) == p.keep {
+			for i := len(p.top)/2 - 1; i >= 0; i-- {
+				p.siftDown(i)
 			}
-			return 1
 		}
-		return strings.Compare(a.dev.ID, b.dev.ID)
-	})
-	sc.selected = sc.selected[:0]
-	for i := 0; i < n; i++ {
-		sc.selected = append(sc.selected, sc.scored[i].dev)
 	}
-	return sc.selected, nil
+}
+
+// siftDown restores the max-heap below index i.
+func (p *SelectScratch) siftDown(i int) {
+	h := p.top
+	for {
+		worst := i
+		if l := 2*i + 1; l < len(h) && h[worst].compare(h[l]) < 0 {
+			worst = l
+		}
+		if r := 2*i + 2; r < len(h) && h[worst].compare(h[r]) < 0 {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
+// finish is called by DeviceStore.scan after the last record, still
+// under the read lock: the kept records are ranked and copied out, so
+// nothing reads the store through a pointer once the lock is gone. The
+// copies share the store's immutable Sensors backing arrays; callers
+// treat DeviceState.Sensors as read-only.
+func (p *SelectScratch) finish() {
+	slices.SortFunc(p.top, ranked.compare)
+	for _, r := range p.top {
+		p.winners = append(p.winners, *r.dev)
+	}
+	clear(p.top) // drop the pointers into the store
+	p.top = p.top[:0]
+}
+
+// pick is the one selection pass, used by the scheduler, the wait-queue
+// re-check and the SelectAll ablation alike. It walks the store's
+// spatial index once, in place: each live record in the area's covering
+// cells is tested for containment, and those inside are qualified,
+// scored and the best keep held in a bounded heap — no candidate is
+// copied unless it wins. It returns how many records were inside the
+// area and how many of those qualified; the second count is exact when
+// it is below keep (the request is unsatisfiable: the caller needs the
+// shortfall) and with keep 0 or keepAll, and otherwise only known to
+// have reached keep. The winners (at most keep, all of them with
+// keepAll, none with 0) are left in sc.winners, best first, valid until
+// the scratch is reused.
+func (s *Selector) pick(store *DeviceStore, t *Task, now time.Time, keep int, sc *SelectScratch) (inArea, qualified int) {
+	sc.sel, sc.task, sc.now, sc.keep = s, t, now, keep
+	sc.area = t.Area.Prepare()
+	sc.inArea, sc.qualified = 0, 0
+	sc.top, sc.winners = sc.top[:0], sc.winners[:0]
+	store.scan(sc)
+	return sc.inArea, sc.qualified
+}
+
+// SelectIn picks the request's spatial-density-many best devices among
+// the store's records inside the task area (lowest score first; ties
+// broken by device ID so runs are deterministic). It returns
+// ErrNotEnoughDevices when fewer qualify. The result aliases the scratch
+// and is valid only until its next use; callers copy what they keep.
+func (s *Selector) SelectIn(store *DeviceStore, req Request, now time.Time, sc *SelectScratch) ([]DeviceState, error) {
+	n := req.Task.SpatialDensity
+	if _, got := s.pick(store, req.Task, now, n, sc); got < n {
+		return nil, &ErrNotEnoughDevices{Request: req.ID(), Want: n, Got: got}
+	}
+	return sc.winners, nil
 }

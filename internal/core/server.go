@@ -201,16 +201,12 @@ type Server struct {
 	// windowStart anchors the current fairness accounting window.
 	windowStart time.Time
 
-	// scr holds the scheduling pass's reusable selection buffers
-	// (candidate fetch, qualification, ranking). Guarded by mu: schedule
-	// and checkWaitQueue run with mu held, and everything copied out of
-	// the buffers (outbound dispatches, selection log entries, pending
-	// records) is copied before the next request reuses them.
-	scr struct {
-		cands []DeviceState
-		qual  []DeviceState
-		sel   SelectScratch
-	}
+	// scr is the scheduling pass's reusable selection scratch (running
+	// top-k and the winners copied out of the store). Guarded by mu:
+	// schedule and checkWaitQueue run with mu held, and everything kept
+	// from it (outbound dispatches, selection log entries, pending
+	// records) is copied before the next request reuses it.
+	scr SelectScratch
 
 	jseq atomic.Uint64
 
@@ -610,30 +606,24 @@ func (s *Server) processDueLocked(now time.Time, out *[]outbound) {
 // to the chosen devices; unsatisfiable requests move to the wait queue.
 // Called with s.mu held.
 func (s *Server) schedule(r Request, now time.Time, out *[]outbound) {
-	var selected []DeviceState
-	var err error
 	// Spans join the trace the task was submitted under (inert for
 	// untraced tasks); select is a child of schedule so the trace tree
 	// shows the selector's share of the pass.
 	span := s.tracer.StartSpan(r.Task.TraceContext(), obs.StageSchedule, s.cfg.TraceRegion)
 	defer span.Finish()
-	s.timeline.Note(string(r.Task.ID), "scheduled", r.ID(), now)
+	id := r.ID() // formatted once: the ID keys the pending map, the log and the timeline
+	s.timeline.Note(string(r.Task.ID), "scheduled", id, now)
 	selSpan := s.tracer.StartSpan(span.Context(), obs.StageSelect, s.cfg.TraceRegion)
 	selStart := time.Now()
-	// Candidates come from the datastore's spatial index: the scan is
-	// O(devices near the task area), not O(registered devices), and the
-	// reused buffers keep the steady state allocation-free.
-	s.scr.cands = s.devices.AppendCandidatesIn(s.scr.cands[:0], r.Task.Area)
+	// One pass over the datastore's spatial index, in place: the scan is
+	// O(devices near the task area), copies only the winners, and the
+	// reused scratch keeps the steady state allocation-free.
+	want := r.Task.SpatialDensity
+	keep := want
 	if s.cfg.SelectAll {
-		s.scr.qual = s.selector.QualifyAppend(r, s.scr.cands, s.scr.qual[:0])
-		if len(s.scr.qual) < r.Task.SpatialDensity {
-			err = &ErrNotEnoughDevices{Request: r.ID(), Want: r.Task.SpatialDensity, Got: len(s.scr.qual)}
-		} else {
-			selected = s.scr.qual
-		}
-	} else {
-		selected, err = s.selector.SelectFrom(r, s.scr.cands, now, &s.scr.sel)
+		keep = keepAll
 	}
+	inArea, qualified := s.selector.pick(s.devices, r.Task, now, keep, &s.scr)
 	elapsed := time.Since(selStart)
 	// Waitlisting is an expected outcome, not a span failure: the select
 	// span closes cleanly either way so scarce-device periods don't
@@ -641,8 +631,8 @@ func (s *Server) schedule(r Request, now time.Time, out *[]outbound) {
 	selSpan.Finish()
 	s.met.selectionSeconds.Observe(elapsed.Seconds())
 	s.met.selectionNS.Add(uint64(elapsed.Nanoseconds()))
-	s.met.selectionCands.Add(uint64(len(s.scr.cands)))
-	if err != nil {
+	s.met.selectionCands.Add(uint64(inArea))
+	if qualified < want {
 		// n > N: "move t to wait queue".
 		s.wait.push(r)
 		s.bump(s.met.reqWaitlisted, func(st *Stats) { st.RequestsWaitlisted++ })
@@ -650,14 +640,19 @@ func (s *Server) schedule(r Request, now time.Time, out *[]outbound) {
 		s.jlog(JournalRecord{Op: opWaitlist, Req: &ref})
 		return
 	}
-	sel := Selection{Request: r.ID(), At: now}
+	selected := s.scr.winners
+	sel := Selection{Request: id, At: now, Devices: make([]string, 0, len(selected))}
+	pending := s.pending[id]
 	for _, d := range selected {
-		s.devices.NoteSelected(d.ID)
-		s.pending[r.ID()] = append(s.pending[r.ID()], pendingDispatch{req: r, deviceID: d.ID, at: now})
+		pending = append(pending, pendingDispatch{req: r, deviceID: d.ID, at: now})
 		sel.Devices = append(sel.Devices, d.ID)
 		*out = append(*out, outbound{req: r, dev: d})
 	}
-	s.timeline.Note(string(r.Task.ID), "selected", fmt.Sprintf("%s devices=%d", r.ID(), len(selected)), now)
+	s.pending[id] = pending
+	s.devices.NoteSelected(sel.Devices...)
+	if s.timeline != nil {
+		s.timeline.Note(string(r.Task.ID), "selected", fmt.Sprintf("%s devices=%d", id, len(selected)), now)
+	}
 	ref := refOf(r)
 	s.jlog(JournalRecord{Op: opDispatch, At: now, Req: &ref, Devices: sel.Devices})
 	s.statsMu.Lock()
@@ -688,8 +683,7 @@ func (s *Server) checkWaitQueue(now time.Time, out *[]outbound) {
 			s.jlog(JournalRecord{Op: opReqExpired, Req: &ref, From: "wait"})
 			continue
 		}
-		s.scr.cands = s.devices.AppendCandidatesIn(s.scr.cands[:0], r.Task.Area)
-		if s.selector.CountQualified(r, s.scr.cands) >= r.Task.SpatialDensity {
+		if _, qualified := s.selector.pick(s.devices, r.Task, now, 0, &s.scr); qualified >= r.Task.SpatialDensity {
 			// Satisfiable now: hand straight to the scheduler (moving
 			// it to the run queue and popping it would be equivalent).
 			s.bump(nil, func(st *Stats) { st.RequestsWaitlisted-- })

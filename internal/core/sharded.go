@@ -32,19 +32,27 @@ type Region struct {
 
 // ShardedServer fronts a set of per-region Server instances behind the
 // Orchestrator interface. Each shard owns its concurrency (see Server);
-// the sharded layer adds one lock of its own for the routing indexes.
-// ProcessDue and NextWake fan out across shards concurrently, so the
-// shared Dispatcher must tolerate concurrent calls.
+// the sharded layer adds one lock per routing index. ProcessDue and
+// NextWake fan out across shards concurrently, so the shared Dispatcher
+// must tolerate concurrent calls.
 //
-// Lock hierarchy: ShardedServer.mu -> (per-shard) Server locks. No shard
-// ever calls back up into the sharded layer.
+// Lock hierarchy: ShardedServer.mu -> (per-shard) Server locks, and
+// ShardedServer.taskMu as a leaf (nothing is called with it held). The
+// two routing locks are independent — an upload resolving its task never
+// queues behind a device report — and only RebuildRouting holds both
+// (mu, then taskMu). No shard ever calls back up into the sharded layer.
 type ShardedServer struct {
 	shards []shardEntry // immutable after construction
 
-	// mu guards the routing indexes.
+	// mu guards deviceHome. It is held shared across a shard call that
+	// must land on the device's current home, exclusively while a device
+	// changes home.
 	mu sync.RWMutex
 	// deviceHome maps a device to its current shard index.
 	deviceHome map[string]int
+
+	// taskMu guards taskHome.
+	taskMu sync.RWMutex
 	// taskHome maps a (shard-prefixed, globally unique) task ID to the
 	// shard that owns it.
 	taskHome map[TaskID]int
@@ -52,6 +60,9 @@ type ShardedServer struct {
 
 type shardEntry struct {
 	region Region
+	// area is region.Area prepared once: every registration, state report
+	// and task submission asks which region holds a point.
+	area   geo.PreparedCircle
 	server *Server
 }
 
@@ -115,7 +126,7 @@ func NewShardedServer(cfg ServerConfig, d Dispatcher, regions []Region) (*Sharde
 		if err != nil {
 			return nil, err
 		}
-		s.shards = append(s.shards, shardEntry{region: r, server: srv})
+		s.shards = append(s.shards, shardEntry{region: r, area: r.Area.Prepare(), server: srv})
 	}
 	return s, nil
 }
@@ -126,8 +137,8 @@ func (s *ShardedServer) Shards() int { return len(s.shards) }
 // ShardFor returns the index of the first region containing the point, or
 // -1 when the point is outside every region.
 func (s *ShardedServer) ShardFor(p geo.Point) int {
-	for i, sh := range s.shards {
-		if sh.region.Area.Contains(p) {
+	for i := range s.shards {
+		if s.shards[i].area.Contains(p) {
 			return i
 		}
 	}
@@ -171,17 +182,38 @@ func (s *ShardedServer) DeregisterDevice(id string) {
 // moved into another shard's region. Re-homing moves the record verbatim
 // (Restore), so responsiveness, reliability, and the fairness counters
 // survive the crossing.
+//
+// A report that stays in its region — nearly all of them — holds the
+// routing lock shared across the shard call, as UpdateDevicePrefs does:
+// reports for different devices, and the uploads resolving their tasks,
+// proceed side by side, and a concurrent re-home still cannot move the
+// record out from under the update. Only a crossing takes the lock
+// exclusively.
 func (s *ShardedServer) UpdateDeviceState(id string, pos geo.Point, batteryPct float64, at time.Time) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	target := s.ShardFor(pos)
+	s.mu.RLock()
 	home, ok := s.deviceHome[id]
+	if ok && (target < 0 || target == home) {
+		// target < 0 is out of all coverage: keep the stale home record;
+		// the device will fail region qualification anyway.
+		err := s.shards[home].server.UpdateDeviceState(id, pos, batteryPct, at)
+		s.mu.RUnlock()
+		return err
+	}
+	s.mu.RUnlock()
+	if ok {
+		// A crossing. RWMutex has no upgrade, so the index may have
+		// changed between the two acquisitions (a racing report already
+		// re-homed the device, or it was deregistered): read the home
+		// again.
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		home, ok = s.deviceHome[id]
+	}
 	if !ok {
 		return fmt.Errorf("core: update for unregistered device %s", id)
 	}
-	target := s.ShardFor(pos)
-	if target < 0 || target == home {
-		// Out of all coverage: keep the stale home record; the device
-		// will fail region qualification anyway.
+	if target == home {
 		return s.shards[home].server.UpdateDeviceState(id, pos, batteryPct, at)
 	}
 	// Re-home: move the record, preserving liveness and fairness state.
@@ -296,17 +328,17 @@ func (s *ShardedServer) SubmitTask(t Task, now time.Time, sink DataSink) (TaskID
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
+	s.taskMu.Lock()
 	s.taskHome[id] = i
-	s.mu.Unlock()
+	s.taskMu.Unlock()
 	return id, nil
 }
 
 // shardForTask resolves a shard-prefixed task ID to its owning shard.
 func (s *ShardedServer) shardForTask(id TaskID) (int, error) {
-	s.mu.RLock()
+	s.taskMu.RLock()
 	i, ok := s.taskHome[id]
-	s.mu.RUnlock()
+	s.taskMu.RUnlock()
 	if !ok {
 		return 0, fmt.Errorf("core: unknown task %s", id)
 	}
@@ -323,9 +355,9 @@ func (s *ShardedServer) DeleteTask(id TaskID) error {
 	if err := s.shards[i].server.DeleteTask(id); err != nil {
 		return err
 	}
-	s.mu.Lock()
+	s.taskMu.Lock()
 	delete(s.taskHome, id)
-	s.mu.Unlock()
+	s.taskMu.Unlock()
 	return nil
 }
 
@@ -471,6 +503,8 @@ func (s *ShardedServer) TaskCount() int {
 func (s *ShardedServer) RebuildRouting() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.taskMu.Lock()
+	defer s.taskMu.Unlock()
 	s.deviceHome = make(map[string]int)
 	s.taskHome = make(map[TaskID]int)
 	for i, sh := range s.shards {
