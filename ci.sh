@@ -16,8 +16,13 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # (bench/README.md, "Pinned surface") goes unseen until the benchmark runs.
 (cd bench && go vet . && go test .)
 # Order-dependence and shared-state check on the packages the selection
-# pass lives in: race detector with the test order shuffled.
-go test -race -shuffle=on ./internal/core/... ./internal/geo/...
+# pass and the journal path live in: race detector with the test order
+# shuffled.
+go test -race -shuffle=on ./internal/core/... ./internal/geo/... ./internal/persist/...
+# Journal codec fuzz smoke: ten seconds of holding JournalRecord's hand
+# encoder and parser to encoding/json (byte-identical output, identical
+# decode) beyond the seed corpus the ordinary test run replays.
+go test -run '^$' -fuzz='^FuzzJournalRecordCodec$' -fuzztime=10s ./internal/core
 # Fault-injection smoke: the resilience suites (stalled peers, flaky
 # links, server restart) in short mode, so a quick pre-push run still
 # exercises the failure paths end to end.
@@ -57,9 +62,12 @@ SENSEAID_BENCH_OUT="$PWD/BENCH_obs.json" \
 SENSEAID_BENCH_OUT="$PWD/BENCH_wire.json" \
     go test -run '^TestRecordWireBench$' -count=1 -v ./internal/wire
 
-# Recovery benchmark record: replays a 10k-record journal at boot,
+# Recovery benchmark record: replays a 10k-record journal at boot and
+# times the journal record codec against encoding/json on the hot ops,
 # writes BENCH_recovery.json, and FAILS when recovery exceeds its
-# wall-clock budget (see TestRecordRecoveryBench).
+# wall-clock budget, when encoding a record allocates or is under 3x
+# encoding/json, or when decoding is under 1.5x (see
+# TestRecordRecoveryBench).
 SENSEAID_BENCH_OUT="$PWD/BENCH_recovery.json" \
     go test -run '^TestRecordRecoveryBench$' -count=1 -v ./internal/netserver
 

@@ -114,9 +114,9 @@ func TestDeleteTaskDropsRoutingEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.mu.RLock()
+	s.taskMu.RLock()
 	n := len(s.taskHome)
-	s.mu.RUnlock()
+	s.taskMu.RUnlock()
 	if n != 0 {
 		t.Fatalf("taskHome holds %d entries after delete, want 0", n)
 	}

@@ -163,8 +163,16 @@ func (s *DeviceStore) store(d *DeviceState) {
 // start: the device is marked responsive and an unset reliability reads
 // as 1.0 (no history yet).
 func (s *DeviceStore) Register(d DeviceState) error {
+	_, err := s.register(d)
+	return err
+}
+
+// register is Register handing back the record as stored (defaults
+// applied), copied under the same lock acquisition that stored it. The
+// copy shares the stored Sensors array, which no store method writes.
+func (s *DeviceStore) register(d DeviceState) (DeviceState, error) {
 	if err := validate(&d); err != nil {
-		return err
+		return DeviceState{}, err
 	}
 	if d.Reliability == 0 {
 		d.Reliability = 1 // no history yet
@@ -172,8 +180,9 @@ func (s *DeviceStore) Register(d DeviceState) error {
 	d.Responsive = true
 	s.mu.Lock()
 	s.store(&d)
+	stored := d
 	s.mu.Unlock()
-	return nil
+	return stored, nil
 }
 
 // Restore stores a record verbatim, preserving its responsiveness flag,

@@ -26,11 +26,19 @@ func (s *Server) PendingDispatches() int {
 // DeviceHomes returns a copy of the device-routing index: device ID ->
 // shard index. Chaos checkers compare it against the shards' stores.
 func (s *ShardedServer) DeviceHomes() map[string]int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]int, len(s.deviceHome))
-	for id, i := range s.deviceHome {
-		out[id] = i
+	s.lockAllStripes()
+	defer s.unlockAllStripes()
+	return s.deviceHomesLocked()
+}
+
+// deviceHomesLocked merges the stripes into one map. Caller holds every
+// stripe.
+func (s *ShardedServer) deviceHomesLocked() map[string]int {
+	out := make(map[string]int)
+	for i := range s.devices {
+		for id, home := range s.devices[i].home {
+			out[id] = home
+		}
 	}
 	return out
 }
@@ -57,7 +65,7 @@ func (s *ShardedServer) PendingDispatches() int {
 // protocol promises: every registered device lives in EXACTLY one
 // shard's store, and the routing index agrees with the stores. It
 // returns one message per violation (empty = healthy). The check takes
-// the routing lock, so call it at a quiesce point, not mid-storm.
+// every routing stripe, so call it at a quiesce point, not mid-storm.
 //
 // Note the deliberate asymmetry: a device in a store without an index
 // entry is a violation (it would never receive control traffic again —
@@ -65,8 +73,9 @@ func (s *ShardedServer) PendingDispatches() int {
 // either — an index entry with no stored record routes updates into
 // errors forever.
 func (s *ShardedServer) CheckHomingInvariants() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.lockAllStripes()
+	defer s.unlockAllStripes()
+	routed := s.deviceHomesLocked()
 	var violations []string
 
 	// Where each device actually lives.
@@ -88,7 +97,7 @@ func (s *ShardedServer) CheckHomingInvariants() []string {
 			violations = append(violations,
 				fmt.Sprintf("device %s stored in %d shards %v (double-homed)", id, len(homes), homes))
 		}
-		idx, ok := s.deviceHome[id]
+		idx, ok := routed[id]
 		switch {
 		case !ok:
 			violations = append(violations,
@@ -100,15 +109,15 @@ func (s *ShardedServer) CheckHomingInvariants() []string {
 	}
 
 	// Index entries pointing at nothing.
-	indexed := make([]string, 0, len(s.deviceHome))
-	for id := range s.deviceHome {
+	indexed := make([]string, 0, len(routed))
+	for id := range routed {
 		indexed = append(indexed, id)
 	}
 	sort.Strings(indexed)
 	for _, id := range indexed {
 		if _, ok := stored[id]; !ok {
 			violations = append(violations,
-				fmt.Sprintf("device %s routed to shard %d but stored nowhere (zero-homed)", id, s.deviceHome[id]))
+				fmt.Sprintf("device %s routed to shard %d but stored nowhere (zero-homed)", id, routed[id]))
 		}
 	}
 	return violations

@@ -133,6 +133,13 @@ type JournalSink interface {
 	Append(rec JournalRecord)
 }
 
+// journalBatch is one locked section's staged records. A server keeps
+// two and alternates them — one staging under s.mu while the other is
+// being emitted outside it — so the steady state grows no slices.
+type journalBatch struct {
+	recs []JournalRecord
+}
+
 // jlog stages one record while s.mu is held; the staged batch is drained
 // by jtake just before the lock is released and emitted by jemit after,
 // preserving the DESIGN.md §8 rule that no I/O runs under the
@@ -143,27 +150,35 @@ func (s *Server) jlog(rec JournalRecord) {
 		return
 	}
 	rec.Seq = s.jseq.Add(1)
-	s.jbuf = append(s.jbuf, rec)
+	if s.jbuf == nil {
+		if s.jbuf = s.jidle.Swap(nil); s.jbuf == nil {
+			// First use, or both batches are out being emitted.
+			s.jbuf = new(journalBatch)
+		}
+	}
+	s.jbuf.recs = append(s.jbuf.recs, rec)
 }
 
 // jtake drains the staged records. Caller holds s.mu.
-func (s *Server) jtake() []JournalRecord {
-	if len(s.jbuf) == 0 {
-		return nil
-	}
-	recs := s.jbuf
+func (s *Server) jtake() *journalBatch {
+	b := s.jbuf
 	s.jbuf = nil
-	return recs
+	return b
 }
 
-// jemit appends drained records to the sink; called without s.mu.
-func (s *Server) jemit(recs []JournalRecord) {
-	if len(recs) == 0 {
+// jemit appends drained records to the sink; called without s.mu. The
+// batch then goes back for reuse, zeroed so the records it held (their
+// tasks, device records, ID lists) are not pinned until it next fills.
+func (s *Server) jemit(b *journalBatch) {
+	if b == nil {
 		return
 	}
-	for i := range recs {
-		s.cfg.Journal.Append(recs[i])
+	for i := range b.recs {
+		s.cfg.Journal.Append(b.recs[i])
 	}
+	clear(b.recs)
+	b.recs = b.recs[:0]
+	s.jidle.Store(b)
 }
 
 // jdirect numbers and appends one device-path record. Called without

@@ -196,7 +196,10 @@ type Server struct {
 	byClientID map[string]TaskID
 	// jbuf stages journal records born under mu until the lock is
 	// released; jseq numbers every record (see journal.go).
-	jbuf []JournalRecord
+	jbuf *journalBatch
+	// jidle parks the batch that is not in use. Not under mu: a batch
+	// comes back from jemit, which runs after the lock is released.
+	jidle atomic.Pointer[journalBatch]
 
 	// windowStart anchors the current fairness accounting window.
 	windowStart time.Time
@@ -282,16 +285,18 @@ func (s *Server) Devices() *DeviceStore { return s.devices }
 
 // RegisterDevice adds or replaces a device record.
 func (s *Server) RegisterDevice(d DeviceState) error {
-	if err := s.devices.Register(d); err != nil {
+	stored, err := s.devices.register(d)
+	if err != nil {
 		return err
 	}
 	s.met.devices.Set(float64(s.devices.Len()))
 	if s.cfg.Journal != nil {
 		// Journal the record as stored (Register defaults responsiveness
-		// and reliability), so replay restores it verbatim.
-		if rec, ok := s.devices.Get(d.ID); ok {
-			s.jdirect(JournalRecord{Op: opRegister, Device: &rec})
-		}
+		// and reliability), so replay restores it verbatim — the copy the
+		// store made under its own lock, so a deregister or report landing
+		// right behind the registration cannot change what is journaled.
+		rec := stored // escapes; copied here so an unjournaled server allocates nothing
+		s.jdirect(JournalRecord{Op: opRegister, Device: &rec})
 	}
 	return nil
 }
@@ -401,7 +406,7 @@ func (s *Server) SubmitTask(t Task, now time.Time, sink DataSink) (TaskID, error
 	// Normalize pins Start/End, so a retry of a duration-based spec still
 	// matches the stored (normalized) task.
 	sig := specSig(t)
-	var recs []JournalRecord
+	var recs *journalBatch
 	defer func() { s.jemit(recs) }()
 	s.mu.Lock()
 	defer func() { recs = s.jtake(); s.mu.Unlock() }()
@@ -453,7 +458,7 @@ func (s *Server) SubmitTask(t Task, now time.Time, sink DataSink) (TaskID, error
 // UpdateTaskParams applies a mutation to an existing task; future requests
 // are regenerated from now with the new parameters (past rounds stand).
 func (s *Server) UpdateTaskParams(id TaskID, now time.Time, mutate func(*Task)) error {
-	var recs []JournalRecord
+	var recs *journalBatch
 	defer func() { s.jemit(recs) }()
 	s.mu.Lock()
 	defer func() { recs = s.jtake(); s.mu.Unlock() }()
@@ -496,7 +501,7 @@ func (s *Server) UpdateTaskParams(id TaskID, now time.Time, mutate func(*Task)) 
 
 // DeleteTask removes a task and its pending requests.
 func (s *Server) DeleteTask(id TaskID) error {
-	var recs []JournalRecord
+	var recs *journalBatch
 	defer func() { s.jemit(recs) }()
 	s.mu.Lock()
 	defer func() { recs = s.jtake(); s.mu.Unlock() }()
@@ -840,7 +845,7 @@ func (s *Server) receiveDataLocked(reqID string, deviceID string, reading sensor
 // miss feeds the reputation tracker like a deadline expiry would — so
 // the next scheduling round can pick a replacement immediately.
 func (s *Server) NoteDispatchFailure(reqID, deviceID string) {
-	var recs []JournalRecord
+	var recs *journalBatch
 	defer func() { s.jemit(recs) }()
 	s.mu.Lock()
 	defer func() { recs = s.jtake(); s.mu.Unlock() }()

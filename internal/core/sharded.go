@@ -32,30 +32,73 @@ type Region struct {
 
 // ShardedServer fronts a set of per-region Server instances behind the
 // Orchestrator interface. Each shard owns its concurrency (see Server);
-// the sharded layer adds one lock per routing index. ProcessDue and
+// the sharded layer adds the two routing indexes. ProcessDue and
 // NextWake fan out across shards concurrently, so the shared Dispatcher
 // must tolerate concurrent calls.
 //
-// Lock hierarchy: ShardedServer.mu -> (per-shard) Server locks, and
+// Lock hierarchy: deviceStripe.mu -> (per-shard) Server locks, and
 // ShardedServer.taskMu as a leaf (nothing is called with it held). The
-// two routing locks are independent — an upload resolving its task never
-// queues behind a device report — and only RebuildRouting holds both
-// (mu, then taskMu). No shard ever calls back up into the sharded layer.
+// device stripes and the task lock are independent — an upload resolving
+// its task never queues behind a device report — and only the whole-index
+// operations (RebuildRouting, DeviceHomes, CheckHomingInvariants) hold
+// more than one stripe, always taken in index order. No shard ever calls
+// back up into the sharded layer.
 type ShardedServer struct {
 	shards []shardEntry // immutable after construction
 
-	// mu guards deviceHome. It is held shared across a shard call that
-	// must land on the device's current home, exclusively while a device
-	// changes home.
-	mu sync.RWMutex
-	// deviceHome maps a device to its current shard index.
-	deviceHome map[string]int
+	// devices is the device-routing index, device ID -> shard index, cut
+	// into stripes by a hash of the ID. Every device operation holds its
+	// device's stripe across the shard call, so operations on one device
+	// are atomic with respect to each other (a report cannot land on a
+	// shard the device is just leaving, a re-home cannot interleave with
+	// a deregister) and their journal records are in the order they
+	// happened, while operations on devices of other stripes — a re-home
+	// included — proceed side by side.
+	devices [deviceStripes]deviceStripe
 
 	// taskMu guards taskHome.
 	taskMu sync.RWMutex
 	// taskHome maps a (shard-prefixed, globally unique) task ID to the
 	// shard that owns it.
 	taskHome map[TaskID]int
+}
+
+// deviceStripes is how many ways the device-routing index is cut. A
+// re-home holds one stripe for two journal appends, so a goroutine
+// reporting for another device waits behind it with probability
+// 1/deviceStripes; at 256 that is negligible for any worker count a
+// machine will run, and the array still costs only 16 kB.
+const deviceStripes = 256
+
+// deviceStripe is one slice of the device-routing index, padded to a
+// cache line so neighbouring stripes' locks do not share one.
+type deviceStripe struct {
+	mu   sync.Mutex
+	home map[string]int
+	_    [64 - 16]byte
+}
+
+// stripe returns the stripe owning a device ID (FNV-1a).
+func (s *ShardedServer) stripe(id string) *deviceStripe {
+	h := uint32(2166136261)
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint32(id[i])) * 16777619
+	}
+	return &s.devices[h%deviceStripes]
+}
+
+// lockAllStripes takes every stripe in index order: the routing index
+// as a whole, for rebuilds and invariant checks.
+func (s *ShardedServer) lockAllStripes() {
+	for i := range s.devices {
+		s.devices[i].mu.Lock()
+	}
+}
+
+func (s *ShardedServer) unlockAllStripes() {
+	for i := range s.devices {
+		s.devices[i].mu.Unlock()
+	}
 }
 
 type shardEntry struct {
@@ -75,9 +118,9 @@ func NewShardedServer(cfg ServerConfig, d Dispatcher, regions []Region) (*Sharde
 		return nil, fmt.Errorf("core: sharded server needs at least one region")
 	}
 	seen := make(map[string]bool, len(regions))
-	s := &ShardedServer{
-		deviceHome: make(map[string]int),
-		taskHome:   make(map[TaskID]int),
+	s := &ShardedServer{taskHome: make(map[TaskID]int)}
+	for i := range s.devices {
+		s.devices[i].home = make(map[string]int)
 	}
 	for _, r := range regions {
 		if r.Name == "" {
@@ -153,74 +196,77 @@ func (s *ShardedServer) RegionName(i int) string {
 	return s.shards[i].region.Name
 }
 
-// RegisterDevice homes a device to the shard covering its position.
+// RegisterDevice homes a device to the shard covering its position. A
+// device that registers again from another region leaves its old shard
+// first (see leaveOtherShard), so it is never stored in two.
 func (s *ShardedServer) RegisterDevice(d DeviceState) error {
 	i := s.ShardFor(d.Position)
 	if i < 0 {
 		return fmt.Errorf("core: device %s at %s is outside every region", d.ID, d.Position)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	if err := validate(&d); err != nil {
+		return err
+	}
+	st := s.stripe(d.ID)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	s.leaveOtherShard(st, d.ID, i)
 	if err := s.shards[i].server.RegisterDevice(d); err != nil {
 		return err
 	}
-	s.deviceHome[d.ID] = i
+	st.home[d.ID] = i
 	return nil
+}
+
+// leaveOtherShard deregisters a device from its home shard when that is
+// not the shard about to store it. Leaving comes first for the reason a
+// re-home deregisters before it restores: for a moment the device is in
+// neither shard, never in both. The caller holds the device's stripe and
+// has validated the incoming record, so the store that follows cannot
+// fail and leave the device homeless.
+func (s *ShardedServer) leaveOtherShard(st *deviceStripe, id string, target int) {
+	if old, ok := st.home[id]; ok && old != target {
+		s.shards[old].server.DeregisterDevice(id)
+		delete(st.home, id)
+	}
 }
 
 // DeregisterDevice removes a device from its home shard.
 func (s *ShardedServer) DeregisterDevice(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i, ok := s.deviceHome[id]; ok {
+	st := s.stripe(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if i, ok := st.home[id]; ok {
 		s.shards[i].server.DeregisterDevice(id)
-		delete(s.deviceHome, id)
+		delete(st.home, id)
 	}
 }
 
 // UpdateDeviceState applies a state report, re-homing the device if it
 // moved into another shard's region. Re-homing moves the record verbatim
 // (Restore), so responsiveness, reliability, and the fairness counters
-// survive the crossing.
-//
-// A report that stays in its region — nearly all of them — holds the
-// routing lock shared across the shard call, as UpdateDevicePrefs does:
-// reports for different devices, and the uploads resolving their tasks,
-// proceed side by side, and a concurrent re-home still cannot move the
-// record out from under the update. Only a crossing takes the lock
-// exclusively.
+// survive the crossing. Either way the device's stripe is held across
+// the shard calls: nothing else can touch this device meanwhile, and
+// nothing about any device outside the stripe waits.
 func (s *ShardedServer) UpdateDeviceState(id string, pos geo.Point, batteryPct float64, at time.Time) error {
 	target := s.ShardFor(pos)
-	s.mu.RLock()
-	home, ok := s.deviceHome[id]
-	if ok && (target < 0 || target == home) {
-		// target < 0 is out of all coverage: keep the stale home record;
-		// the device will fail region qualification anyway.
-		err := s.shards[home].server.UpdateDeviceState(id, pos, batteryPct, at)
-		s.mu.RUnlock()
-		return err
-	}
-	s.mu.RUnlock()
-	if ok {
-		// A crossing. RWMutex has no upgrade, so the index may have
-		// changed between the two acquisitions (a racing report already
-		// re-homed the device, or it was deregistered): read the home
-		// again.
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		home, ok = s.deviceHome[id]
-	}
+	st := s.stripe(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	home, ok := st.home[id]
 	if !ok {
 		return fmt.Errorf("core: update for unregistered device %s", id)
 	}
-	if target == home {
+	if target < 0 || target == home {
+		// target < 0 is out of all coverage: keep the stale home record;
+		// the device will fail region qualification anyway.
 		return s.shards[home].server.UpdateDeviceState(id, pos, batteryPct, at)
 	}
 	// Re-home: move the record, preserving liveness and fairness state.
 	// Deregister-then-Restore ordering matters: the scheduling fan-out
-	// (ProcessDue) does not take s.mu, so a concurrent tick may observe
-	// the crossing mid-move. In this order the device is briefly in
-	// neither shard — it can miss at most one selection round — whereas
+	// (ProcessDue) takes no stripe, so a concurrent tick may observe the
+	// crossing mid-move. In this order the device is briefly in neither
+	// shard — it can miss at most one selection round — whereas
 	// Restore-first would let both shards see it and dispatch it twice.
 	// The report is validated before the record leaves its home shard:
 	// a malformed battery level must fail the update, not strand the
@@ -246,19 +292,19 @@ func (s *ShardedServer) UpdateDeviceState(id string, pos geo.Point, batteryPct f
 		_ = s.shards[home].server.RestoreDevice(orig)
 		return err
 	}
-	s.deviceHome[id] = target
+	st.home[id] = target
 	return nil
 }
 
 // UpdateDevicePrefs changes a device's budget on its home shard. The
-// read lock is held across the shard call (the hierarchy permits
-// ShardedServer.mu -> Server locks) so a concurrent re-home cannot move
-// the record between the lookup and the update, which would silently
-// drop the new budget on the old shard's removed record.
+// stripe is held across the shard call so a concurrent re-home cannot
+// move the record between the lookup and the update, which would
+// silently drop the new budget on the old shard's removed record.
 func (s *ShardedServer) UpdateDevicePrefs(id string, b power.Budget) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	home, ok := s.deviceHome[id]
+	st := s.stripe(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	home, ok := st.home[id]
 	if !ok {
 		return fmt.Errorf("core: prefs: unknown device %s", id)
 	}
@@ -266,25 +312,27 @@ func (s *ShardedServer) UpdateDevicePrefs(id string, b power.Budget) error {
 }
 
 // NoteDeviceEnergy records spent energy against the device's home shard.
-// As with UpdateDevicePrefs, the read lock spans the shard call so the
+// As with UpdateDevicePrefs, the stripe spans the shard call so the
 // energy lands on the record's current home even under concurrent
 // re-homing.
 func (s *ShardedServer) NoteDeviceEnergy(id string, joules float64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if home, ok := s.deviceHome[id]; ok {
+	st := s.stripe(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if home, ok := st.home[id]; ok {
 		s.shards[home].server.NoteDeviceEnergy(id, joules)
 	}
 }
 
 // ExportDevice removes a device from its home shard and returns the
-// record — the sending half of cross-node re-homing. The write lock is
-// held across the shard call so a concurrent in-process re-home cannot
-// move the record between the lookup and the removal.
+// record — the sending half of cross-node re-homing. The stripe is held
+// across the shard call so a concurrent in-process re-home cannot move
+// the record between the lookup and the removal.
 func (s *ShardedServer) ExportDevice(id string) (DeviceState, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	home, ok := s.deviceHome[id]
+	st := s.stripe(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	home, ok := st.home[id]
 	if !ok {
 		return DeviceState{}, fmt.Errorf("core: export: unknown device %s", id)
 	}
@@ -292,7 +340,7 @@ func (s *ShardedServer) ExportDevice(id string) (DeviceState, error) {
 	if err != nil {
 		return DeviceState{}, err
 	}
-	delete(s.deviceHome, id)
+	delete(st.home, id)
 	return rec, nil
 }
 
@@ -300,18 +348,24 @@ func (s *ShardedServer) ExportDevice(id string) (DeviceState, error) {
 // position — the receiving half of cross-node re-homing. Like the
 // in-process crossing, the device is visible to at most one shard at
 // every instant: it enters the routing index only after the shard has
-// stored it.
+// stored it, and an ID the index already routes elsewhere leaves that
+// shard first.
 func (s *ShardedServer) RestoreDevice(rec DeviceState) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	target := s.ShardFor(rec.Position)
 	if target < 0 {
 		return fmt.Errorf("core: restore %s: no region covers %s", rec.ID, rec.Position)
 	}
+	if err := validate(&rec); err != nil {
+		return err
+	}
+	st := s.stripe(rec.ID)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	s.leaveOtherShard(st, rec.ID, target)
 	if err := s.shards[target].server.RestoreDevice(rec); err != nil {
 		return err
 	}
-	s.deviceHome[rec.ID] = target
+	st.home[rec.ID] = target
 	return nil
 }
 
@@ -501,15 +555,17 @@ func (s *ShardedServer) TaskCount() int {
 // layer re-learns which shard owns which device and task. Call it before
 // the sharded server takes traffic.
 func (s *ShardedServer) RebuildRouting() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.lockAllStripes()
+	defer s.unlockAllStripes()
 	s.taskMu.Lock()
 	defer s.taskMu.Unlock()
-	s.deviceHome = make(map[string]int)
+	for i := range s.devices {
+		clear(s.devices[i].home)
+	}
 	s.taskHome = make(map[TaskID]int)
 	for i, sh := range s.shards {
 		for _, d := range sh.server.Devices().All() {
-			s.deviceHome[d.ID] = i
+			s.stripe(d.ID).home[d.ID] = i
 		}
 		for _, id := range sh.server.TaskIDs() {
 			s.taskHome[id] = i

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"senseaid/internal/geo"
@@ -53,5 +54,82 @@ func BenchmarkShardedProcessDue(b *testing.B) {
 				s.ProcessDue(simclock.Epoch)
 			}
 		})
+	}
+}
+
+// encodingSink stands in for a persist.Store in benchmarks: it encodes
+// each record into one buffer under one lock, which is a store's
+// critical section without the write.
+type encodingSink struct {
+	mu  sync.Mutex
+	buf []byte
+}
+
+func (s *encodingSink) Append(rec JournalRecord) {
+	s.mu.Lock()
+	s.buf, _ = rec.AppendJSON(s.buf[:0])
+	s.mu.Unlock()
+}
+
+// BenchmarkShardedUpdateState measures state reports arriving from
+// several goroutines at once, with none and with one in six of them
+// crossing the shard boundary (city_mobile's mix). A crossing holds its
+// device's routing stripe across a deregister, a restore and their two
+// journal appends; the figure to watch is how little the 16 % rows lose
+// as goroutines are added, since reports for other devices no longer
+// wait for it.
+func BenchmarkShardedUpdateState(b *testing.B) {
+	west := geo.Point{Lat: 40.0, Lon: -86.95}
+	east := geo.Point{Lat: 40.0, Lon: -86.85}
+	regions := []Region{
+		{Name: "west", Area: geo.Circle{Center: west, RadiusM: 4500}},
+		{Name: "east", Area: geo.Circle{Center: east, RadiusM: 4500}},
+	}
+	sides := [2]geo.Point{west, east}
+	const fleet = 4096
+	for _, rehomePct := range []int{0, 16} {
+		for _, goroutines := range []int{2, 4, 8} {
+			b.Run(fmt.Sprintf("rehome=%d%%/goroutines=%d", rehomePct, goroutines), func(b *testing.B) {
+				cfg := DefaultServerConfig()
+				cfg.ShardJournal = func(string) JournalSink { return &encodingSink{} }
+				s, err := NewShardedServer(cfg, DispatcherFunc(func(Request, DeviceState) {}), regions)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ids := make([]string, fleet)
+				side := make([]int, fleet)
+				for i := range ids {
+					ids[i] = fmt.Sprintf("dev-%04d", i)
+					side[i] = i % 2
+					dev := freshDevice(ids[i])
+					dev.Position = sides[side[i]]
+					if err := s.RegisterDevice(dev); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						// Each goroutine owns the devices congruent to g, so a
+						// device's side is its own to track.
+						for n, i := 0, g; n < b.N/goroutines; n, i = n+1, i+goroutines {
+							d := i % fleet
+							if n%100 < rehomePct {
+								side[d] ^= 1
+							}
+							pos := geo.Offset(sides[side[d]], float64(n%50), 0)
+							if err := s.UpdateDeviceState(ids[d], pos, 80, simclock.Epoch); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(g)
+				}
+				wg.Wait()
+			})
+		}
 	}
 }

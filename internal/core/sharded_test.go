@@ -65,7 +65,7 @@ func TestDeviceHomedToCoveringShard(t *testing.T) {
 	if err := s.RegisterDevice(west); err != nil {
 		t.Fatalf("RegisterDevice: %v", err)
 	}
-	if got := s.deviceHome["w1"]; got != 0 {
+	if got := s.DeviceHomes()["w1"]; got != 0 {
 		t.Fatalf("home shard = %d, want 0 (west)", got)
 	}
 	shard0, _, err := s.Shard(0)
@@ -103,7 +103,7 @@ func TestDeviceRehomedOnMovement(t *testing.T) {
 	if err := s.UpdateDeviceState("mover", eastPos, 77, simclock.Epoch.Add(time.Minute)); err != nil {
 		t.Fatalf("UpdateDeviceState: %v", err)
 	}
-	if got := s.deviceHome["mover"]; got != 1 {
+	if got := s.DeviceHomes()["mover"]; got != 1 {
 		t.Fatalf("home shard after move = %d, want 1 (east)", got)
 	}
 	if _, ok := shard0.Devices().Get("mover"); ok {

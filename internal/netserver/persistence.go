@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"senseaid/internal/core"
+	"senseaid/internal/obs"
 	"senseaid/internal/persist"
 	"senseaid/internal/wire"
 )
@@ -57,20 +58,26 @@ type journalGate struct {
 	shipMu sync.Mutex
 }
 
+// Append journals one record: encoded once, framed into the store as
+// those bytes stand (persist.Encoded: no second encoding, no
+// re-validation of what this process just wrote) and shipped to the
+// replicas as the very bytes on disk.
 func (g *journalGate) Append(rec core.JournalRecord) {
 	if !g.armed.Load() {
 		return
 	}
-	raw, err := json.Marshal(rec)
+	start := time.Now()
+	raw, err := rec.MarshalJSON()
 	if err == nil {
 		g.shipMu.Lock()
-		err = g.store.AppendRaw(raw)
+		err = g.store.Append(persist.Encoded(raw))
 		if err == nil {
 			g.srv.pers.ship(wire.TypeJournalShip,
 				wire.JournalShip{Store: g.store.Name(), Record: raw})
 		}
 		g.shipMu.Unlock()
 	}
+	g.srv.tracer.ObserveStage(obs.StageJournalAppend, time.Since(start))
 	if err != nil {
 		// An append failure (disk full, fd gone) loses this mutation from
 		// the journal; the next periodic snapshot re-establishes a
@@ -355,8 +362,10 @@ func (p *persister) recover() (RecoveryInfo, error) {
 
 		records := make([]core.JournalRecord, 0, len(res.Records))
 		for _, raw := range res.Records {
+			// Load has validated every record it returns, so the record
+			// decodes itself without json.Unmarshal's two further scans.
 			var rec core.JournalRecord
-			if uerr := json.Unmarshal(raw, &rec); uerr != nil {
+			if uerr := rec.UnmarshalJSON(raw); uerr != nil {
 				info.Skipped++ // CRC-valid but schema-bad; salvage the rest
 				continue
 			}

@@ -17,11 +17,16 @@ const (
 	StageDispatch = "dispatch" // schedule frame pushed to a device
 	StageUpload   = "upload"   // dispatch decision until the reading arrives
 	StageDeliver  = "deliver"  // validated reading pushed to the CAS
+	// StageJournalAppend is not a step of a task's journey but a cost
+	// every journaled step pays: one record encoded, written to the state
+	// store and queued for the replicas. It has no span — a record belongs
+	// to no one trace — only the histogram (see ObserveStage).
+	StageJournalAppend = "journal_append"
 )
 
 // stageNames lists the known stages; unknown span names fold into the
 // "other" series so the histogram family's label set stays bounded.
-var stageNames = []string{StageSubmit, StageSchedule, StageSelect, StageDispatch, StageUpload, StageDeliver}
+var stageNames = []string{StageSubmit, StageSchedule, StageSelect, StageDispatch, StageUpload, StageDeliver, StageJournalAppend}
 
 // maxSpansPerTrace bounds one trace's span list; a runaway task (a
 // campaign scheduling hundreds of rounds) keeps its earliest spans and
@@ -286,7 +291,7 @@ func (s Span) finish(errMsg string) {
 		return
 	}
 	d := time.Since(s.start)
-	t.observeStage(s.name, d)
+	t.ObserveStage(s.name, d)
 	slow := t.slow > 0 && d >= t.slow
 	if errMsg == "" && !slow && !s.sampled {
 		return // the zero-allocation fast path
@@ -306,7 +311,7 @@ func (t *Tracer) RecordSpan(parent TraceContext, name, region string, start, end
 	if d < 0 {
 		d = 0
 	}
-	t.observeStage(name, d)
+	t.ObserveStage(name, d)
 	slow := t.slow > 0 && d >= t.slow
 	t.mu.Lock()
 	_, sampled := t.active[parent.Trace]
@@ -361,10 +366,13 @@ func (t *Tracer) ActiveCount() int {
 	return len(t.active)
 }
 
-// observeStage feeds the stage histogram; unknown names fold into the
-// "other" series. Alloc-free: the map is read-only after construction.
-func (t *Tracer) observeStage(name string, d time.Duration) {
-	if t.stageHist == nil {
+// ObserveStage feeds a stage's senseaid_stage_seconds histogram; unknown
+// names fold into the "other" series. Every finished span comes through
+// here; work that is timed but is no trace's span (a journal append)
+// calls it directly. Alloc-free (the map is read-only after
+// construction) and safe on a nil Tracer.
+func (t *Tracer) ObserveStage(name string, d time.Duration) {
+	if t == nil || t.stageHist == nil {
 		return
 	}
 	h, ok := t.stageHist[name]

@@ -259,37 +259,90 @@ func (s *Store) CommitRaw(raw json.RawMessage) (int64, error) {
 	return int64(len(buf)), nil
 }
 
+// selfEncoder is a payload that writes its own JSON: Append frames what
+// AppendJSON appends as it stands. The implementer answers for those
+// bytes being the JSON encoding/json would have produced for it (for
+// core.JournalRecord a fuzz test does); Append does not check them a
+// second time. Bytes from anywhere else go through AppendRaw, which
+// does, and Load validates every record it reads back whatever wrote
+// it.
+type selfEncoder interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// Encoded is a record already in its JSON form, appended as it stands:
+// for a caller that has just encoded the record itself and needs the
+// bytes for something else too (the journal gate ships them to the
+// standbys). Bytes of any other origin belong in AppendRaw.
+type Encoded []byte
+
+// AppendJSON makes Encoded a self-encoding payload.
+func (e Encoded) AppendJSON(dst []byte) ([]byte, error) { return append(dst, e...), nil }
+
+// frameHeaderLen is length(4) + crc(4) ahead of every journal record.
+const frameHeaderLen = 8
+
+// framePool recycles the buffers records are framed in, so a steady
+// stream of appends allocates nothing. Records are encoded outside the
+// store's lock — only the write itself is serialised — hence a pool and
+// not one buffer per store.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
 // Append frames one record (length, CRC32, JSON payload) onto the
-// current journal epoch in a single write. Commit must have run first
-// in this process — the journal always belongs to the epoch of the
-// snapshot it extends.
+// current journal epoch in a single write: the record is in the kernel
+// when Append returns, whatever happens to the process next. Commit
+// must have run first in this process — the journal always belongs to
+// the epoch of the snapshot it extends.
 func (s *Store) Append(payload any) error {
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("persist: encode record: %w", err)
+	bp := framePool.Get().(*[]byte)
+	frame := append((*bp)[:0], make([]byte, frameHeaderLen)...)
+	var err error
+	if enc, ok := payload.(selfEncoder); ok {
+		frame, err = enc.AppendJSON(frame)
+	} else {
+		var raw []byte
+		raw, err = json.Marshal(payload)
+		frame = append(frame, raw...)
 	}
-	return s.AppendRaw(raw)
+	if err == nil {
+		err = s.writeFrame(frame)
+	} else {
+		err = fmt.Errorf("persist: encode record: %w", err)
+	}
+	// The pool is for the few hundred bytes a record takes: a buffer one
+	// outsized record grew is dropped.
+	if cap(frame) <= 64<<10 {
+		*bp = frame
+		framePool.Put(bp)
+	}
+	return err
 }
 
 // AppendRaw is Append for a record that is already JSON (a shipped
-// journal record, written byte-for-byte as the primary journaled it).
+// journal record, written byte-for-byte as the primary journaled it)
+// and, coming from outside the process, is validated first.
 func (s *Store) AppendRaw(raw json.RawMessage) error {
 	if !json.Valid(raw) {
 		return fmt.Errorf("persist: record is not valid JSON")
 	}
-	if len(raw) > MaxRecordBytes {
-		return fmt.Errorf("persist: record of %d bytes exceeds limit", len(raw))
+	return s.Append(Encoded(raw))
+}
+
+// writeFrame fills in the header of a frame whose record starts at
+// frameHeaderLen and writes the whole of it at once.
+func (s *Store) writeFrame(frame []byte) error {
+	rec := frame[frameHeaderLen:]
+	if len(rec) > MaxRecordBytes {
+		return fmt.Errorf("persist: record of %d bytes exceeds limit", len(rec))
 	}
-	buf := make([]byte, 8+len(raw))
-	binary.BigEndian.PutUint32(buf, uint32(len(raw)))
-	binary.BigEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(raw))
-	copy(buf[8:], raw)
+	binary.BigEndian.PutUint32(frame, uint32(len(rec)))
+	binary.BigEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(rec))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.journal == nil {
 		return fmt.Errorf("persist: no journal open (Commit first)")
 	}
-	if _, err := s.journal.Write(buf); err != nil {
+	if _, err := s.journal.Write(frame); err != nil {
 		return fmt.Errorf("persist: append: %w", err)
 	}
 	return nil
@@ -399,14 +452,14 @@ func decodeJournal(raw []byte) (recs []json.RawMessage, truncated int64) {
 	off := 0
 	for off < len(raw) {
 		rest := len(raw) - off
-		if rest < 8 {
+		if rest < frameHeaderLen {
 			return recs, int64(rest)
 		}
 		n := int(binary.BigEndian.Uint32(raw[off:]))
-		if n <= 0 || n > MaxRecordBytes || rest-8 < n {
+		if n <= 0 || n > MaxRecordBytes || rest-frameHeaderLen < n {
 			return recs, int64(rest)
 		}
-		payload := raw[off+8 : off+8+n]
+		payload := raw[off+frameHeaderLen : off+frameHeaderLen+n]
 		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(raw[off+4:]) {
 			return recs, int64(rest)
 		}
@@ -414,7 +467,7 @@ func decodeJournal(raw []byte) (recs []json.RawMessage, truncated int64) {
 			return recs, int64(rest)
 		}
 		recs = append(recs, json.RawMessage(payload))
-		off += 8 + n
+		off += frameHeaderLen + n
 	}
 	return recs, 0
 }

@@ -1,10 +1,13 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -302,5 +305,99 @@ func TestOversizeRecordRefused(t *testing.T) {
 	big := strings.Repeat("x", MaxRecordBytes+1)
 	if err := st.Append(map[string]string{"v": big}); err == nil {
 		t.Fatal("oversize record should be refused")
+	}
+}
+
+// selfRec is rec writing its own JSON, the way core.JournalRecord does.
+type selfRec rec
+
+func (r selfRec) AppendJSON(dst []byte) ([]byte, error) {
+	if r.Op == "refuse" {
+		return dst, errors.New("unencodable")
+	}
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendInt(dst, int64(r.Seq), 10)
+	dst = append(dst, `,"op":"`...)
+	dst = append(dst, r.Op...)
+	return append(dst, `"}`...), nil
+}
+
+// A payload that encodes itself and one that goes through encoding/json
+// leave the same bytes in the journal, and those bytes load, tear and
+// truncate as they always have.
+func TestSelfEncodedAppendMatchesMarshalled(t *testing.T) {
+	viaJSON, viaSelf := t.TempDir(), t.TempDir()
+	for _, dir := range []string{viaJSON, viaSelf} {
+		st := openStore(t, dir)
+		if _, err := st.Commit(struct{}{}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i <= 4; i++ {
+			var payload any = rec{Seq: i, Op: "dispatch"}
+			if dir == viaSelf {
+				payload = selfRec{Seq: i, Op: "dispatch"}
+			}
+			if err := st.Append(payload); err != nil {
+				t.Fatalf("Append %d: %v", i, err)
+			}
+		}
+		if err := st.Append(selfRec{Op: "refuse"}); err == nil {
+			t.Fatal("Append swallowed the payload's encoding error")
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(filepath.Join(viaJSON, "core.journal.1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(viaSelf, "core.journal.1")
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("journal bytes differ\nencoding/json: %q\nself-encoded:  %q", want, got)
+	}
+
+	res, err := openStore(t, viaSelf).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 4 || res.TruncatedBytes != 0 || string(res.Records[3]) != `{"seq":4,"op":"dispatch"}` {
+		t.Fatalf("Load = %d records, %d truncated, last %s", len(res.Records), res.TruncatedBytes, res.Records[len(res.Records)-1])
+	}
+	if err := os.WriteFile(path, got[:len(got)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err = openStore(t, viaSelf).Load()
+	if err != nil {
+		t.Fatalf("Load after tear: %v", err)
+	}
+	if len(res.Records) != 3 || res.TruncatedBytes != int64(frameHeaderLen+len(`{"seq":4,"op":"dispatch"}`)-5) {
+		t.Fatalf("after a torn tail: %d records, %d bytes truncated", len(res.Records), res.TruncatedBytes)
+	}
+}
+
+// The steady-state append allocates nothing inside persist (a caller
+// passing a struct by value pays for boxing it into the interface; a
+// pointer shows the store's own share).
+func TestSelfEncodedAppendDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds buffers at random under the race detector")
+	}
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	if _, err := st.Commit(struct{}{}); err != nil {
+		t.Fatal(err)
+	}
+	r := &selfRec{Seq: 7, Op: "receive"}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := st.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Append allocated %v times per record, want 0", n)
 	}
 }
