@@ -33,9 +33,17 @@ go test -race -short -run 'Fault|Stall|Resilien|Reconnect|Restart|Idle|Flaky' \
 # against the copying path it replaced and the pre-index full scan
 # (1k/10k/100k devices, 1% region, densities 5 and 20), writes
 # BENCH_selection.json, and FAILS on an allocation-budget or speedup-ratio
-# regression (see TestRecordSelectionBench).
+# regression, or when a state report that changes grid cell allocates or
+# costs over 4x one that does not (see TestRecordSelectionBench).
 SENSEAID_BENCH_OUT="$PWD/BENCH_selection.json" \
     go test -run '^TestRecordSelectionBench$' -count=1 -v ./internal/core
+
+# End-to-end benchmark record (opt-in: it takes minutes, and its numbers
+# mean something only on a machine doing nothing else): every bench/
+# workload at seed 11 into BENCH_e2e.json; see record_e2e.sh.
+if [ "${SENSEAID_BENCH_E2E:-}" = "1" ]; then
+    ./record_e2e.sh
+fi
 
 # Crash-restart smoke: kill -9 durability end to end. The in-process
 # suite (abrupt-close fidelity, campaign resume, sharded recovery,

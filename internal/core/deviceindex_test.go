@@ -14,6 +14,65 @@ import (
 	"senseaid/internal/simclock"
 )
 
+// checkIndex verifies the slab layout's invariants: every registered ID
+// has exactly one record, in the slab and at the index its slot names;
+// that slab is the one of the record's cell; no slab is kept empty or
+// carries more slack than the capacity policy allows; and nothing is
+// reachable past a slab's end (a swap-remove that left the tail behind
+// would keep a departed device's strings alive, and double it on the
+// next append's copy).
+func (s *DeviceStore) checkIndex() error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	records := 0
+	for cell, b := range s.cells {
+		n := len(b.recs)
+		switch {
+		case b.cell != cell:
+			return fmt.Errorf("slab of cell %v filed under %v", b.cell, cell)
+		case n == 0:
+			return fmt.Errorf("cell %v: empty slab retained", cell)
+		case cap(b.recs) > n+slabSlackSteps*slabStep(n):
+			return fmt.Errorf("cell %v: capacity %d for %d records exceeds the slack bound", cell, cap(b.recs), n)
+		}
+		records += n
+		for i := range b.recs {
+			d := &b.recs[i]
+			sl, ok := s.devices[d.ID]
+			switch {
+			case d.ID == "":
+				return fmt.Errorf("cell %v record %d: zero record reachable", cell, i)
+			case !ok:
+				return fmt.Errorf("cell %v record %d: device %s is not registered", cell, i, d.ID)
+			case sl.slab != b || sl.idx != i:
+				return fmt.Errorf("device %s: slot says cell %v index %d, record is at %v index %d", d.ID, sl.slab.cell, sl.idx, cell, i)
+			case s.grid.CellOf(d.Position) != cell:
+				return fmt.Errorf("device %s at %v is in the slab of cell %v", d.ID, d.Position, cell)
+			}
+		}
+		tail := b.recs[n:cap(b.recs)]
+		for i := range tail {
+			if tail[i].ID != "" || tail[i].Sensors != nil {
+				return fmt.Errorf("cell %v: live data past the slab's end at %d", cell, n+i)
+			}
+		}
+	}
+	// Every record is where the slot of its ID says, so no ID has two;
+	// equal counts then mean every ID has one.
+	if records != len(s.devices) {
+		return fmt.Errorf("%d records in slabs, %d devices registered", records, len(s.devices))
+	}
+	return nil
+}
+
+// mustCheckIndex fails the test on a broken store invariant.
+func mustCheckIndex(t *testing.T, label string, s *DeviceStore) {
+	t.Helper()
+	if err := s.checkIndex(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
 // fullScanIn is the reference the spatial index must agree with:
 // All() filtered by area.Contains.
 func fullScanIn(s *DeviceStore, area geo.Circle) []DeviceState {
@@ -105,6 +164,7 @@ func TestCandidatesInMatchesFullScan(t *testing.T) {
 			store.Deregister(id)
 			delete(live, id)
 		}
+		mustCheckIndex(t, fmt.Sprintf("step %d", step), store)
 		if step%50 == 0 {
 			area := randArea()
 			sameAsScan(t, fmt.Sprintf("step %d", step), store, area)
@@ -147,6 +207,13 @@ func TestCandidatesInAcrossShardedRehomes(t *testing.T) {
 		if err := s.UpdateDeviceState(id, pos, 70, simclock.Epoch.Add(time.Duration(step)*time.Second)); err != nil {
 			t.Fatal(err)
 		}
+		for i := range regions {
+			shard, reg, err := s.Shard(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustCheckIndex(t, fmt.Sprintf("step %d shard %s", step, reg.Name), shard.Devices())
+		}
 		if step%25 == 0 {
 			for i := range regions {
 				shard, reg, err := s.Shard(i)
@@ -156,6 +223,56 @@ func TestCandidatesInAcrossShardedRehomes(t *testing.T) {
 				area := geo.Circle{Center: reg.Area.Center, RadiusM: 800 + rng.Float64()*1500}
 				sameAsScan(t, fmt.Sprintf("step %d shard %s", step, reg.Name), shard.Devices(), area)
 			}
+		}
+	}
+}
+
+// TestSlabSlackBounded runs a commute — every round half the fleet moves
+// to another cell, crowding a few cells and draining the rest, then the
+// other way — and requires the slabs' total capacity to stay within 30%
+// of the records they hold plus a constant per occupied cell, at every
+// round: the bound doubling capacities would break.
+func TestSlabSlackBounded(t *testing.T) {
+	const (
+		fleet  = 20_000
+		rounds = 12
+	)
+	rng := rand.New(rand.NewSource(5))
+	store := NewDeviceStore()
+	home := func() geo.Point { // ~400 cells
+		return geo.Offset(geo.CSDepartment, rng.Float64()*10_000, rng.Float64()*10_000)
+	}
+	downtown := func() geo.Point { // ~16 cells
+		return geo.Offset(geo.CSDepartment, 4000+rng.Float64()*2000, 4000+rng.Float64()*2000)
+	}
+	ids := make([]string, fleet)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("dev-%05d", i)
+		if err := store.Register(DeviceState{
+			ID: ids[i], Position: home(), BatteryPct: 80,
+			Sensors: []sensors.Type{sensors.Barometer}, Budget: power.DefaultBudget(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < rounds; round++ {
+		dest := home
+		if round%2 == 0 {
+			dest = downtown
+		}
+		for _, i := range rng.Perm(fleet)[:fleet/2] {
+			if err := store.UpdateState(ids[i], dest(), 80, simclock.Epoch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustCheckIndex(t, fmt.Sprintf("round %d", round), store)
+		capacity := 0
+		for _, b := range store.cells {
+			capacity += cap(b.recs)
+		}
+		if bound := 1.3*float64(store.Len()) + 8*float64(len(store.cells)); float64(capacity) > bound {
+			t.Fatalf("round %d: slabs hold capacity for %d records, bound %.0f (%d devices in %d cells)",
+				round, capacity, bound, store.Len(), len(store.cells))
 		}
 	}
 }

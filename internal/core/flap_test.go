@@ -328,6 +328,7 @@ func TestStripedRoutingStorm(t *testing.T) {
 		if _, err := replayed.Recover(nil, f.journals[name].records(), func(TaskID) DataSink { return nopSink }); err != nil {
 			t.Fatalf("replay %s: %v", name, err)
 		}
+		mustCheckIndex(t, "shard "+name, live.Devices())
 		want, got := live.Devices().All(), replayed.Devices().All()
 		if len(want) != len(got) {
 			t.Fatalf("shard %s holds %d devices, its journal replays to %d (seed %d)", name, len(want), len(got), seed)

@@ -237,6 +237,7 @@ func TestFusedSelectionMatchesOracle(t *testing.T) {
 		f.compare(t, label)
 		f.churn(t, 100)
 		f.compare(t, label+" after churn")
+		mustCheckIndex(t, label, f.store)
 	}
 }
 
@@ -260,6 +261,7 @@ func TestFusedSelectionFallbackAreas(t *testing.T) {
 		f.compare(t, name)
 		f.churn(t, 60)
 		f.compare(t, name+" after churn")
+		mustCheckIndex(t, name, f.store)
 	}
 }
 
@@ -409,4 +411,5 @@ func TestSelectionConcurrentWithIndexWrites(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	writers.Wait()
+	mustCheckIndex(t, "after concurrent writes", f.store)
 }

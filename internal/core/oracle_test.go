@@ -24,26 +24,29 @@ func (s *DeviceStore) CandidatesIn(area geo.Circle) []DeviceState {
 }
 
 // AppendCandidatesIn appends a copy of every device inside the area to
-// dst, in no particular order, visiting only the cell buckets
-// overlapping the area (or everything, when the grid refuses the area).
+// dst, in no particular order, visiting only the slabs of the cells
+// overlapping the area (or all of them, when the grid refuses the area).
 func (s *DeviceStore) AppendCandidatesIn(dst []DeviceState, area geo.Circle) []DeviceState {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	b, ok := s.grid.Cover(area)
-	if !ok || b.Count() > len(s.cells) {
-		for _, d := range s.devices {
+	appendIn := func(cell *slab) {
+		for _, d := range cell.recs {
 			if area.Contains(d.Position) {
-				dst = append(dst, *d)
+				dst = append(dst, d)
 			}
+		}
+	}
+	if !ok || b.Count() > len(s.cells) {
+		for _, cell := range s.cells {
+			appendIn(cell)
 		}
 		return dst
 	}
 	for la := b.LatMin; la <= b.LatMax; la++ {
 		for lo := b.LonMin; lo <= b.LonMax; lo++ {
-			for _, d := range s.cells[geo.Cell{Lat: la, Lon: lo}] {
-				if area.Contains(d.Position) {
-					dst = append(dst, *d)
-				}
+			if cell := s.cells[geo.Cell{Lat: la, Lon: lo}]; cell != nil {
+				appendIn(cell)
 			}
 		}
 	}

@@ -21,14 +21,23 @@ import (
 // selectionAllocBudget is the CI gate on the production selection pass:
 // steady-state allocations per selection must stay at or under this.
 // The pass is designed to be allocation-free once its scratch has grown;
-// the budget leaves slack for map-iteration internals, not for
-// per-candidate allocations.
+// the budget leaves slack for runtime internals, not for per-candidate
+// allocations.
 const selectionAllocBudget = 32
 
 // fusedOverOracleMin is the CI gate on what the fused pass buys: at 100k
 // devices, density 20, it must be at least this many times faster than
 // the copying path it replaced, on a cached region and on rotating ones.
 const fusedOverOracleMin = 4
+
+// moveOverReportMax is the CI gate on the store's write side: a state
+// report that changes cell may cost at most this many times one that
+// does not, and may not allocate. A move touches about seven cold cache
+// lines (the lookup, the record, the record swapped into its place and
+// that one's slot, the new slab's end) where a report touches three, so
+// the ratio sits near 2.5 on either side of the slab layout; the gate
+// catches a move that starts allocating or re-hashing per record.
+const moveOverReportMax = 4
 
 // benchSpreadM is the square the benchmark population is scattered over.
 const benchSpreadM = 10_000
@@ -184,6 +193,60 @@ func selectionCases(tb testing.TB, n int) []selectionCase {
 	return cases
 }
 
+// updateCases measures the store's write side over a populated store,
+// one device picked at random per operation: a state report that stays
+// in its cell, one that changes cell (each device commutes between its
+// home and a point 750 m north, so the population is a steady mix and
+// slabs sit between their capacity marks), and a re-registration in
+// place.
+func updateCases(tb testing.TB, n int) []selectionCase {
+	store := benchStore(tb, n)
+	fleet := store.All()
+	work := make([]geo.Point, n)
+	for k := range fleet {
+		work[k] = geo.Offset(fleet[k].Position, 750, 0)
+	}
+	away := make([]bool, n)
+	rng := rand.New(rand.NewSource(9))
+	report := func(move bool) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := rng.Intn(n)
+				pos := fleet[k].Position
+				if move {
+					if away[k] = !away[k]; away[k] {
+						pos = work[k]
+					}
+				}
+				if err := store.UpdateState(fleet[k].ID, pos, 50, simclock.Epoch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	return []selectionCase{
+		{name: fmt.Sprintf("update/in-cell/devices=%d", n), devices: n, run: report(false)},
+		{name: fmt.Sprintf("update/re-register/devices=%d", n), devices: n, run: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := store.Register(fleet[rng.Intn(n)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{name: fmt.Sprintf("update/cell-move/devices=%d", n), devices: n, run: report(true)},
+	}
+}
+
+// BenchmarkDeviceStoreUpdateState measures the writes that share the
+// store with selection; see updateCases.
+func BenchmarkDeviceStoreUpdateState(b *testing.B) {
+	for _, c := range updateCases(b, benchSizes[len(benchSizes)-1]) {
+		b.Run(c.name, c.run)
+	}
+}
+
 var benchSizes = []int{1_000, 10_000, 100_000}
 
 // coldRegions is how many task regions the cold cases rotate through:
@@ -209,15 +272,18 @@ type benchRecord struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// TestRecordSelectionBench runs the selection benchmark matrix and
+// TestRecordSelectionBench runs the selection benchmark matrix and the
+// store's write-side cases and
 // writes BENCH_selection.json in the BENCH_*.json common schema. It is
 // gated on SENSEAID_BENCH_OUT (ci.sh sets it); besides recording, it
 // FAILS when the production pass allocates more than
 // selectionAllocBudget per selection at any size, when it is less than
 // fusedOverOracleMin times faster than the copying path it replaced at
 // 100k devices and density 20 (same region every time, or a rotation of
-// regions), or when it has lost its 10x advantage in time and
-// allocations over the pre-index full scan.
+// regions), when it has lost its 10x advantage in time and
+// allocations over the pre-index full scan, or when a state report that
+// changes cell allocates or costs more than moveOverReportMax times one
+// that does not.
 func TestRecordSelectionBench(t *testing.T) {
 	out := os.Getenv("SENSEAID_BENCH_OUT")
 	if out == "" {
@@ -225,8 +291,8 @@ func TestRecordSelectionBench(t *testing.T) {
 	}
 	var records []benchRecord
 	byName := make(map[string]benchRecord)
-	for _, n := range benchSizes {
-		for _, c := range selectionCases(t, n) {
+	record := func(cases []selectionCase) {
+		for _, c := range cases {
 			res := testing.Benchmark(c.run)
 			rec := benchRecord{
 				Name:        c.name,
@@ -240,6 +306,10 @@ func TestRecordSelectionBench(t *testing.T) {
 			t.Logf("%s: %.0f ns/op, %d allocs/op, %d B/op", rec.Name, rec.NsPerOp, rec.AllocsPerOp, rec.BytesPerOp)
 		}
 	}
+	for _, n := range benchSizes {
+		record(selectionCases(t, n))
+	}
+	record(updateCases(t, benchSizes[len(benchSizes)-1]))
 
 	// Gate 1: the production pass's allocation hygiene.
 	for _, rec := range records {
@@ -276,6 +346,17 @@ func TestRecordSelectionBench(t *testing.T) {
 		}
 	}
 
+	// Gate 4: the write side sharing the store with the pass.
+	report := byName["update/in-cell/devices=100000"]
+	move := byName["update/cell-move/devices=100000"]
+	ratios["cell_move_over_in_cell_report_ns_100k"] = move.NsPerOp / math.Max(report.NsPerOp, 1)
+	if move.AllocsPerOp != 0 {
+		t.Errorf("a cell move allocates %d/op in steady state, want 0", move.AllocsPerOp)
+	}
+	if r := ratios["cell_move_over_in_cell_report_ns_100k"]; r > moveOverReportMax {
+		t.Errorf("a cell move costs %.1fx an in-cell report, want <= %d", r, moveOverReportMax)
+	}
+
 	doc := map[string]interface{}{
 		"schema":                   "senseaid-bench-selection/2",
 		"go":                       runtime.Version(),
@@ -288,6 +369,7 @@ func TestRecordSelectionBench(t *testing.T) {
 			fmt.Sprintf("fused allocs/op <= %d at every size and density", selectionAllocBudget),
 			fmt.Sprintf("oracle ns/op over fused ns/op >= %d at 100k devices, density 20, one region and rotating regions", fusedOverOracleMin),
 			"full-scan over fused >= 10 at 100k devices, in ns/op and allocs/op",
+			fmt.Sprintf("a state report that changes cell: 0 allocs/op and <= %dx one that does not, at 100k devices", moveOverReportMax),
 		},
 	}
 	blob, err := json.MarshalIndent(doc, "", "  ")

@@ -218,23 +218,29 @@ func TestDevicePreferencesAndStateReport(t *testing.T) {
 	}
 }
 
+// TestDeregister leaves a few hundred times over. The server hangs up
+// right after acking a deregistration, so the client's read loop and its
+// own Close race to close the socket; whichever loses must not turn the
+// other's success into "use of closed network connection".
 func TestDeregister(t *testing.T) {
 	s := startServer(t)
-	c, err := client.Dial(client.Config{
-		Addr:       s.Addr(),
-		DeviceID:   "leaver",
-		Position:   geo.CSDepartment,
-		BatteryPct: 50,
-		Sensors:    []sensors.Type{sensors.Barometer},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Register(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Deregister(); err != nil {
-		t.Fatalf("Deregister: %v", err)
+	for i := 0; i < 300; i++ {
+		c, err := client.Dial(client.Config{
+			Addr:       s.Addr(),
+			DeviceID:   "leaver",
+			Position:   geo.CSDepartment,
+			BatteryPct: 50,
+			Sensors:    []sensors.Type{sensors.Barometer},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Register(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Deregister(); err != nil {
+			t.Fatalf("Deregister %d: %v", i, err)
+		}
 	}
 }
 

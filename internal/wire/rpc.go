@@ -69,6 +69,23 @@ type RPCConn struct {
 	wg sync.WaitGroup
 }
 
+// onceConn closes its connection once and hands every caller the first
+// result. Three parties race to close an RPCConn's socket — the read
+// loop's teardown, the coalescer after a write fault, the owner's Close
+// — and a second net.Conn.Close reports "use of closed network
+// connection", which an owner hanging up right after the peer did (every
+// deregistration) would otherwise return as its error.
+type onceConn struct {
+	net.Conn
+	once sync.Once
+	err  error
+}
+
+func (c *onceConn) Close() error {
+	c.once.Do(func() { c.err = c.Conn.Close() })
+	return c.err
+}
+
 // NewRPCConn wraps an established connection with the default v1 JSON
 // codec and no write coalescing; see NewRPCConnCfg.
 func NewRPCConn(nc net.Conn, role Role, push func(Envelope)) (*RPCConn, error) {
@@ -90,6 +107,7 @@ func NewRPCConnCfg(nc net.Conn, role Role, push func(Envelope), cfg ConnConfig) 
 	if cfg.Codec == nil {
 		cfg.Codec = JSON
 	}
+	nc = &onceConn{Conn: nc}
 	c := &RPCConn{
 		nc:      nc,
 		br:      bufio.NewReaderSize(nc, readBufBytes),
