@@ -19,6 +19,13 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # pass and the journal path live in: race detector with the test order
 # shuffled.
 go test -race -shuffle=on ./internal/core/... ./internal/geo/... ./internal/persist/...
+# The device-homing net, five times over: the seeded model test (every
+# device operation against a plain map and the parent commit's journal
+# bytes) and the two concurrent storms, whose interleavings differ run to
+# run.
+go test -race -shuffle=on -count=5 \
+    -run '^(TestHomingAgainstModelAndParentJournal|TestStripedRoutingStorm|TestOrchestratorConcurrentUse)$' \
+    ./internal/core
 # Journal codec fuzz smoke: ten seconds of holding JournalRecord's hand
 # encoder and parser to encoding/json (byte-identical output, identical
 # decode) beyond the seed corpus the ordinary test run replays.
@@ -127,10 +134,23 @@ go test -count=1 -run '^TestClusterFailoverEndToEnd$' .
 # senseaidd over the wire protocol, bounded duration; fails if any
 # registration fails or no schedule is delivered.
 tmp=$(mktemp -d)
-trap 'kill $srv_pid 2>/dev/null || true; rm -rf "$tmp"' EXIT INT TERM
+# The servers' stderr is captured for stop_server; a failing gate prints it.
+trap 'rc=$?; kill $srv_pid 2>/dev/null || true; [ $rc -eq 0 ] || cat "$tmp"/*.err 2>/dev/null; rm -rf "$tmp"' EXIT INT TERM
+# stop_server ends a smoke's server and fails the gate when what it wrote
+# shows a crash or a race the client side did not notice (a recovered
+# handler panic, a race report from a -race build), as bench/'s validity
+# guard does for its own children.
+stop_server() {
+    kill $srv_pid 2>/dev/null || true
+    wait $srv_pid 2>/dev/null || true
+    if grep -E 'panic:|DATA RACE|fatal error:' "$@"; then
+        echo "ci: server output shows a panic, a fatal error or a data race" >&2
+        exit 1
+    fi
+}
 go build -o "$tmp/senseaidd" ./cmd/senseaidd
 go build -o "$tmp/senseaid-loadgen" ./cmd/senseaid-loadgen
-"$tmp/senseaidd" -addr 127.0.0.1:0 -tick 100ms > "$tmp/senseaidd.out" &
+"$tmp/senseaidd" -addr 127.0.0.1:0 -tick 100ms > "$tmp/senseaidd.out" 2> "$tmp/senseaidd.err" &
 srv_pid=$!
 for _ in $(seq 1 50); do
     addr=$(sed -n 's/^sense-aid server listening on //p' "$tmp/senseaidd.out")
@@ -140,7 +160,7 @@ done
 [ -n "$addr" ]
 "$tmp/senseaid-loadgen" -addr "$addr" -devices 1000 -duration 5s \
     -tasks 4 -density 5 -period 1s -min-selections 1
-kill $srv_pid 2>/dev/null || true
+stop_server "$tmp/senseaidd.out" "$tmp/senseaidd.err"
 
 # Wire v2 smoke: 5k device connections speaking the binary codec against
 # a server with write coalescing and a bounded RPC worker pool — the
@@ -150,7 +170,7 @@ kill $srv_pid 2>/dev/null || true
 # the run fails if the server accepts a single garbage upload or a
 # healthy-link registration fails.
 "$tmp/senseaidd" -addr 127.0.0.1:0 -tick 100ms \
-    -codec binary -coalesce-interval 2ms -rpc-workers 64 > "$tmp/senseaidd2.out" &
+    -codec binary -coalesce-interval 2ms -rpc-workers 64 > "$tmp/senseaidd2.out" 2> "$tmp/senseaidd2.err" &
 srv_pid=$!
 addr=
 for _ in $(seq 1 50); do
@@ -162,14 +182,14 @@ done
 "$tmp/senseaid-loadgen" -addr "$addr" -devices 5000 -duration 5s \
     -codec binary -tasks 4 -density 5 -period 1s -min-selections 1 \
     -chaos-fraction 0.1 -chaos-drop-writes 20 -chaos-delay 1ms -byzantine 0.05
-kill $srv_pid 2>/dev/null || true
+stop_server "$tmp/senseaidd2.out" "$tmp/senseaidd2.err"
 
 # Shared-tier smoke: a real senseaid-cas subscribes to its own
 # campaign's live aggregation windows against a server under loadgen
 # traffic, and exits success only after a closed window actually
 # arrives (senseaid-cas -subscribe fails on a windowless deadline).
 go build -o "$tmp/senseaid-cas" ./cmd/senseaid-cas
-"$tmp/senseaidd" -addr 127.0.0.1:0 -tick 100ms -agg-window 2s > "$tmp/senseaidd3.out" &
+"$tmp/senseaidd" -addr 127.0.0.1:0 -tick 100ms -agg-window 2s > "$tmp/senseaidd3.out" 2> "$tmp/senseaidd3.err" &
 srv_pid=$!
 addr=
 for _ in $(seq 1 50); do
@@ -183,4 +203,4 @@ done
 load_pid=$!
 "$tmp/senseaid-cas" -addr "$addr" -period 1s -duration 15s -density 2 -subscribe
 wait $load_pid
-kill $srv_pid 2>/dev/null || true
+stop_server "$tmp/senseaidd3.out" "$tmp/senseaidd3.err"

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -239,11 +240,16 @@ func TestRehomePreservesUnresponsiveness(t *testing.T) {
 }
 
 // Hammer every Orchestrator method concurrently against both topologies.
-// The assertions are weak on purpose — the test exists for the race
-// detector, which turns any locking mistake into a failure.
+// The assertions during the run are weak on purpose — the test exists
+// for the race detector, which turns any locking mistake into a failure;
+// the sharded topology is held to its homing guarantees once it stops.
 func TestOrchestratorConcurrentUse(t *testing.T) {
 	regions := campusRegions()
 	positions := []geo.Point{regions[0].Area.Center, regions[1].Area.Center}
+	journals := make(map[string]*memJournal)
+	for _, r := range regions {
+		journals[r.Name] = &memJournal{}
+	}
 
 	build := map[string]func(t *testing.T) Orchestrator{
 		"single": func(t *testing.T) Orchestrator {
@@ -251,7 +257,12 @@ func TestOrchestratorConcurrentUse(t *testing.T) {
 			return s
 		},
 		"sharded": func(t *testing.T) Orchestrator {
-			s, _ := newSharded(t)
+			cfg := DefaultServerConfig()
+			cfg.ShardJournal = func(region string) JournalSink { return journals[region] }
+			s, err := NewShardedServer(cfg, &recordingDispatcher{}, regions)
+			if err != nil {
+				t.Fatal(err)
+			}
 			return s
 		},
 	}
@@ -360,6 +371,62 @@ func TestOrchestratorConcurrentUse(t *testing.T) {
 			}
 			close(stop)
 			loops.Wait()
+
+			// Whatever interleaving the run took, every device ended in
+			// exactly one shard, and each shard's journal tells its story.
+			if ss, ok := o.(*ShardedServer); ok {
+				if v := ss.CheckHomingInvariants(); len(v) > 0 {
+					t.Errorf("homing invariants violated: %v", v)
+				}
+				checkHomesAndJournals(t, ss, journals, 0)
+			}
 		})
+	}
+}
+
+// TestExportDeviceAtomicWithReports hammers state reports against
+// exports of the same device. An acknowledged report must be in the
+// record the export returns: when copy and removal were two steps, a
+// report landing between them was acknowledged, applied to a record that
+// had already been copied out, and lost on the importing node.
+func TestExportDeviceAtomicWithReports(t *testing.T) {
+	s, _ := newTestServer(t)
+	const rounds = 400
+	for round := 0; round < rounds; round++ {
+		if err := s.RegisterDevice(freshDevice("mover")); err != nil {
+			t.Fatal(err)
+		}
+		var (
+			wg        sync.WaitGroup
+			started   atomic.Bool
+			lastAcked int
+		)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Report until the device is gone; the last report acknowledged
+			// is the one before the first refusal.
+			for n := 1; ; n++ {
+				at := simclock.Epoch.Add(time.Duration(n) * time.Second)
+				if err := s.UpdateDeviceState("mover", geo.CSDepartment, float64(n%100), at); err != nil {
+					return
+				}
+				lastAcked = n
+				started.Store(true)
+			}
+		}()
+		for !started.Load() {
+			time.Sleep(time.Microsecond)
+		}
+		rec, err := s.ExportDevice("mover")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		want := simclock.Epoch.Add(time.Duration(lastAcked) * time.Second)
+		if !rec.LastComm.Equal(want) || rec.BatteryPct != float64(lastAcked%100) {
+			t.Fatalf("round %d: export carries the report of %v (battery %v), the last acknowledged was %v (battery %d): a report was lost",
+				round, rec.LastComm, rec.BatteryPct, want, lastAcked%100)
+		}
 	}
 }

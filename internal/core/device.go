@@ -139,8 +139,8 @@ func (b *slab) resize() {
 	b.recs = append(make([]DeviceState, 0, n+slabStep(n)), b.recs...)
 }
 
-// place appends d to the slab of cell c, creating it if the cell was
-// empty, and points the device's slot at it. Caller holds s.mu.
+// place appends d to the slab of cell c, giving the cell a slab if it
+// was empty, and points the device's slot at it. Caller holds s.mu.
 func (s *DeviceStore) place(c geo.Cell, d *DeviceState) {
 	b := s.cells[c]
 	if b == nil {
@@ -209,75 +209,87 @@ func validate(d *DeviceState) error {
 	return nil
 }
 
-// store installs a validated record, replacing any existing one, in the
-// slab of its position's cell. The record's Sensors slice is cloned so
-// the store owns the backing array: the caller may keep mutating its own
-// slice without racing readers, and the stored slice is immutable from
-// then on (no store method writes into it). Caller holds s.mu.
-func (s *DeviceStore) store(d *DeviceState) {
-	d.Sensors = slices.Clone(d.Sensors)
+// put installs a record the store may keep as it stands (validated, its
+// Sensors array never written again), replacing any record of the same
+// ID, and returns how many devices the store then holds.
+func (s *DeviceStore) put(d *DeviceState) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	c := s.grid.CellOf(d.Position)
 	if sl, ok := s.devices[d.ID]; ok {
 		if sl.slab.cell == c {
 			*sl.rec() = *d
-			return
+			return len(s.devices)
 		}
 		s.unplace(sl)
 	}
 	s.place(c, d)
+	return len(s.devices)
+}
+
+// take removes a device and hands its record to the caller: the record
+// itself with its Sensors array, not a copy, since the store no longer
+// refers to either. It is how a record moves to another shard's store
+// (put) or another node: copy and removal are one lock acquisition, so
+// no write can land between them and be lost. n is how many remain.
+func (s *DeviceStore) take(id string) (rec DeviceState, n int, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sl, ok := s.devices[id]
+	if ok {
+		rec = *sl.rec()
+		s.unplace(sl)
+		delete(s.devices, id)
+	}
+	return rec, len(s.devices), ok
 }
 
 // Register adds or replaces a device record. Registration is a fresh
 // start: the device is marked responsive and an unset reliability reads
 // as 1.0 (no history yet).
 func (s *DeviceStore) Register(d DeviceState) error {
-	_, err := s.register(d)
+	_, _, err := s.register(d)
 	return err
 }
 
 // register is Register handing back the record as stored (defaults
-// applied), copied under the same lock acquisition that stored it. The
-// copy shares the stored Sensors array, which no store method writes.
-func (s *DeviceStore) register(d DeviceState) (DeviceState, error) {
+// applied; it shares the stored Sensors array, which no store method
+// writes) and the store's new length. Sensors is cloned so the store owns
+// the array: the caller may keep mutating its own without racing readers.
+func (s *DeviceStore) register(d DeviceState) (DeviceState, int, error) {
 	if err := validate(&d); err != nil {
-		return DeviceState{}, err
+		return DeviceState{}, 0, err
 	}
 	if d.Reliability == 0 {
 		d.Reliability = 1 // no history yet
 	}
 	d.Responsive = true
-	s.mu.Lock()
-	s.store(&d)
-	stored := d
-	s.mu.Unlock()
-	return stored, nil
+	d.Sensors = slices.Clone(d.Sensors)
+	return d, s.put(&d), nil
 }
 
 // Restore stores a record verbatim, preserving its responsiveness flag,
-// reliability score, and fairness counters. It is the re-homing path:
-// a device moving between shards keeps the liveness state the scheduler
-// gave it, where Register would silently rehabilitate it. Unlike
-// Register there is no zero-to-one reliability defaulting: a reputation
-// legitimately driven to 0 must survive a shard crossing.
+// reliability score, and fairness counters. It is how a record arrives
+// from outside the process (another node's export, a snapshot, the
+// journal), keeping the liveness state the scheduler gave it, where
+// Register would silently rehabilitate it, and a reliability
+// legitimately driven to 0, which Register would default to 1.
 func (s *DeviceStore) Restore(d DeviceState) error {
+	_, err := s.restore(d)
+	return err
+}
+
+// restore is Restore returning the store's new length.
+func (s *DeviceStore) restore(d DeviceState) (int, error) {
 	if err := validate(&d); err != nil {
-		return err
+		return 0, err
 	}
-	s.mu.Lock()
-	s.store(&d)
-	s.mu.Unlock()
-	return nil
+	d.Sensors = slices.Clone(d.Sensors)
+	return s.put(&d), nil
 }
 
 // Deregister removes a device.
-func (s *DeviceStore) Deregister(id string) {
-	s.mu.Lock()
-	if sl, ok := s.devices[id]; ok {
-		s.unplace(sl)
-		delete(s.devices, id)
-	}
-	s.mu.Unlock()
-}
+func (s *DeviceStore) Deregister(id string) { s.take(id) }
 
 // Get returns a copy of a device record. The copy is fully detached:
 // its Sensors slice is cloned, so mutating it cannot poison the live
@@ -366,17 +378,28 @@ func (b *slab) scan(p *SelectScratch) {
 // state_report cannot poison the selector's scoring sort. A position
 // move re-buckets the device in the spatial index under the same lock.
 func (s *DeviceStore) UpdateState(id string, pos geo.Point, batteryPct float64, at time.Time) error {
+	found, err := s.updateState(id, pos, batteryPct, at)
+	if err == nil && !found {
+		return fmt.Errorf("core: update: unknown device %s", id)
+	}
+	return err
+}
+
+// updateState is UpdateState telling "not stored here" (false, nil) from
+// a refused report: the sharded layer asks a store whether a device is
+// its own by handing it the device's report.
+func (s *DeviceStore) updateState(id string, pos geo.Point, batteryPct float64, at time.Time) (found bool, err error) {
 	if !pos.Valid() {
-		return fmt.Errorf("core: update %s: invalid position %v", id, pos)
+		return false, fmt.Errorf("core: update %s: invalid position %v", id, pos)
 	}
 	if !validBattery(batteryPct) {
-		return fmt.Errorf("core: update %s: battery %v out of [0,100]", id, batteryPct)
+		return false, fmt.Errorf("core: update %s: battery %v out of [0,100]", id, batteryPct)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sl, ok := s.devices[id]
 	if !ok {
-		return fmt.Errorf("core: update: unknown device %s", id)
+		return false, nil
 	}
 	d := sl.rec()
 	d.Position, d.BatteryPct, d.LastComm = pos, batteryPct, at
@@ -385,7 +408,7 @@ func (s *DeviceStore) UpdateState(id string, pos geo.Point, batteryPct float64, 
 		s.unplace(sl)
 		s.place(next, &moved)
 	}
-	return nil
+	return true, nil
 }
 
 // UpdateBudget changes only the device's crowdsensing allowance
@@ -393,17 +416,26 @@ func (s *DeviceStore) UpdateState(id string, pos geo.Point, batteryPct float64, 
 // reliability, and the fairness counters untouched, so a budget tweak
 // never rehabilitates a device the scheduler marked unresponsive.
 func (s *DeviceStore) UpdateBudget(id string, b power.Budget) error {
+	found, err := s.updateBudget(id, b)
+	if err == nil && !found {
+		return fmt.Errorf("core: prefs: unknown device %s", id)
+	}
+	return err
+}
+
+// updateBudget is UpdateBudget telling "not stored here" (false, nil)
+// from a refused budget, as updateState does.
+func (s *DeviceStore) updateBudget(id string, b power.Budget) (found bool, err error) {
 	if err := b.Validate(); err != nil {
-		return fmt.Errorf("core: prefs %s: %w", id, err)
+		return false, fmt.Errorf("core: prefs %s: %w", id, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sl, ok := s.devices[id]
-	if !ok {
-		return fmt.Errorf("core: prefs: unknown device %s", id)
+	if ok {
+		sl.rec().Budget = b
 	}
-	sl.rec().Budget = b
-	return nil
+	return ok, nil
 }
 
 // NoteSelected records one selection (U_i) of each device for fairness
@@ -418,13 +450,16 @@ func (s *DeviceStore) NoteSelected(ids ...string) {
 	}
 }
 
-// NoteEnergy adds crowdsensing energy spent by a device (E_i).
-func (s *DeviceStore) NoteEnergy(id string, joules float64) {
+// NoteEnergy adds crowdsensing energy spent by a device (E_i) and reports
+// whether the store holds the device.
+func (s *DeviceStore) NoteEnergy(id string, joules float64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sl, ok := s.devices[id]; ok && joules > 0 {
+	sl, ok := s.devices[id]
+	if ok && joules > 0 {
 		sl.rec().EnergySpentJ += joules
 	}
+	return ok
 }
 
 // SetResponsive flips the responsiveness flag; the scheduler clears it

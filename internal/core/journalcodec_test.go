@@ -68,13 +68,21 @@ func hostileSeedRecords() []JournalRecord {
 	hostile.Budget = power.Budget{TotalJ: 1e21, CriticalBatteryPct: 5e-324}
 	hostile.LastComm = time.Date(2017, 12, 11, 9, 0, 0, 1, time.FixedZone("", -(5*3600+30*60)))
 	ref := &RequestRef{TaskID: "west/<task>", Seq: -3, Due: simclock.Epoch.In(time.FixedZone("CET", 3600))}
-	return []JournalRecord{
+	// Either side of every edge of the float writer's integer path.
+	var edges []JournalRecord
+	for _, f := range []float64{
+		math.Copysign(0, -1), 0, 100, -100, 0.5, -0.5, 1e15, 1e21, -1e21,
+		1 << 53, -(1 << 53), 1<<53 - 1, -(1<<53 - 1), 1<<53 + 2, 1 << 63, -(1 << 63), math.MaxFloat64,
+	} {
+		edges = append(edges, JournalRecord{Seq: 20, Op: opReceive, ReqID: "t#0", DeviceID: "dev-a", Value: f, Joules: -f})
+	}
+	return append(edges, []JournalRecord{
 		{Seq: 1, Op: opSubmit, At: simclock.Epoch, Task: &task, NextTask: 1},
 		{Seq: 2, Op: opUpdateTask, Task: &task},
 		{Seq: 5, Op: opRestore, Device: &hostile},
 		{Seq: 10, Op: opDispatch, At: simclock.Epoch, Req: ref, Devices: []string{"dev <b>", "\"", ""}},
 		{Seq: math.MaxUint64, Op: "\\", At: time.Now(), Devices: []string{}, Joules: math.Copysign(0, -1)},
-	}
+	}...)
 }
 
 func codecSeedRecords() []JournalRecord {
@@ -217,6 +225,10 @@ func FuzzJournalRecordCodec(f *testing.F) {
 		`{"n":1,"op":"receive","at":"0001-01-01T00:00:00Z","device_id":"d","req_id":"t#0","value":1e3}`,
 		`{"n":01,"op":"receive","at":"0001-01-01T00:00:00Z"}`,
 		`{"n":1,"op":"receive","at":"0001-01-01T00:00:00Z","value":-0}`,
+		`{"n":1,"op":"receive","at":"0001-01-01T00:00:00Z","value":9007199254740992,"joules":-9007199254740992}`,
+		`{"n":1,"op":"receive","at":"0001-01-01T00:00:00Z","value":9007199254740991,"joules":1e15}`,
+		`{"n":1,"op":"receive","at":"0001-01-01T00:00:00Z","value":1e21,"joules":100}`,
+		`{"n":1,"op":"energy","at":"0001-01-01T00:00:00Z","joules":0.5}`,
 		`{"n":1,"op":"receive","at":"0001-01-01T00:00:00Z","value":1E400}`,
 		`{"n":1,"op":"energy","at":null,"joules":0.1e-2,"joules":7}`,
 		`{"n":1.0,"op":"outcome","at":"2017-12-11T09:00:00+24:00","outcome":-0}`,

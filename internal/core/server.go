@@ -285,11 +285,11 @@ func (s *Server) Devices() *DeviceStore { return s.devices }
 
 // RegisterDevice adds or replaces a device record.
 func (s *Server) RegisterDevice(d DeviceState) error {
-	stored, err := s.devices.register(d)
+	stored, n, err := s.devices.register(d)
 	if err != nil {
 		return err
 	}
-	s.met.devices.Set(float64(s.devices.Len()))
+	s.met.devices.Set(float64(n))
 	if s.cfg.Journal != nil {
 		// Journal the record as stored (Register defaults responsiveness
 		// and reliability), so replay restores it verbatim — the copy the
@@ -301,11 +301,34 @@ func (s *Server) RegisterDevice(d DeviceState) error {
 	return nil
 }
 
-// DeregisterDevice removes a device.
+// DeregisterDevice removes a device. An ID the store does not hold is
+// journaled all the same, as it always was; replay ignores it.
 func (s *Server) DeregisterDevice(id string) {
-	s.devices.Deregister(id)
-	s.met.devices.Set(float64(s.devices.Len()))
-	s.jdirect(JournalRecord{Op: opDeregister, DeviceID: id})
+	if _, ok := s.takeDevice(id); !ok {
+		s.jdirect(JournalRecord{Op: opDeregister, DeviceID: id})
+	}
+}
+
+// takeDevice removes a device, journaling a deregister, and hands over its
+// record (DeviceStore.take); an ID the store does not hold journals nothing.
+func (s *Server) takeDevice(id string) (DeviceState, bool) {
+	rec, n, ok := s.devices.take(id)
+	if ok {
+		s.met.devices.Set(float64(n))
+		s.jdirect(JournalRecord{Op: opDeregister, DeviceID: id})
+	}
+	return rec, ok
+}
+
+// putDevice stores a record takeDevice handed out of another shard,
+// journaling a restore. It was valid where it was stored and nothing else
+// refers to its Sensors array, so it is neither checked nor copied again.
+func (s *Server) putDevice(rec *DeviceState) {
+	s.met.devices.Set(float64(s.devices.put(rec)))
+	if s.cfg.Journal != nil {
+		journaled := *rec // escapes; copied here so an unjournaled re-home allocates nothing
+		s.jdirect(JournalRecord{Op: opRestore, Device: &journaled})
+	}
 }
 
 // UpdateDeviceState applies a device's periodic control report.
@@ -316,20 +339,38 @@ func (s *Server) UpdateDeviceState(id string, pos geo.Point, batteryPct float64,
 // UpdateDevicePrefs changes a device's crowdsensing budget, preserving
 // its liveness state and fairness counters.
 func (s *Server) UpdateDevicePrefs(id string, b power.Budget) error {
-	if err := s.devices.UpdateBudget(id, b); err != nil {
-		return err
+	found, err := s.updatePrefs(id, b)
+	if err == nil && !found {
+		return fmt.Errorf("core: prefs: unknown device %s", id)
 	}
-	s.jdirect(JournalRecord{Op: opPrefs, DeviceID: id, Budget: &b})
-	return nil
+	return err
+}
+
+// updatePrefs is UpdateDevicePrefs telling "not stored here" (false,
+// nil) from a refused budget; only a budget that was stored is journaled.
+func (s *Server) updatePrefs(id string, b power.Budget) (found bool, err error) {
+	if found, err = s.devices.updateBudget(id, b); found {
+		s.jdirect(JournalRecord{Op: opPrefs, DeviceID: id, Budget: &b})
+	}
+	return found, err
 }
 
 // NoteDeviceEnergy adds crowdsensing energy spent by a device (the
-// selector's E_i fairness term).
+// selector's E_i fairness term). Energy for an ID the store does not hold
+// is journaled all the same, as it always was; replay ignores it.
 func (s *Server) NoteDeviceEnergy(id string, joules float64) {
-	s.devices.NoteEnergy(id, joules)
-	if joules > 0 {
+	if !s.noteEnergy(id, joules) && joules > 0 {
 		s.jdirect(JournalRecord{Op: opEnergy, DeviceID: id, Joules: joules})
 	}
+}
+
+// noteEnergy is NoteDeviceEnergy journaling nothing for an ID not held.
+func (s *Server) noteEnergy(id string, joules float64) bool {
+	found := s.devices.NoteEnergy(id, joules)
+	if found && joules > 0 {
+		s.jdirect(JournalRecord{Op: opEnergy, DeviceID: id, Joules: joules})
+	}
+	return found
 }
 
 // Stats returns a copy of the server counters. Safe to call concurrently

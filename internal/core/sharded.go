@@ -32,28 +32,28 @@ type Region struct {
 
 // ShardedServer fronts a set of per-region Server instances behind the
 // Orchestrator interface. Each shard owns its concurrency (see Server);
-// the sharded layer adds the two routing indexes. ProcessDue and
-// NextWake fan out across shards concurrently, so the shared Dispatcher
-// must tolerate concurrent calls.
+// the sharded layer adds the task-routing index and the device stripes.
+// ProcessDue and NextWake fan out across shards concurrently, so the
+// shared Dispatcher must tolerate concurrent calls.
+//
+// A device's home is the shard whose store holds its record; there is no
+// device index to fall out of step with the stores. An operation asks the
+// shard covering the position it carries, then (rarely) the few others.
 //
 // Lock hierarchy: deviceStripe.mu -> (per-shard) Server locks, and
 // ShardedServer.taskMu as a leaf (nothing is called with it held). The
-// device stripes and the task lock are independent — an upload resolving
-// its task never queues behind a device report — and only the whole-index
-// operations (RebuildRouting, DeviceHomes, CheckHomingInvariants) hold
-// more than one stripe, always taken in index order. No shard ever calls
-// back up into the sharded layer.
+// stripes and the task lock are independent — an upload resolving its
+// task never queues behind a device report — and only storedIn holds more
+// than one stripe. No shard ever calls back up into the sharded layer.
 type ShardedServer struct {
 	shards []shardEntry // immutable after construction
 
-	// devices is the device-routing index, device ID -> shard index, cut
-	// into stripes by a hash of the ID. Every device operation holds its
-	// device's stripe across the shard call, so operations on one device
-	// are atomic with respect to each other (a report cannot land on a
-	// shard the device is just leaving, a re-home cannot interleave with
-	// a deregister) and their journal records are in the order they
-	// happened, while operations on devices of other stripes — a re-home
-	// included — proceed side by side.
+	// devices are locks, not maps: every device operation holds the
+	// stripe its device's ID hashes to across the shard calls, so
+	// operations on one device are atomic with respect to each other (the
+	// shard holding a device cannot change between asking and acting) and
+	// journaled in the order they happened, while operations on devices of
+	// other stripes — a re-home included — proceed side by side.
 	devices [deviceStripes]deviceStripe
 
 	// taskMu guards taskHome.
@@ -63,42 +63,26 @@ type ShardedServer struct {
 	taskHome map[TaskID]int
 }
 
-// deviceStripes is how many ways the device-routing index is cut. A
-// re-home holds one stripe for two journal appends, so a goroutine
-// reporting for another device waits behind it with probability
-// 1/deviceStripes; at 256 that is negligible for any worker count a
-// machine will run, and the array still costs only 16 kB.
+// deviceStripes is how many device locks there are. A re-home holds one
+// for two journal appends, so a goroutine reporting for another device
+// waits behind it with probability 1/deviceStripes: negligible at 256 for
+// any worker count a machine will run, and the array costs only 16 kB.
 const deviceStripes = 256
 
-// deviceStripe is one slice of the device-routing index, padded to a
-// cache line so neighbouring stripes' locks do not share one.
+// deviceStripe is one device lock, padded to a cache line so
+// neighbouring stripes do not share one.
 type deviceStripe struct {
-	mu   sync.Mutex
-	home map[string]int
-	_    [64 - 16]byte
+	mu sync.Mutex
+	_  [64 - 8]byte
 }
 
-// stripe returns the stripe owning a device ID (FNV-1a).
+// stripe returns the stripe a device ID hashes to (FNV-1a).
 func (s *ShardedServer) stripe(id string) *deviceStripe {
 	h := uint32(2166136261)
 	for i := 0; i < len(id); i++ {
 		h = (h ^ uint32(id[i])) * 16777619
 	}
 	return &s.devices[h%deviceStripes]
-}
-
-// lockAllStripes takes every stripe in index order: the routing index
-// as a whole, for rebuilds and invariant checks.
-func (s *ShardedServer) lockAllStripes() {
-	for i := range s.devices {
-		s.devices[i].mu.Lock()
-	}
-}
-
-func (s *ShardedServer) unlockAllStripes() {
-	for i := range s.devices {
-		s.devices[i].mu.Unlock()
-	}
 }
 
 type shardEntry struct {
@@ -119,9 +103,6 @@ func NewShardedServer(cfg ServerConfig, d Dispatcher, regions []Region) (*Sharde
 	}
 	seen := make(map[string]bool, len(regions))
 	s := &ShardedServer{taskHome: make(map[TaskID]int)}
-	for i := range s.devices {
-		s.devices[i].home = make(map[string]int)
-	}
 	for _, r := range regions {
 		if r.Name == "" {
 			return nil, fmt.Errorf("core: region with empty name")
@@ -196,9 +177,35 @@ func (s *ShardedServer) RegionName(i int) string {
 	return s.shards[i].region.Name
 }
 
+// ask puts a question about a device to every shard but skip (-1: every
+// shard) until one answers yes: the one loop by which a device is found.
+// It stays answered while the caller holds the device's stripe.
+func (s *ShardedServer) ask(skip int, q func(*Server) bool) bool {
+	for i := range s.shards {
+		if i != skip && q(s.shards[i].server) {
+			return true
+		}
+	}
+	return false
+}
+
+// takeFromOther removes a device from its home shard when that is any
+// shard but keep (-1: any at all), handing over its record. Callers take
+// before they store: ProcessDue takes no stripe, and a tick that saw the
+// device in two shards would dispatch it twice, where in neither it misses
+// at most one selection round. Caller holds the device's stripe.
+func (s *ShardedServer) takeFromOther(id string, keep int) (rec DeviceState, ok bool) {
+	s.ask(keep, func(sh *Server) bool {
+		rec, ok = sh.takeDevice(id)
+		return ok
+	})
+	return rec, ok
+}
+
 // RegisterDevice homes a device to the shard covering its position. A
 // device that registers again from another region leaves its old shard
-// first (see leaveOtherShard), so it is never stored in two.
+// first, after the incoming record is validated, so it is never stored
+// in two and the store that follows cannot fail and leave it homeless.
 func (s *ShardedServer) RegisterDevice(d DeviceState) error {
 	i := s.ShardFor(d.Position)
 	if i < 0 {
@@ -210,25 +217,8 @@ func (s *ShardedServer) RegisterDevice(d DeviceState) error {
 	st := s.stripe(d.ID)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s.leaveOtherShard(st, d.ID, i)
-	if err := s.shards[i].server.RegisterDevice(d); err != nil {
-		return err
-	}
-	st.home[d.ID] = i
-	return nil
-}
-
-// leaveOtherShard deregisters a device from its home shard when that is
-// not the shard about to store it. Leaving comes first for the reason a
-// re-home deregisters before it restores: for a moment the device is in
-// neither shard, never in both. The caller holds the device's stripe and
-// has validated the incoming record, so the store that follows cannot
-// fail and leave the device homeless.
-func (s *ShardedServer) leaveOtherShard(st *deviceStripe, id string, target int) {
-	if old, ok := st.home[id]; ok && old != target {
-		s.shards[old].server.DeregisterDevice(id)
-		delete(st.home, id)
-	}
+	s.takeFromOther(d.ID, i)
+	return s.shards[i].server.RegisterDevice(d)
 }
 
 // DeregisterDevice removes a device from its home shard.
@@ -236,120 +226,94 @@ func (s *ShardedServer) DeregisterDevice(id string) {
 	st := s.stripe(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if i, ok := st.home[id]; ok {
-		s.shards[i].server.DeregisterDevice(id)
-		delete(st.home, id)
-	}
+	s.takeFromOther(id, -1)
 }
 
 // UpdateDeviceState applies a state report, re-homing the device if it
-// moved into another shard's region. Re-homing moves the record verbatim
-// (Restore), so responsiveness, reliability, and the fairness counters
-// survive the crossing. Either way the device's stripe is held across
-// the shard calls: nothing else can touch this device meanwhile, and
-// nothing about any device outside the stripe waits.
-func (s *ShardedServer) UpdateDeviceState(id string, pos geo.Point, batteryPct float64, at time.Time) error {
+// moved into another shard's region. The shard covering the reported
+// position is handed the report first: for a device that stayed in its
+// region that is the whole operation. When that store does not know the
+// device it is a re-home — the record moves verbatim with the report
+// applied, so responsiveness, reliability and the fairness counters
+// survive the crossing. A position outside all coverage leaves the
+// device where it is with a stale record; it will fail region
+// qualification anyway. Throughout, the device's stripe is held: nothing
+// else can touch this device, and no device outside the stripe waits.
+func (s *ShardedServer) UpdateDeviceState(id string, pos geo.Point, batteryPct float64, at time.Time) (err error) {
 	target := s.ShardFor(pos)
 	st := s.stripe(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	home, ok := st.home[id]
-	if !ok {
-		return fmt.Errorf("core: update for unregistered device %s", id)
+	// A store validates the report before it looks the device up: a
+	// malformed one fails with the record still in its home.
+	var found bool
+	report := func(sh *Server) bool {
+		found, err = sh.devices.updateState(id, pos, batteryPct, at)
+		return found || err != nil
 	}
-	if target < 0 || target == home {
-		// target < 0 is out of all coverage: keep the stale home record;
-		// the device will fail region qualification anyway.
-		return s.shards[home].server.UpdateDeviceState(id, pos, batteryPct, at)
+	switch {
+	case target < 0:
+		s.ask(-1, report)
+	case !report(s.shards[target].server):
+		if rec, ok := s.takeFromOther(id, target); ok {
+			rec.Position, rec.BatteryPct, rec.LastComm = pos, batteryPct, at
+			s.shards[target].server.putDevice(&rec)
+			return nil
+		}
 	}
-	// Re-home: move the record, preserving liveness and fairness state.
-	// Deregister-then-Restore ordering matters: the scheduling fan-out
-	// (ProcessDue) takes no stripe, so a concurrent tick may observe the
-	// crossing mid-move. In this order the device is briefly in neither
-	// shard — it can miss at most one selection round — whereas
-	// Restore-first would let both shards see it and dispatch it twice.
-	// The report is validated before the record leaves its home shard:
-	// a malformed battery level must fail the update, not strand the
-	// device mid-crossing.
-	if !validBattery(batteryPct) {
-		return fmt.Errorf("core: update %s: battery %v out of [0,100]", id, batteryPct)
+	if err == nil && !found {
+		err = fmt.Errorf("core: update for unregistered device %s", id)
 	}
-	rec, ok := s.shards[home].server.Devices().Get(id)
-	if !ok {
-		return fmt.Errorf("core: device %s missing from home shard", id)
-	}
-	orig := rec
-	rec.Position = pos
-	rec.BatteryPct = batteryPct
-	rec.LastComm = at
-	s.shards[home].server.DeregisterDevice(id)
-	if err := s.shards[target].server.RestoreDevice(rec); err != nil {
-		// Restore only re-validates a record that was already stored and a
-		// report this method vetted, so this cannot fail in practice; if
-		// it ever does, put the *original* record back where it was —
-		// restoring the mutated one would fail for the same reason and
-		// lose the device entirely.
-		_ = s.shards[home].server.RestoreDevice(orig)
-		return err
-	}
-	st.home[id] = target
-	return nil
+	return err
 }
 
 // UpdateDevicePrefs changes a device's budget on its home shard. The
-// stripe is held across the shard call so a concurrent re-home cannot
-// move the record between the lookup and the update, which would
-// silently drop the new budget on the old shard's removed record.
+// stripe is held while the shards are asked, so a concurrent re-home
+// cannot carry the record past the question into a shard already asked.
 func (s *ShardedServer) UpdateDevicePrefs(id string, b power.Budget) error {
 	st := s.stripe(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	home, ok := st.home[id]
-	if !ok {
+	var err error
+	if !s.ask(-1, func(sh *Server) bool {
+		var found bool
+		found, err = sh.updatePrefs(id, b)
+		return found || err != nil
+	}) {
 		return fmt.Errorf("core: prefs: unknown device %s", id)
 	}
-	return s.shards[home].server.UpdateDevicePrefs(id, b)
+	return err
 }
 
 // NoteDeviceEnergy records spent energy against the device's home shard.
-// As with UpdateDevicePrefs, the stripe spans the shard call so the
-// energy lands on the record's current home even under concurrent
-// re-homing.
+// As with UpdateDevicePrefs, the stripe is held while the shards are
+// asked so the energy lands on the record's current home even under
+// concurrent re-homing.
 func (s *ShardedServer) NoteDeviceEnergy(id string, joules float64) {
 	st := s.stripe(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if home, ok := st.home[id]; ok {
-		s.shards[home].server.NoteDeviceEnergy(id, joules)
-	}
+	s.ask(-1, func(sh *Server) bool { return sh.noteEnergy(id, joules) })
 }
 
 // ExportDevice removes a device from its home shard and returns the
-// record — the sending half of cross-node re-homing. The stripe is held
-// across the shard call so a concurrent in-process re-home cannot move
-// the record between the lookup and the removal.
+// record — the sending half of cross-node re-homing.
 func (s *ShardedServer) ExportDevice(id string) (DeviceState, error) {
 	st := s.stripe(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	home, ok := st.home[id]
+	rec, ok := s.takeFromOther(id, -1)
 	if !ok {
 		return DeviceState{}, fmt.Errorf("core: export: unknown device %s", id)
 	}
-	rec, err := s.shards[home].server.ExportDevice(id)
-	if err != nil {
-		return DeviceState{}, err
-	}
-	delete(st.home, id)
 	return rec, nil
 }
 
 // RestoreDevice homes an exported record to the shard covering its
 // position — the receiving half of cross-node re-homing. Like the
 // in-process crossing, the device is visible to at most one shard at
-// every instant: it enters the routing index only after the shard has
-// stored it, and an ID the index already routes elsewhere leaves that
-// shard first.
+// every instant: an ID another shard already stores leaves that shard
+// first.
 func (s *ShardedServer) RestoreDevice(rec DeviceState) error {
 	target := s.ShardFor(rec.Position)
 	if target < 0 {
@@ -361,12 +325,8 @@ func (s *ShardedServer) RestoreDevice(rec DeviceState) error {
 	st := s.stripe(rec.ID)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s.leaveOtherShard(st, rec.ID, target)
-	if err := s.shards[target].server.RestoreDevice(rec); err != nil {
-		return err
-	}
-	st.home[rec.ID] = target
-	return nil
+	s.takeFromOther(rec.ID, target)
+	return s.shards[target].server.RestoreDevice(rec)
 }
 
 // SubmitTask routes a task to the shard covering its area center. The
@@ -549,24 +509,16 @@ func (s *ShardedServer) TaskCount() int {
 	return total
 }
 
-// RebuildRouting reconstructs the device- and task-routing indexes from
-// the shards' current state. It is the recovery path's last step: after
-// each shard's Server has restored its snapshot and journal, the sharded
-// layer re-learns which shard owns which device and task. Call it before
-// the sharded server takes traffic.
+// RebuildRouting reconstructs the task-routing index from the shards'
+// current state. It is the recovery path's last step: after each shard's
+// Server has restored its snapshot and journal, the sharded layer
+// re-learns which shard owns which task (devices are found in the stores
+// the recovery filled). Call it before the sharded server takes traffic.
 func (s *ShardedServer) RebuildRouting() {
-	s.lockAllStripes()
-	defer s.unlockAllStripes()
 	s.taskMu.Lock()
 	defer s.taskMu.Unlock()
-	for i := range s.devices {
-		clear(s.devices[i].home)
-	}
 	s.taskHome = make(map[TaskID]int)
 	for i, sh := range s.shards {
-		for _, d := range sh.server.Devices().All() {
-			s.stripe(d.ID).home[d.ID] = i
-		}
 		for _, id := range sh.server.TaskIDs() {
 			s.taskHome[id] = i
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -74,10 +75,14 @@ func (s *encodingSink) Append(rec JournalRecord) {
 // BenchmarkShardedUpdateState measures state reports arriving from
 // several goroutines at once, with none and with one in six of them
 // crossing the shard boundary (city_mobile's mix). A crossing holds its
-// device's routing stripe across a deregister, a restore and their two
-// journal appends; the figure to watch is how little the 16 % rows lose
-// as goroutines are added, since reports for other devices no longer
-// wait for it.
+// device's stripe across a take, a put and their two journal appends; the
+// figure to watch is how little the 16 % rows lose as goroutines are
+// added, since reports for other devices do not wait for it. The
+// fleet=4096 rows walk a small fleet in order from two points, so every
+// lookup hits cache and every cell is crowded; the fleet=100k rows are the
+// city: devices spread over their region's cells, visited in random
+// order so the ID lookup misses, every other visit stepping a device into
+// the next cell.
 func BenchmarkShardedUpdateState(b *testing.B) {
 	west := geo.Point{Lat: 40.0, Lon: -86.95}
 	east := geo.Point{Lat: 40.0, Lon: -86.85}
@@ -86,50 +91,75 @@ func BenchmarkShardedUpdateState(b *testing.B) {
 		{Name: "east", Area: geo.Circle{Center: east, RadiusM: 4500}},
 	}
 	sides := [2]geo.Point{west, east}
-	const fleet = 4096
-	for _, rehomePct := range []int{0, 16} {
-		for _, goroutines := range []int{2, 4, 8} {
-			b.Run(fmt.Sprintf("rehome=%d%%/goroutines=%d", rehomePct, goroutines), func(b *testing.B) {
-				cfg := DefaultServerConfig()
-				cfg.ShardJournal = func(string) JournalSink { return &encodingSink{} }
-				s, err := NewShardedServer(cfg, DispatcherFunc(func(Request, DeviceState) {}), regions)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ids := make([]string, fleet)
-				side := make([]int, fleet)
-				for i := range ids {
-					ids[i] = fmt.Sprintf("dev-%04d", i)
-					side[i] = i % 2
-					dev := freshDevice(ids[i])
-					dev.Position = sides[side[i]]
-					if err := s.RegisterDevice(dev); err != nil {
+	for _, city := range []bool{false, true} {
+		fleet, name := 4096, "fleet=4096"
+		if city {
+			fleet, name = 100_000, "fleet=100k"
+		}
+		for _, rehomePct := range []int{0, 16} {
+			for _, goroutines := range []int{2, 4, 8} {
+				b.Run(fmt.Sprintf("%s/rehome=%d%%/goroutines=%d", name, rehomePct, goroutines), func(b *testing.B) {
+					cfg := DefaultServerConfig()
+					cfg.ShardJournal = func(string) JournalSink { return &encodingSink{} }
+					s, err := NewShardedServer(cfg, DispatcherFunc(func(Request, DeviceState) {}), regions)
+					if err != nil {
 						b.Fatal(err)
 					}
-				}
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for g := 0; g < goroutines; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						// Each goroutine owns the devices congruent to g, so a
-						// device's side is its own to track.
-						for n, i := 0, g; n < b.N/goroutines; n, i = n+1, i+goroutines {
-							d := i % fleet
-							if n%100 < rehomePct {
-								side[d] ^= 1
-							}
-							pos := geo.Offset(sides[side[d]], float64(n%50), 0)
-							if err := s.UpdateDeviceState(ids[d], pos, 80, simclock.Epoch); err != nil {
-								b.Error(err)
-								return
-							}
+					rng := rand.New(rand.NewSource(9))
+					ids := make([]string, fleet)
+					side := make([]int, fleet)
+					north := make([]float64, fleet) // a device's place within its side
+					eastM := make([]float64, fleet)
+					stepped := make([]bool, fleet) // city: whether it stands one cell east of there
+					for i := range ids {
+						ids[i] = fmt.Sprintf("dev-%06d", i)
+						side[i] = i % 2
+						if city {
+							north[i], eastM[i] = rng.Float64()*5000-2500, rng.Float64()*5000-2500
 						}
-					}(g)
-				}
-				wg.Wait()
-			})
+						dev := freshDevice(ids[i])
+						dev.Position = geo.Offset(sides[side[i]], north[i], eastM[i])
+						if err := s.RegisterDevice(dev); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ResetTimer()
+					var wg sync.WaitGroup
+					for g := 0; g < goroutines; g++ {
+						wg.Add(1)
+						go func(g int) {
+							defer wg.Done()
+							// Each goroutine owns the devices congruent to g, so a
+							// device's side and step are its own to track.
+							pick := rand.New(rand.NewSource(int64(g)))
+							for n, i := 0, g; n < b.N/goroutines; n, i = n+1, i+goroutines {
+								d := i % fleet
+								if city {
+									d = g + goroutines*pick.Intn(fleet/goroutines)
+								}
+								if n%100 < rehomePct {
+									side[d] ^= 1
+								}
+								pos := geo.Offset(sides[side[d]], float64(n%50), 0)
+								if city {
+									if n%2 == 0 {
+										stepped[d] = !stepped[d]
+									}
+									pos = geo.Offset(sides[side[d]], north[d], eastM[d])
+									if stepped[d] {
+										pos = geo.Offset(pos, 0, DefaultCellSizeM)
+									}
+								}
+								if err := s.UpdateDeviceState(ids[d], pos, 80, simclock.Epoch); err != nil {
+									b.Error(err)
+									return
+								}
+							}
+						}(g)
+					}
+					wg.Wait()
+				})
+			}
 		}
 	}
 }
