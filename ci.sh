@@ -16,9 +16,14 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # (bench/README.md, "Pinned surface") goes unseen until the benchmark runs.
 (cd bench && go vet . && go test .)
 # Order-dependence and shared-state check on the packages the selection
-# pass and the journal path live in: race detector with the test order
-# shuffled.
-go test -race -shuffle=on ./internal/core/... ./internal/geo/... ./internal/persist/...
+# pass, the journal path and the transport (codec, coalescer, tracer,
+# server, router) live in: race detector with the test order shuffled.
+go test -race -shuffle=on ./internal/core/... ./internal/geo/... ./internal/persist/... \
+    ./internal/wire/... ./internal/obs/... ./internal/netserver/... ./internal/cluster/...
+# The end-to-end trace over real sockets, fifty times: a dispatch span
+# whose flush callback lands after the delivery completed the trace must
+# join the retained record, not corrupt the ring.
+go test -race -count=50 -run '^TestEndToEndTrace$' ./internal/netserver
 # The device-homing net, five times over: the seeded model test (every
 # device operation against a plain map and the parent commit's journal
 # bytes) and the two concurrent storms, whose interleavings differ run to
@@ -73,7 +78,8 @@ SENSEAID_BENCH_OUT="$PWD/BENCH_obs.json" \
 # schedule/upload shapes under the JSON and binary codecs plus the write
 # coalescer's syscall batching, writes BENCH_wire.json, and FAILS when
 # binary loses its 2x frame-size edge, stops allocating less than JSON,
-# or coalescing stops halving write syscalls (see TestRecordWireBench).
+# or a notify burst issued without yielding stops taking at most half a
+# write per frame (see TestRecordWireBench).
 SENSEAID_BENCH_OUT="$PWD/BENCH_wire.json" \
     go test -run '^TestRecordWireBench$' -count=1 -v ./internal/wire
 
@@ -163,8 +169,10 @@ done
 stop_server "$tmp/senseaidd.out" "$tmp/senseaidd.err"
 
 # Wire v2 smoke: 5k device connections speaking the binary codec against
-# a server with write coalescing and a bounded RPC worker pool — the
-# production transport configuration at 5x the plain smoke's scale.
+# a server with a bounded RPC worker pool — the production transport
+# configuration at 5x the plain smoke's scale. -coalesce-interval is
+# deprecated and ignored; it stays on this command line, as on bench/'s,
+# to prove old command lines still parse.
 # A tenth of the fleet rides faulty links (staggered mid-run connection
 # kills plus added latency) and 5% answers with wrong-sensor garbage:
 # the run fails if the server accepts a single garbage upload or a

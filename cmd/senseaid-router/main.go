@@ -8,7 +8,12 @@
 //
 //	senseaid-router [-addr host:port] [-metrics-addr host:port]
 //	                [-ping-interval duration] [-ping-timeout duration]
-//	                [-coalesce-interval duration] [-v] [-vv]
+//	                [-v] [-vv]
+//
+// Relayed pushes on one connection share one write syscall when they
+// are read off the worker before the relay goroutine yields;
+// -coalesce-interval is deprecated and ignored (accepted so old command
+// lines still parse).
 //
 // The router owns routing and failover only: device registrations are
 // routed by position to the enrolled region containing them, task
@@ -44,7 +49,7 @@ func run() error {
 	metricsAddr := flag.String("metrics-addr", "", "admin HTTP address serving /metrics and /healthz (empty disables)")
 	pingInterval := flag.Duration("ping-interval", time.Second, "how often to health-check each enrolled node's trunk")
 	pingTimeout := flag.Duration("ping-timeout", 2*time.Second, "a health check slower than this fails the node")
-	coalesceInterval := flag.Duration("coalesce-interval", 2*time.Millisecond, "batch relayed pushes per connection for up to this long (0 disables)")
+	_ = flag.Duration("coalesce-interval", 0, "deprecated and ignored: relayed pushes flush as soon as the relay goroutine yields")
 	verbose := flag.Bool("v", false, "log lifecycle events to stderr")
 	debug := flag.Bool("vv", false, "log per-session routing to stderr")
 	flag.Parse()
@@ -72,13 +77,12 @@ func run() error {
 	}
 
 	r, err := cluster.Listen(cluster.Config{
-		Addr:             *addr,
-		PingInterval:     *pingInterval,
-		PingTimeout:      *pingTimeout,
-		CoalesceInterval: *coalesceInterval,
-		Logger:           logger,
-		LogLevel:         level,
-		Metrics:          obs.Default(),
+		Addr:         *addr,
+		PingInterval: *pingInterval,
+		PingTimeout:  *pingTimeout,
+		Logger:       logger,
+		LogLevel:     level,
+		Metrics:      obs.Default(),
 	})
 	if err != nil {
 		return err

@@ -7,7 +7,7 @@
 //	senseaidd [-addr host:port] [-metrics-addr host:port] [-tick duration]
 //	          [-handshake-timeout duration] [-idle-timeout duration]
 //	          [-state-dir path] [-state-recover] [-snapshot-interval duration]
-//	          [-codec binary|json] [-coalesce-interval duration] [-rpc-workers n]
+//	          [-codec binary|json] [-rpc-workers n]
 //	          [-agg-window duration] [-agg-retention n]
 //	          [-regions name@lat,lon,radiusM]... [-pprof]
 //	          [-enroll host:port] [-node-id name] [-advertise host:port]
@@ -17,9 +17,12 @@
 // -codec caps the wire encoding the server will negotiate: "binary"
 // (default) lets v2 clients use the compact binary framing while v1
 // clients keep speaking JSON; "json" pins every connection to v1.
-// -coalesce-interval batches schedule/delivery pushes per connection so
-// bursts share one write syscall; -rpc-workers bounds concurrent RPC
-// handling (overflow is shed with senseaid_rpc_shed_total).
+// Schedule/delivery pushes on one connection share one write syscall
+// when they are produced before the pushing goroutine yields (with
+// -enroll, a live reading is written before the upload's ack instead);
+// -coalesce-interval is deprecated and ignored (accepted so old command
+// lines still parse). -rpc-workers bounds concurrent RPC handling
+// (overflow is shed with senseaid_rpc_shed_total).
 //
 // The server aggregates every validated upload into per-task/per-cell
 // rollup windows (count, mean, min/max, p50/p99, freshness) that CASes
@@ -137,7 +140,7 @@ func run() error {
 	stateRecover := flag.Bool("state-recover", false, "move corrupt state files aside and start fresh instead of refusing to start")
 	snapshotInterval := flag.Duration("snapshot-interval", time.Minute, "how often to fold the journal into a fresh snapshot (negative disables the periodic loop)")
 	codec := flag.String("codec", "binary", "newest wire codec to negotiate: binary (v2) or json (pins every connection to v1)")
-	coalesceInterval := flag.Duration("coalesce-interval", 2*time.Millisecond, "batch schedule/delivery pushes per connection for up to this long so bursts share one write syscall (0 disables)")
+	_ = flag.Duration("coalesce-interval", 0, "deprecated and ignored: pushes flush as soon as the pushing goroutine yields")
 	rpcWorkers := flag.Int("rpc-workers", 0, "max concurrent RPC handlers across all connections (0 sizes from CPU count, negative runs handlers inline)")
 	aggWindow := flag.Duration("agg-window", 0, "live-aggregation window length (0 uses the 1m default, negative disables the tier)")
 	aggRetention := flag.Int("agg-retention", 0, "closed windows retained per series for sliding subscriptions (0 uses the default)")
@@ -260,7 +263,6 @@ func run() error {
 		HandshakeTimeout: *handshakeTimeout,
 		IdleTimeout:      *idleTimeout,
 		MaxWireVersion:   maxCodec.Version(),
-		CoalesceInterval: *coalesceInterval,
 		RPCWorkers:       *rpcWorkers,
 		AggWindow:        *aggWindow,
 		AggRetention:     *aggRetention,

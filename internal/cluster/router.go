@@ -32,9 +32,6 @@ type Config struct {
 	// through TCP (EOF on the trunk), so the ping is the backstop for
 	// silent deaths (cable pulls, frozen processes).
 	PingInterval, PingTimeout time.Duration
-	// CoalesceInterval batches relayed pushes per connection, mirroring
-	// the worker-side setting. 0 disables coalescing.
-	CoalesceInterval time.Duration
 	// Logger receives operational messages; nil discards them.
 	Logger *log.Logger
 	// LogLevel filters Logger output.
@@ -250,15 +247,7 @@ func (r *Router) serveConn(nc net.Conn) {
 	}
 	_ = nc.SetWriteDeadline(time.Time{})
 	codec, _ := wire.CodecForVersion(negotiated)
-	sc := &sconn{
-		nc:    nc,
-		br:    br,
-		codec: codec,
-		co: wire.NewCoalescer(nc, codec, wire.CoalescerConfig{
-			Interval:     r.cfg.CoalesceInterval,
-			WriteTimeout: r.cfg.WriteTimeout,
-		}),
-	}
+	sc := r.newSconn(nc, br, codec)
 	defer sc.co.Close()
 
 	switch hello.Role {

@@ -291,6 +291,16 @@ func TestRouterPromotesStandbyAndStateSurvives(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = standby.Close() })
 
+	// Submit once the standby holds the primary's first shipped snapshot,
+	// so the campaign reaches it as journal records. A standby attaching
+	// after the hour-long task is sent a snapshot over the wire frame
+	// limit and never catches up: ROADMAP 8(e), pinned by netserver's
+	// TestReplicationStallsOnOversizedSnapshot.
+	waitFor(t, 5*time.Second, "the standby's first snapshot", func() bool {
+		snaps, err := filepath.Glob(filepath.Join(standbyDir, "*.snap"))
+		return err == nil && len(snaps) > 0
+	})
+
 	app, _ := collectingCAS(t, r.Addr())
 	spec := regionSpec(westCenter, 1, time.Hour)
 	spec.ClientTaskID = "campaign-1"

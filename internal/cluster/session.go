@@ -30,6 +30,12 @@ type sconn struct {
 	co    *wire.Coalescer
 }
 
+// newSconn wraps a connection once its codec is negotiated.
+func (r *Router) newSconn(nc net.Conn, br *bufio.Reader, codec wire.Codec) *sconn {
+	co := wire.NewCoalescer(nc, codec, wire.CoalescerConfig{WriteTimeout: r.cfg.WriteTimeout})
+	return &sconn{nc: nc, br: br, codec: codec, co: co}
+}
+
 // send relays one envelope, transcoding its payload when the frame was
 // read off a binary connection but this connection speaks v1 JSON (the
 // json codec refuses binary payloads rather than corrupt the stream).
@@ -215,17 +221,8 @@ func (r *Router) dialUpstream(addr string, role wire.Role) (*upstream, error) {
 		return fail(fmt.Errorf("cluster: worker %s granted unknown version %d", addr, version))
 	}
 	_ = nc.SetDeadline(time.Time{})
-	sc := &sconn{
-		nc:    nc,
-		br:    br,
-		codec: codec,
-		co: wire.NewCoalescer(nc, codec, wire.CoalescerConfig{
-			Interval:     r.cfg.CoalesceInterval,
-			WriteTimeout: r.cfg.WriteTimeout,
-		}),
-	}
 	return &upstream{
-		sc:      sc,
+		sc:      r.newSconn(nc, br, codec),
 		pending: make(map[uint64]chan wire.Envelope),
 		dead:    make(chan struct{}),
 	}, nil
@@ -383,7 +380,9 @@ func (ds *deviceSession) forward(env wire.Envelope) error {
 
 // relayUpstream pumps worker frames back to the device. Internal
 // sequences rendezvous with waiting router calls; everything else goes
-// to the client — urgently for replies, coalesced for schedule pushes.
+// to the client — urgently for replies, coalesced for schedule pushes
+// (frames already read off the upstream before the loop blocks share
+// one write).
 // When the upstream dies while still current (a worker crash, not a
 // re-home), the client connection is closed too: the device's daemon
 // redials through the router and re-registers, which re-routes it to

@@ -77,7 +77,7 @@ func (s *Server) pushAgg(c *conn, p agg.Push) {
 			oldest = w.End
 		}
 	}
-	c.notify(wire.TypeAggPush, out, func(err error) {
+	c.notify(wire.TypeAggPush, out, false, func(err error) {
 		if err != nil {
 			// Same policy as sensed-data delivery: a CAS whose socket cannot
 			// take a push is dead; closing it kicks serveCAS out of its read

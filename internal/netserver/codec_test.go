@@ -125,12 +125,11 @@ func binaryDevice(t *testing.T, addr, id string) *client.Client {
 
 // TestEndToEndBinaryCoalesced runs the full campaign — register,
 // submit, schedule, upload, deliver — with both peers on the binary
-// codec and write coalescing enabled on the server.
+// codec, so the server's pushes ride binary coalesced flushes.
 func TestEndToEndBinaryCoalesced(t *testing.T) {
 	s, err := Listen(Config{
-		Addr:             "127.0.0.1:0",
-		TickPeriod:       20 * time.Millisecond,
-		CoalesceInterval: 2 * time.Millisecond,
+		Addr:       "127.0.0.1:0",
+		TickPeriod: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("Listen: %v", err)

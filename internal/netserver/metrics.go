@@ -17,8 +17,8 @@ var rpcSecondsBuckets = obs.ExponentialBuckets(1e-5, 4, 10)
 var snapshotSecondsBuckets = obs.ExponentialBuckets(1e-4, 4, 9)
 
 // aggPushLagBuckets spans 1 ms – 16 s: push lag is bounded by the agg
-// tick (a quarter window) plus the coalesce interval, so the healthy
-// range sits near the bottom and a full window of lag is an outlier.
+// tick (a quarter window) plus one write, so the healthy range sits near
+// the bottom and a full window of lag is an outlier.
 var aggPushLagBuckets = obs.ExponentialBuckets(1e-3, 4, 8)
 
 // netMetrics is the transport layer's slice of the metric vocabulary.

@@ -12,6 +12,7 @@ import (
 	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"senseaid/internal/agg"
@@ -66,11 +67,6 @@ type Config struct {
 	// codec. Versions outside {1, 2} in a peer's Hello are rejected
 	// either way.
 	MaxWireVersion int
-	// CoalesceInterval batches server-initiated pushes (schedules,
-	// sensed-data deliveries) per connection for up to this long so a
-	// burst shares one write syscall. RPC responses always flush
-	// immediately. 0 disables coalescing.
-	CoalesceInterval time.Duration
 	// RPCWorkers bounds how many RPC handlers run concurrently across
 	// all connections (per-connection ordering is preserved). 0 sizes
 	// the pool from the CPU count; negative disables the pool and runs
@@ -198,6 +194,10 @@ type Server struct {
 	// Entries live and die with taskCAS entries.
 	taskTrace map[core.TaskID]obs.TraceContext
 
+	// relayed is set once Enroll succeeds: every device and CAS session
+	// then arrives through the router, one process reading them all.
+	relayed atomic.Bool
+
 	wg      sync.WaitGroup
 	done    chan struct{}
 	closeMu sync.Once
@@ -236,15 +236,18 @@ func (c *conn) send(t wire.MsgType, seq uint64, payload interface{}) error {
 }
 
 // notify queues one server-initiated push. done fires exactly once with
-// the frame's outcome — synchronously when coalescing is off, after the
-// flush tick (at most the coalesce interval later) when it is on.
-func (c *conn) notify(t wire.MsgType, payload interface{}, done func(error)) {
+// the frame's outcome. A deferred push rides the coalescer's next shared
+// flush, and done runs on its flusher goroutine once the pushing
+// goroutine has yielded (wire.Coalescer); with now set the push is
+// written before notify returns, carrying whatever the connection has
+// buffered, and done runs inline.
+func (c *conn) notify(t wire.MsgType, payload interface{}, now bool, done func(error)) {
 	env, err := c.codec.Encode(t, 0, payload)
 	if err != nil {
 		done(err)
 		return
 	}
-	_ = c.co.Send(env, false, done)
+	_ = c.co.Send(env, now, done)
 }
 
 func (c *conn) sendErr(seq uint64, err error) {
@@ -625,10 +628,10 @@ func (s *Server) dispatch(req core.Request, dev core.DeviceState) {
 }
 
 // sendSchedule pushes one schedule to the device connection captured at
-// generation gen. The push may ride a coalesced flush, so the outcome
-// arrives in a callback (at most the coalesce interval later); the
-// failure path must reach the core either way — without the report it
-// would believe the request pending until its deadline.
+// generation gen. The push rides a deferred, shared flush, so the
+// outcome arrives in a callback; the failure path must reach the core
+// either way — without the report it would believe the request pending
+// until its deadline.
 //
 // The lookup in dispatch and the write here are not atomic: the device
 // may redial in between, leaving this write aimed at the dying old
@@ -637,10 +640,13 @@ func (s *Server) dispatch(req core.Request, dev core.DeviceState) {
 // at a *newer* generation — and retries once on the live connection
 // instead of closing it and marking a responsive device unresponsive.
 func (s *Server) sendSchedule(c *conn, gen uint64, sched wire.Schedule, span obs.Span, reqID, taskID, devID string, mayRetry bool) {
-	c.notify(wire.TypeSchedule, sched, func(err error) {
+	// The timeline stamps the push, not the callback: the flush outcome
+	// can arrive after the device has already uploaded.
+	pushedAt := s.clock.Now()
+	c.notify(wire.TypeSchedule, sched, false, func(err error) {
 		if err == nil {
 			span.Finish()
-			s.timeline.Note(taskID, "dispatched", devID, s.clock.Now())
+			s.timeline.Note(taskID, "dispatched", devID, pushedAt)
 			return
 		}
 		// A failed or timed-out write leaves this stream unframeable; the
@@ -671,17 +677,27 @@ func (s *Server) sendSchedule(c *conn, gen uint64, sched wire.Schedule, span obs
 // the task by resubmitting its ClientTaskID). The parameter is unused —
 // the sink re-resolves the task ID it is invoked with — but the
 // signature matches core.Recover's sink factory.
+//
+// The core runs the sink inside ReceiveData, on the upload's handler,
+// before the handler writes the upload's ack. Behind a router the
+// reading is written there and then: the router reads this worker's
+// device and CAS sessions together, and Go's netpoller runs the
+// last-readied connection first, so the ack must be the later write for
+// the router to relay it first. A server that devices reach directly
+// defers the reading behind the ack instead, which reaches the device
+// one write sooner (DESIGN.md §13, "Delivery and ack order").
 func (s *Server) casSink(core.TaskID) core.DataSink {
 	return func(tid core.TaskID, dev string, r sensors.Reading) {
-		s.deliverToCAS(tid, dev, r)
+		s.deliverToCAS(tid, dev, r, s.relayed.Load())
 	}
 }
 
-// deliverToCAS pushes one validated reading to the task's current owner.
-// The core invokes sinks outside its scheduling lock; the conn lookup
-// takes connMu only for the map read, and the send serialises on the
-// conn's own write lock.
-func (s *Server) deliverToCAS(tid core.TaskID, dev string, r sensors.Reading) {
+// deliverToCAS pushes one validated reading to the task's current owner,
+// written before it returns when now is set and otherwise deferred to
+// the connection's next shared flush. The core invokes sinks outside its
+// scheduling lock; the conn lookup takes connMu only for the map read,
+// and the send serialises on the conn's own write lock.
+func (s *Server) deliverToCAS(tid core.TaskID, dev string, r sensors.Reading, now bool) {
 	s.connMu.Lock()
 	c, ok := s.taskCAS[tid]
 	traceCtx := s.taskTrace[tid]
@@ -704,13 +720,13 @@ func (s *Server) deliverToCAS(tid core.TaskID, dev string, r sensors.Reading) {
 	}
 	span := s.tracer.StartSpan(traceCtx, obs.StageDeliver, "")
 	spanCtx := span.Context()
-	// Deliveries fan out in bursts (one reading per selected device per
-	// round), so they take the coalesced path; the outcome callback may
-	// run up to the coalesce interval later.
+	// A deferred delivery's outcome callback runs after the shared flush,
+	// so the timeline stamps the push.
+	pushedAt := s.clock.Now()
 	c.notify(wire.TypeSensedData, wire.SensedData{
 		TaskID: string(tid), DeviceID: reported, Reading: r,
 		TraceID: spanCtx.Trace.String(), SpanID: spanCtx.Span.String(),
-	}, func(e error) {
+	}, now, func(e error) {
 		if e != nil {
 			s.log.Errorf("deliver to CAS for %s: %v", tid, e)
 			// CAS connections have no idle timeout, so a dead CAS is detected
@@ -723,7 +739,7 @@ func (s *Server) deliverToCAS(tid core.TaskID, dev string, r sensors.Reading) {
 			return
 		}
 		span.Finish()
-		s.timeline.Note(string(tid), "delivered", reported, s.clock.Now())
+		s.timeline.Note(string(tid), "delivered", reported, pushedAt)
 		// The first successful delivery closes the submit → delivery loop:
 		// the trace finalises into the retained ring. Later rounds' spans
 		// still feed the stage histograms (Complete on a finalised trace is
@@ -784,10 +800,7 @@ func (s *Server) serveConn(c *conn) {
 	// The ack was the last v1-framed write; everything after speaks the
 	// negotiated codec, batched through the coalescer.
 	c.codec, _ = wire.CodecForVersion(negotiated)
-	c.co = wire.NewCoalescer(c.nc, c.codec, wire.CoalescerConfig{
-		Interval:     s.cfg.CoalesceInterval,
-		WriteTimeout: s.cfg.WriteTimeout,
-	})
+	c.co = wire.NewCoalescer(c.nc, c.codec, wire.CoalescerConfig{WriteTimeout: s.cfg.WriteTimeout})
 	defer c.co.Close()
 
 	switch hello.Role {

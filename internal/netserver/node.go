@@ -256,7 +256,7 @@ func (s *Server) Enroll(routerAddr, nodeID, advertise string) (*NodeTrunk, error
 		advertise = s.Addr()
 	}
 	r := s.cfg.Regions[0]
-	return DialTrunk(TrunkConfig{
+	t, err := DialTrunk(TrunkConfig{
 		RouterAddr: routerAddr,
 		Hello: wire.NodeHello{
 			NodeID:   nodeID,
@@ -270,6 +270,10 @@ func (s *Server) Enroll(routerAddr, nodeID, advertise string) (*NodeTrunk, error
 		Handle: s.handleNodeRequest,
 		Logger: s.log,
 	})
+	if err == nil {
+		s.relayed.Store(true)
+	}
+	return t, err
 }
 
 // handleNodeRequest serves the router's re-homing RPCs against this

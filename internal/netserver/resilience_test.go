@@ -224,6 +224,10 @@ func TestDispatchWriteFailureMarksDeviceUnresponsive(t *testing.T) {
 	t.Cleanup(func() { _ = app.Close() })
 	spec := barometerSpec(1)
 	spec.End = time.Now().Add(time.Hour)
+	// The request's deadline must outlast the write deadline: the schedule
+	// flush fails on the coalescer's flusher while the tick keeps running,
+	// and a request that expired first would absorb the failure report.
+	spec.SamplingPeriod = time.Second
 	if _, err := app.Task(spec); err != nil {
 		t.Fatal(err)
 	}

@@ -19,16 +19,12 @@ func (r *Registry) WriteText(w io.Writer) error {
 			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range sortedSeries(f) {
+		for _, s := range r.sortedSeries(f) {
 			switch f.kind {
 			case kindCounter:
 				fmt.Fprintf(bw, "%s%s %s\n", f.name, braced(s.key), strconv.FormatUint(s.ctr.Value(), 10))
 			case kindGauge:
-				v := s.gauge.Value()
-				if s.fn != nil {
-					v = s.fn()
-				}
-				fmt.Fprintf(bw, "%s%s %s\n", f.name, braced(s.key), formatFloat(v))
+				fmt.Fprintf(bw, "%s%s %s\n", f.name, braced(s.key), formatFloat(r.gaugeValue(s)))
 			case kindHistogram:
 				writeHistogram(bw, f, s)
 			}
@@ -74,17 +70,14 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 	var out []FamilySnapshot
 	for _, f := range r.sortedFamilies() {
 		fs := FamilySnapshot{Name: f.name, Help: f.help, Type: f.kind.String()}
-		for _, s := range sortedSeries(f) {
+		for _, s := range r.sortedSeries(f) {
 			p := SeriesPoint{Labels: cloneLabels(s.labels)}
 			switch f.kind {
 			case kindCounter:
 				v := float64(s.ctr.Value())
 				p.Value = &v
 			case kindGauge:
-				v := s.gauge.Value()
-				if s.fn != nil {
-					v = s.fn()
-				}
+				v := r.gaugeValue(s)
 				p.Value = &v
 			case kindHistogram:
 				c, sum := s.hist.Count(), s.hist.Sum()
@@ -115,13 +108,30 @@ func (r *Registry) sortedFamilies() []*family {
 	return fams
 }
 
-func sortedSeries(f *family) []*series {
+// sortedSeries copies a family's series under the registry lock: a
+// series registered lazily (an RPC type's first observation) writes the
+// map while an exposition walks it.
+func (r *Registry) sortedSeries(f *family) []*series {
+	r.mu.Lock()
 	out := make([]*series, 0, len(f.series))
 	for _, s := range f.series {
 		out = append(out, s)
 	}
+	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
+}
+
+// gaugeValue reads a gauge, calling its GaugeFunc callback (which
+// GaugeFunc may replace concurrently) when it has one.
+func (r *Registry) gaugeValue(s *series) float64 {
+	r.mu.Lock()
+	fn := s.fn
+	r.mu.Unlock()
+	if fn != nil {
+		return fn()
+	}
+	return s.gauge.Value()
 }
 
 func braced(sig string) string {

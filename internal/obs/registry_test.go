@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"io"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -109,15 +111,31 @@ func TestInvalidNamePanics(t *testing.T) {
 	r.Counter("9bad-name", "", nil)
 }
 
-// TestConcurrentHotPath hammers one registry from many goroutines; run
-// under -race (ci.sh) this is the registry's thread-safety regression.
+// TestConcurrentHotPath hammers one registry from many goroutines while
+// another exposes it — series registered lazily and GaugeFunc callbacks
+// replaced mid-exposition included; run under -race (ci.sh) this is the
+// registry's thread-safety regression.
 func TestConcurrentHotPath(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
 	const workers, iters = 8, 2000
+	stop := make(chan struct{})
+	exposed := make(chan struct{})
+	go func() {
+		defer close(exposed)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r.Snapshot()
+			_ = r.WriteText(io.Discard)
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			c := r.Counter("hot_total", "hot", nil)
 			g := r.Gauge("hot_gauge", "hot", nil)
@@ -126,10 +144,16 @@ func TestConcurrentHotPath(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				h.Observe(0.02)
+				if i%50 == 0 {
+					r.Counter("lazy_total", "lazy", Labels{"n": strconv.Itoa(w*iters + i)}).Inc()
+					r.GaugeFunc("live", "live", nil, func() float64 { return float64(w) })
+				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	<-exposed
 	if got := r.Counter("hot_total", "hot", nil).Value(); got != workers*iters {
 		t.Fatalf("counter = %d, want %d", got, workers*iters)
 	}

@@ -324,8 +324,10 @@ func (t *Tracer) RecordSpan(parent TraceContext, name, region string, start, end
 }
 
 // Complete finalises a trace: its assembled spans move from the active
-// table into the retained ring. Spans finishing afterwards still feed
-// histograms but are no longer retained.
+// table into the retained ring. A span started before Complete and
+// finishing after it joins the retained record while that is still in
+// the ring; spans started afterwards only feed histograms (unless slow
+// or failed).
 func (t *Tracer) Complete(id TraceID) {
 	if t == nil || id.IsZero() {
 		return
@@ -382,8 +384,11 @@ func (t *Tracer) ObserveStage(name string, d time.Duration) {
 	h.ObserveDuration(d)
 }
 
-// record appends a finished span to its active trace, or synthesizes a
-// single-span retained trace for slow/failed spans of unsampled traces.
+// record appends a finished span to its trace: the active one, or — for
+// a span that finishes after its trace completed or was evicted (a
+// dispatch whose flush callback runs after the delivery) — the retained
+// record while it is still in the ring. Only a slow or failed span whose
+// trace is in neither place gets a synthesized single-span record.
 func (t *Tracer) record(ctx TraceContext, parent SpanID, name, region string, start time.Time, d time.Duration, errMsg string, slow bool) {
 	rec := SpanRecord{
 		SpanID:   ctx.Span.String(),
@@ -402,7 +407,14 @@ func (t *Tracer) record(ctx TraceContext, parent SpanID, name, region string, st
 		} else {
 			at.dropped++
 		}
-	} else {
+	} else if tr := t.retainedLocked(ctx.Trace); tr != nil {
+		if len(tr.Spans) < maxSpansPerTrace {
+			// Copy on append: Recent hands out records sharing this array.
+			tr.Spans = append(tr.Spans[:len(tr.Spans):len(tr.Spans)], rec)
+		} else {
+			tr.Dropped++
+		}
+	} else if errMsg != "" || slow {
 		t.pushLocked(TraceRecord{
 			TraceID: ctx.Trace.String(),
 			Root:    name,
@@ -460,6 +472,17 @@ func (t *Tracer) finalize(at *activeTrace, complete bool) TraceRecord {
 		Dropped:  at.dropped,
 		Spans:    at.spans,
 	}
+}
+
+// retainedLocked finds the newest ring record of trace id, or nil.
+func (t *Tracer) retainedLocked(id TraceID) *TraceRecord {
+	want := id.String()
+	for i := 1; i <= t.filled; i++ {
+		if tr := &t.ring[(t.next-i+t.ringCap)%t.ringCap]; tr.TraceID == want {
+			return tr
+		}
+	}
+	return nil
 }
 
 func (t *Tracer) pushLocked(rec TraceRecord) {

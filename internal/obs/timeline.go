@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -54,8 +55,11 @@ func NewTimelineStore(maxTasks, maxEvents int) *TimelineStore {
 	}
 }
 
-// Note appends one event to a task's timeline, creating the timeline
-// (and evicting the oldest task if at capacity) as needed.
+// Note records one event in a task's timeline, creating the timeline
+// (and evicting the oldest task if at capacity) as needed. Events stay
+// in time order: one noted late — a push whose flush outcome arrived
+// after later stages — is inserted at its place, after any event with
+// the same time.
 func (ts *TimelineStore) Note(task, stage, detail string, at time.Time) {
 	if ts == nil || task == "" {
 		return
@@ -67,7 +71,11 @@ func (ts *TimelineStore) Note(task, stage, detail string, at time.Time) {
 		tl.Dropped++
 		return
 	}
-	tl.Events = append(tl.Events, TimelineEvent{Stage: stage, Detail: detail, At: at})
+	i := len(tl.Events)
+	for i > 0 && tl.Events[i-1].At.After(at) {
+		i--
+	}
+	tl.Events = slices.Insert(tl.Events, i, TimelineEvent{Stage: stage, Detail: detail, At: at})
 }
 
 // Bind attaches a trace ID to a task's timeline so /tasks and /traces

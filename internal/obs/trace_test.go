@@ -135,6 +135,44 @@ func TestTracerAssemblesTrace(t *testing.T) {
 	}
 }
 
+// TestTracerLateSpanJoinsCompletedTrace: a sampled span that finishes
+// after its trace completed (a dispatch whose flush callback runs after
+// the delivery) joins the retained record instead of pushing a second,
+// incomplete record for the same trace that evicts a real one.
+func TestTracerLateSpanJoinsCompletedTrace(t *testing.T) {
+	tr := NewTracer(TracerConfig{RingSize: 2})
+	root := tr.StartTrace("submit", "")
+	root.Finish()
+	late := tr.StartSpan(root.Context(), "dispatch", "")
+	tr.Complete(root.Context().Trace)
+	late.Finish()
+
+	recent := tr.Recent()
+	if len(recent) != 1 {
+		t.Fatalf("ring holds %d records for one trace: %+v", len(recent), recent)
+	}
+	rec := recent[0]
+	if !rec.Complete || rec.Root != "submit" || len(rec.Spans) != 2 || rec.Spans[1].Name != "dispatch" {
+		t.Fatalf("late span did not join the completed record: %+v", rec)
+	}
+
+	// Once the trace has left the ring, a late span is dropped — unless
+	// it failed, which is always retained.
+	lost := tr.StartTrace("submit", "")
+	lateOK := tr.StartSpan(lost.Context(), "dispatch", "")
+	lateErr := tr.StartSpan(lost.Context(), "deliver", "")
+	tr.Complete(lost.Context().Trace)
+	for i := 0; i < 2; i++ {
+		tr.Complete(tr.StartTrace("submit", "").Context().Trace)
+	}
+	lateOK.Finish()
+	lateErr.FinishErr(errors.New("cas gone"))
+	recent = tr.Recent()
+	if recent[0].Root != "deliver" || recent[0].Complete || recent[1].Root != "submit" {
+		t.Fatalf("late spans of an evicted trace: %+v", recent)
+	}
+}
+
 func TestTracerUnsampled(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(TracerConfig{Registry: reg, SampleRate: 0, SampleRateSet: true})
@@ -302,6 +340,19 @@ func TestTimelineStore(t *testing.T) {
 	for i, want := range []string{"submitted", "scheduled", "selected"} {
 		if tl.Events[i].Stage != want {
 			t.Errorf("event %d = %q, want %q", i, tl.Events[i].Stage, want)
+		}
+	}
+
+	// An event noted late (a flush outcome arriving after later stages)
+	// lands at its time; equal times keep the order they were noted in.
+	late := NewTimelineStore(0, 0)
+	late.Note("t", "uploaded", "", base.Add(2*time.Millisecond))
+	late.Note("t", "dispatched", "", base.Add(time.Millisecond))
+	late.Note("t", "delivered", "", base.Add(2*time.Millisecond))
+	lt, _ := late.Get("t")
+	for i, want := range []string{"dispatched", "uploaded", "delivered"} {
+		if lt.Events[i].Stage != want {
+			t.Fatalf("late-noted timeline = %+v, want dispatched, uploaded, delivered", lt.Events)
 		}
 	}
 

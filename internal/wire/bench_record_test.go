@@ -91,29 +91,30 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 	}
 }
 
-// coalesceWrites pushes a burst of notify frames through a coalescer
-// with the given interval and returns how many write syscalls it took.
-// Interval 0 is the uncoalesced baseline (one write per frame); a
-// nonzero interval batches the burst behind explicit flushes the way
-// the netserver tick does.
-func coalesceWrites(tb testing.TB, interval time.Duration, burst, bursts int) int {
+// coalesceWrites pushes bursts of notify frames through a coalescer,
+// each burst issued without yielding and then left to the deferred
+// flusher, and returns how many write syscalls they took. One write per
+// frame (burst*bursts) is what the burst would cost unbatched.
+func coalesceWrites(tb testing.TB, burst, bursts int) int {
 	nc := &countingConn{}
-	co := NewCoalescer(nc, Binary, CoalescerConfig{Interval: interval})
+	co := NewCoalescer(nc, Binary, CoalescerConfig{})
 	defer func() { _ = co.Close() }()
 	env, err := Binary.Encode(TypeSchedule, 0, benchSchedule())
 	if err != nil {
 		tb.Fatal(err)
 	}
+	flushed := make(chan error, 1)
 	for i := 0; i < bursts; i++ {
-		for j := 0; j < burst; j++ {
+		for j := 0; j < burst-1; j++ {
 			if err := co.Send(env, false, nil); err != nil {
 				tb.Fatal(err)
 			}
 		}
-		if interval > 0 {
-			if err := co.Flush(); err != nil {
-				tb.Fatal(err)
-			}
+		if err := co.Send(env, false, func(err error) { flushed <- err }); err != nil {
+			tb.Fatal(err)
+		}
+		if err := <-flushed; err != nil {
+			tb.Fatal(err)
 		}
 	}
 	w, _ := nc.stats()
@@ -194,17 +195,17 @@ func TestRecordWireBench(t *testing.T) {
 		}
 	}
 
-	// Gate 3: coalescing a 32-frame notify burst must use at most half
-	// the write syscalls of frame-per-write.
+	// Gate 3: a 32-frame notify burst issued without yielding must take
+	// at most half the write syscalls of frame-per-write.
 	const burst, bursts = 32, 8
-	base := coalesceWrites(t, 0, burst, bursts)
-	batched := coalesceWrites(t, time.Hour, burst, bursts)
+	base := burst * bursts
+	batched := coalesceWrites(t, burst, bursts)
 	writeRatio := float64(base) / float64(batched)
 	if writeRatio < 2 {
-		t.Errorf("coalescing: %d writes vs %d uncoalesced (%.1fx) — want >= 2x fewer syscalls",
+		t.Errorf("coalescing: %d writes vs %d frames (%.1fx) — want >= 2x fewer syscalls",
 			batched, base, writeRatio)
 	}
-	t.Logf("coalescing: %d-frame bursts took %d writes coalesced vs %d uncoalesced (%.1fx)",
+	t.Logf("coalescing: %d-frame bursts took %d writes for %d frames (%.1fx)",
 		burst, batched, base, writeRatio)
 
 	doc := struct {

@@ -3,26 +3,31 @@ package wire
 import (
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 )
 
-// DefaultCoalesceMaxBytes is the pending-buffer size that forces a flush
-// before the tick: large enough to batch a fan-out burst, small enough to
+// DefaultCoalesceMaxBytes is the pending-buffer size that forces an
+// inline flush: large enough to batch a fan-out burst, small enough to
 // keep per-connection memory bounded.
 const DefaultCoalesceMaxBytes = 64 << 10
 
 // Coalescer serialises and batches all writes on one connection. Frames
 // are appended to a reusable buffer; urgent frames (responses a peer is
 // blocked on) flush immediately — carrying along anything already
-// buffered — while non-urgent frames (schedule notifies, delivery
-// fan-out) wait for the flush tick or the size threshold, turning N
-// pushes into one write syscall.
+// buffered — while non-urgent frames (schedule pushes, delivery fan-out,
+// journal shipping) are flushed by a deferred flusher, turning N pushes
+// into one write syscall.
 //
-// Delay contract: a non-urgent frame is delayed at most Interval (plus
-// one write). With Interval <= 0 every Send flushes immediately and the
-// coalescer degenerates to a locked writer — still one syscall per frame
-// instead of the v1 header+body pair.
+// Deferral contract: a non-urgent frame buffered while no flusher is
+// queued starts one flusher goroutine, which yields the processor once
+// and then writes everything buffered. So every push produced before
+// the sending goroutine next blocks or yields shares one write,
+// goroutines that were already runnable (an ack about to be written) go
+// first, and no frame waits on a clock. A flusher that finds the batch
+// already flushed (by an urgent frame or the size threshold) or the
+// coalescer closed does nothing.
 //
 // A write failure (including a deadline expiry against a stalled peer)
 // kills the connection: the peer may hold a partial frame, so nothing
@@ -34,33 +39,21 @@ type Coalescer struct {
 	codec Codec
 
 	mu           sync.Mutex
-	interval     time.Duration
 	maxBytes     int
 	writeTimeout time.Duration
 	buf          []byte
 	cbs          []func(error) // one per buffered frame; nil entries allowed
-	nframes      int
-	timer        *time.Timer
-	timerArmed   bool
-	// armGen counts timer arms. A tick captured its arm's generation;
-	// one that wakes up holding a stale generation — its flush already
-	// happened via the size threshold, an urgent frame, or Close before
-	// the tick could take the lock — returns without flushing, so a
-	// frame buffered after that flush is never pushed out early (or, on
-	// a closed coalescer, at all).
-	armGen  uint64
-	dead    bool
-	deadErr error
+	// queued is set while a flusher goroutine has been started but has
+	// not yet taken the lock; flushers counts the live ones so Close can
+	// wait them out.
+	queued   bool
+	flushers sync.WaitGroup
+	dead     bool
+	deadErr  error
 }
 
 // CoalescerConfig parameterises a Coalescer.
 type CoalescerConfig struct {
-	// Interval is the maximum time a non-urgent frame may wait in the
-	// buffer; <= 0 flushes every Send immediately (coalescing off).
-	Interval time.Duration
-	// MaxBytes flushes the buffer early when it grows past this size.
-	// Default DefaultCoalesceMaxBytes.
-	MaxBytes int
 	// WriteTimeout bounds each flush's write; default DefaultWriteTimeout.
 	WriteTimeout time.Duration
 }
@@ -68,17 +61,13 @@ type CoalescerConfig struct {
 // NewCoalescer wraps a connection with a batching writer for the given
 // codec.
 func NewCoalescer(nc net.Conn, codec Codec, cfg CoalescerConfig) *Coalescer {
-	if cfg.MaxBytes <= 0 {
-		cfg.MaxBytes = DefaultCoalesceMaxBytes
-	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = DefaultWriteTimeout
 	}
 	return &Coalescer{
 		nc:           nc,
 		codec:        codec,
-		interval:     cfg.Interval,
-		maxBytes:     cfg.MaxBytes,
+		maxBytes:     DefaultCoalesceMaxBytes,
 		writeTimeout: cfg.WriteTimeout,
 	}
 }
@@ -94,10 +83,11 @@ func (co *Coalescer) SetWriteTimeout(d time.Duration) {
 
 // Send frames env into the pending buffer. Urgent frames flush
 // immediately and return the write error synchronously; non-urgent
-// frames return once buffered, and their flush outcome arrives later.
-// When done is non-nil it fires exactly once with the frame's outcome —
-// whether the frame flushed, failed, or was refused outright — so a
-// caller that handles errors in done can ignore the return value.
+// frames return once buffered, and their flush outcome arrives later,
+// on the flusher goroutine. When done is non-nil it fires exactly once
+// with the frame's outcome — whether the frame flushed, failed, or was
+// refused outright — so a caller that handles errors in done can ignore
+// the return value. done must not Close this coalescer.
 func (co *Coalescer) Send(env Envelope, urgent bool, done func(error)) error {
 	co.mu.Lock()
 	if co.dead {
@@ -119,75 +109,54 @@ func (co *Coalescer) Send(env Envelope, urgent bool, done func(error)) error {
 		}
 		return err
 	}
-	co.nframes++
 	co.cbs = append(co.cbs, done)
-	if urgent || co.interval <= 0 || len(co.buf) >= co.maxBytes {
+	if urgent || len(co.buf) >= co.maxBytes {
 		cbs, ferr := co.flushLocked()
 		co.mu.Unlock()
 		runCallbacks(cbs, ferr)
 		return ferr
 	}
-	if !co.timerArmed {
-		co.timerArmed = true
-		// A fresh AfterFunc per arm, never Reset: a disarm's Stop can
-		// lose the race with a timer that already fired (its tick is
-		// blocked on co.mu), and resetting a firing timer would make
-		// both the stale fire and the new one run. Each arm instead
-		// captures its own generation and the tick validates it under
-		// the lock, so a stale fire is a no-op.
-		co.armGen++
-		gen := co.armGen
-		co.timer = time.AfterFunc(co.interval, func() { co.tick(gen) })
+	if !co.queued {
+		co.queued = true
+		co.flushers.Add(1)
+		go co.flushDeferred()
 	}
 	co.mu.Unlock()
 	return nil
 }
 
-// Flush forces out everything buffered.
-func (co *Coalescer) Flush() error {
+// flushDeferred is the flusher goroutine: it yields once, so whatever
+// was runnable when the batch opened runs first, then writes everything
+// buffered by then.
+func (co *Coalescer) flushDeferred() {
+	defer co.flushers.Done()
+	runtime.Gosched()
 	co.mu.Lock()
-	if co.dead {
-		err := co.deadErr
-		co.mu.Unlock()
-		return err
-	}
-	cbs, err := co.flushLocked()
-	co.mu.Unlock()
-	runCallbacks(cbs, err)
-	return err
-}
-
-// tick is the timer's flush. gen is the arm that scheduled it: a tick
-// whose arm was already flushed (or that fired after Close) must not
-// touch the buffer — whatever is in it belongs to a newer arm whose
-// interval has not elapsed.
-func (co *Coalescer) tick(gen uint64) {
-	co.mu.Lock()
-	if co.dead || !co.timerArmed || gen != co.armGen {
-		co.mu.Unlock()
-		return
-	}
+	co.queued = false
+	// An urgent frame, the size threshold, Close or a failed write may
+	// have emptied the batch since; a dead coalescer holds no frames.
 	cbs, err := co.flushLocked()
 	co.mu.Unlock()
 	runCallbacks(cbs, err)
 }
 
-// Close flushes best-effort and marks the coalescer dead; it does not
-// close the connection (the owner does that).
+// Close flushes best-effort, marks the coalescer dead, and waits for any
+// flusher still running, so nothing is written — and no callback of an
+// earlier frame is still pending — once it returns. It does not close
+// the connection (the owner does that).
 func (co *Coalescer) Close() error {
 	co.mu.Lock()
 	if co.dead {
 		co.mu.Unlock()
+		co.flushers.Wait()
 		return nil
 	}
 	cbs, err := co.flushLocked()
 	co.dead = true
 	co.deadErr = ErrClosed
-	if co.timer != nil {
-		co.timer.Stop()
-	}
 	co.mu.Unlock()
 	runCallbacks(cbs, err)
+	co.flushers.Wait()
 	return err
 }
 
@@ -195,18 +164,10 @@ func (co *Coalescer) Close() error {
 // callbacks to invoke (after the lock is released — a callback may call
 // back into a core that is mid-dispatch on another connection).
 func (co *Coalescer) flushLocked() ([]func(error), error) {
-	co.timerArmed = false
-	if co.timer != nil {
-		// Stop is best-effort: a timer that already fired runs tick
-		// anyway, which the generation check turns into a no-op.
-		co.timer.Stop()
-		co.timer = nil
-	}
-	if co.nframes == 0 {
+	cbs := co.cbs
+	if len(cbs) == 0 {
 		return nil, nil
 	}
-	cbs := co.cbs
-	n := co.nframes
 	_ = co.nc.SetWriteDeadline(time.Now().Add(co.writeTimeout))
 	_, werr := co.nc.Write(co.buf)
 	if werr != nil {
@@ -217,13 +178,13 @@ func (co *Coalescer) flushLocked() ([]func(error), error) {
 		// connection down; nothing written after a partial frame could be
 		// framed by the peer anyway.
 		_ = co.nc.Close()
-		co.buf, co.cbs, co.nframes = nil, nil, 0
+		co.buf, co.cbs = nil, nil
 		return cbs, co.deadErr
 	}
 	met.bytesTx.Add(uint64(len(co.buf)))
 	met.flushes.Inc()
-	if n > 1 {
-		met.coalesced.Add(uint64(n))
+	if len(cbs) > 1 {
+		met.coalesced.Add(uint64(len(cbs)))
 	}
 	// Keep the buffer for reuse unless a burst grew it far past the
 	// threshold; then let it go so one flash crowd does not pin memory
@@ -237,7 +198,6 @@ func (co *Coalescer) flushLocked() ([]func(error), error) {
 	// the caller iterates it after releasing the lock, so a concurrent
 	// Send appending into the same backing array would race with it.
 	co.cbs = nil
-	co.nframes = 0
 	return cbs, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -72,32 +73,68 @@ func drainFrames(t *testing.T, c Codec, data []byte) []Envelope {
 	return out
 }
 
-// TestCoalescerBatchesNotifies: a burst of non-urgent frames shares one
-// write syscall, and every frame survives intact.
-func TestCoalescerBatchesNotifies(t *testing.T) {
-	nc := &countingConn{}
-	co := NewCoalescer(nc, Binary, CoalescerConfig{Interval: 20 * time.Millisecond})
-	const n = 25
-	var mu sync.Mutex
-	acked := 0
+// oneProc pins the test to one processor, so a flusher runs only once
+// the test goroutine blocks or yields — the condition the deferral
+// contract is stated in. (With more processors an idle one may pick the
+// flusher up mid-burst, which splits the burst but breaks nothing.)
+func oneProc(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// outcomes collects frame callbacks.
+type outcomes struct {
+	mu   sync.Mutex
+	errs []error
+	ch   chan struct{}
+}
+
+func newOutcomes() *outcomes { return &outcomes{ch: make(chan struct{}, 1024)} }
+
+func (o *outcomes) done(err error) {
+	o.mu.Lock()
+	o.errs = append(o.errs, err)
+	o.mu.Unlock()
+	o.ch <- struct{}{}
+}
+
+// wait blocks until n callbacks have fired (or fails the test).
+func (o *outcomes) wait(t *testing.T, n int) {
+	t.Helper()
 	for i := 0; i < n; i++ {
-		env := mustEnv(t, Binary, TypeSchedule, 0, Schedule{RequestID: "r", TaskID: "t"})
-		if err := co.Send(env, false, func(err error) {
-			mu.Lock()
-			defer mu.Unlock()
-			if err == nil {
-				acked++
-			}
-		}); err != nil {
+		select {
+		case <-o.ch:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("only %d/%d callbacks fired", i, n)
+		}
+	}
+}
+
+func (o *outcomes) snapshot() []error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append([]error(nil), o.errs...)
+}
+
+// TestCoalescerBatchesNotifies: a burst of non-urgent frames sent from
+// one goroutine without yielding shares one write syscall — with no
+// explicit flush and no clock — and every frame survives intact.
+func TestCoalescerBatchesNotifies(t *testing.T) {
+	oneProc(t)
+	nc := &countingConn{}
+	co := NewCoalescer(nc, Binary, CoalescerConfig{})
+	const n = 25
+	env := mustEnv(t, Binary, TypeSchedule, 0, Schedule{RequestID: "r", TaskID: "t"})
+	out := newOutcomes()
+	for i := 0; i < n; i++ {
+		if err := co.Send(env, false, out.done); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if w, _ := nc.stats(); w != 0 {
-		t.Fatalf("flushed %d times before the tick", w)
+		t.Fatalf("flushed %d times before the sender yielded", w)
 	}
-	if err := co.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	out.wait(t, n) // blocking here is the yield
 	writes, data := nc.stats()
 	if writes != 1 {
 		t.Fatalf("%d frames took %d writes, want 1", n, writes)
@@ -105,39 +142,35 @@ func TestCoalescerBatchesNotifies(t *testing.T) {
 	if got := len(drainFrames(t, Binary, data)); got != n {
 		t.Fatalf("captured %d frames, want %d", got, n)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if acked != n {
-		t.Fatalf("%d/%d callbacks fired with success", acked, n)
+	for _, err := range out.snapshot() {
+		if err != nil {
+			t.Fatalf("callback got %v, want success", err)
+		}
 	}
 }
 
-// TestCoalescerTickFlushes: without an explicit flush, the timer bounds
-// how long a notify may sit in the buffer.
-func TestCoalescerTickFlushes(t *testing.T) {
+// TestCoalescerYieldFlushes: a lone buffered frame reaches the wire as
+// soon as its sender blocks, without an explicit flush.
+func TestCoalescerYieldFlushes(t *testing.T) {
 	nc := &countingConn{}
-	co := NewCoalescer(nc, JSON, CoalescerConfig{Interval: 5 * time.Millisecond})
-	env := mustEnv(t, JSON, TypeSchedule, 0, Schedule{RequestID: "r"})
-	if err := co.Send(env, false, nil); err != nil {
+	co := NewCoalescer(nc, JSON, CoalescerConfig{})
+	out := newOutcomes()
+	if err := co.Send(mustEnv(t, JSON, TypeSchedule, 0, Schedule{RequestID: "r"}), false, out.done); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if w, _ := nc.stats(); w == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("tick never flushed the buffered frame")
-		}
-		time.Sleep(time.Millisecond)
+	out.wait(t, 1)
+	if w, _ := nc.stats(); w != 1 {
+		t.Fatalf("got %d writes, want 1", w)
 	}
 }
 
 // TestCoalescerUrgentCarriesBuffered: an urgent frame flushes at once
-// and takes everything already buffered with it, preserving order.
+// and takes everything already buffered with it, preserving order; the
+// flusher those buffered frames queued then finds nothing to write.
 func TestCoalescerUrgentCarriesBuffered(t *testing.T) {
+	oneProc(t)
 	nc := &countingConn{}
-	co := NewCoalescer(nc, Binary, CoalescerConfig{Interval: time.Hour})
+	co := NewCoalescer(nc, Binary, CoalescerConfig{})
 	for i := 0; i < 3; i++ {
 		env := mustEnv(t, Binary, TypeSchedule, 0, Schedule{RequestID: "push"})
 		if err := co.Send(env, false, nil); err != nil {
@@ -148,6 +181,7 @@ func TestCoalescerUrgentCarriesBuffered(t *testing.T) {
 	if err := co.Send(urgent, true, nil); err != nil {
 		t.Fatal(err)
 	}
+	co.flushers.Wait()
 	writes, data := nc.stats()
 	if writes != 1 {
 		t.Fatalf("urgent flush used %d writes, want 1", writes)
@@ -162,10 +196,12 @@ func TestCoalescerUrgentCarriesBuffered(t *testing.T) {
 }
 
 // TestCoalescerSizeThresholdFlushes: the buffer cannot grow past
-// MaxBytes plus one frame even with a long interval.
+// the threshold plus one frame even when the sender never yields.
 func TestCoalescerSizeThresholdFlushes(t *testing.T) {
+	oneProc(t)
 	nc := &countingConn{}
-	co := NewCoalescer(nc, Binary, CoalescerConfig{Interval: time.Hour, MaxBytes: 256})
+	co := NewCoalescer(nc, Binary, CoalescerConfig{})
+	co.maxBytes = 256
 	for i := 0; i < 64; i++ {
 		env := mustEnv(t, Binary, TypeSchedule, 0, Schedule{RequestID: "request-id-padding", TaskID: "task"})
 		if err := co.Send(env, false, nil); err != nil {
@@ -186,34 +222,25 @@ func TestCoalescerSizeThresholdFlushes(t *testing.T) {
 // the conn, reports the error to every queued callback, and refuses
 // later sends with the original error.
 func TestCoalescerWriteFailure(t *testing.T) {
+	oneProc(t)
 	nc := &countingConn{failAt: 1}
-	co := NewCoalescer(nc, Binary, CoalescerConfig{Interval: time.Hour})
-	var cbErrs []error
-	var mu sync.Mutex
-	done := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		cbErrs = append(cbErrs, err)
-	}
+	co := NewCoalescer(nc, Binary, CoalescerConfig{})
+	out := newOutcomes()
 	for i := 0; i < 3; i++ {
 		env := mustEnv(t, Binary, TypeSchedule, 0, Schedule{RequestID: "r"})
-		if err := co.Send(env, false, done); err != nil {
+		if err := co.Send(env, false, out.done); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := co.Flush(); err == nil {
-		t.Fatal("flush over a failing conn reported success")
+	if err := co.Send(mustEnv(t, Binary, TypeAck, 1, Ack{}), true, out.done); err == nil {
+		t.Fatal("urgent flush over a failing conn reported success")
 	}
-	mu.Lock()
-	if len(cbErrs) != 3 {
-		t.Fatalf("%d callbacks fired, want 3", len(cbErrs))
-	}
-	for _, e := range cbErrs {
+	out.wait(t, 4)
+	for _, e := range out.snapshot() {
 		if e == nil {
 			t.Fatal("callback got nil error on a failed flush")
 		}
 	}
-	mu.Unlock()
 	nc.mu.Lock()
 	closed := nc.closed
 	nc.mu.Unlock()
@@ -229,22 +256,8 @@ func TestCoalescerWriteFailure(t *testing.T) {
 	if lateErr == nil {
 		t.Fatal("late send's callback never got the error")
 	}
-}
-
-// TestCoalescerIntervalZeroIsImmediate: coalescing off means every send
-// is its own write — the pre-coalescing behavior, still one syscall per
-// frame rather than two.
-func TestCoalescerIntervalZeroIsImmediate(t *testing.T) {
-	nc := &countingConn{}
-	co := NewCoalescer(nc, JSON, CoalescerConfig{})
-	for i := 0; i < 5; i++ {
-		env := mustEnv(t, JSON, TypeSchedule, 0, Schedule{RequestID: "r"})
-		if err := co.Send(env, false, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if writes, _ := nc.stats(); writes != 5 {
-		t.Fatalf("interval 0: %d writes for 5 frames, want 5", writes)
+	if w, _ := nc.stats(); w != 1 {
+		t.Fatalf("%d writes after the failure, want 1", w)
 	}
 }
 
@@ -252,7 +265,7 @@ func TestCoalescerIntervalZeroIsImmediate(t *testing.T) {
 // (over the size limit) must not corrupt frames before or after it.
 func TestCoalescerEncodeErrorLeavesStreamIntact(t *testing.T) {
 	nc := &countingConn{}
-	co := NewCoalescer(nc, Binary, CoalescerConfig{Interval: time.Hour})
+	co := NewCoalescer(nc, Binary, CoalescerConfig{})
 	good := mustEnv(t, Binary, TypeAck, 1, Ack{Ref: "ok"})
 	if err := co.Send(good, false, nil); err != nil {
 		t.Fatal(err)
@@ -269,6 +282,7 @@ func TestCoalescerEncodeErrorLeavesStreamIntact(t *testing.T) {
 	if err := co.Send(good2, true, nil); err != nil {
 		t.Fatal(err)
 	}
+	_ = co.Close()
 	_, data := nc.stats()
 	frames := drainFrames(t, Binary, data)
 	if len(frames) != 2 || frames[0].Seq != 1 || frames[1].Seq != 2 {

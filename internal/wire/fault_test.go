@@ -61,7 +61,8 @@ func TestCallWriteDeadlineUnwedgesStalledPeer(t *testing.T) {
 }
 
 // TestNotifyWriteDeadline mirrors the Call fix for the fire-and-forget
-// path the device's upload goroutine rides.
+// path: the notify returns once buffered, and its stalled flush must
+// tear the connection down within the write deadline.
 func TestNotifyWriteDeadline(t *testing.T) {
 	addr := fakeServer(t, func(nc net.Conn) {
 		time.Sleep(5 * time.Second)
@@ -70,8 +71,13 @@ func TestNotifyWriteDeadline(t *testing.T) {
 	c.SetTimeouts(0, 100*time.Millisecond)
 
 	start := time.Now()
-	if err := c.Notify(TypeSenseData, SenseData{RequestID: "task-1#0"}); err == nil {
-		t.Fatal("notify over stalled connection succeeded")
+	if err := c.Notify(TypeSenseData, SenseData{RequestID: "task-1#0"}); err != nil {
+		t.Fatalf("notify on a healthy connection: %v", err)
+	}
+	select {
+	case <-c.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("stalled notify never tore the connection down")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("stalled notify took %v, write deadline ignored", elapsed)

@@ -31,13 +31,6 @@ type ConnConfig struct {
 	// JSON (v1). If the server caps at v1 the connection transparently
 	// falls back to JSON — see the negotiation rules in DESIGN.md §13.
 	Codec Codec
-	// CoalesceInterval batches outbound notifies for up to this long so
-	// bursts share one write syscall; 0 disables coalescing (every frame
-	// flushes immediately). Calls always flush immediately.
-	CoalesceInterval time.Duration
-	// CoalesceMaxBytes flushes the batch early once it grows past this
-	// size; 0 means DefaultCoalesceMaxBytes.
-	CoalesceMaxBytes int
 }
 
 // RPCConn layers request/response and push-message handling over a framed
@@ -87,7 +80,7 @@ func (c *onceConn) Close() error {
 }
 
 // NewRPCConn wraps an established connection with the default v1 JSON
-// codec and no write coalescing; see NewRPCConnCfg.
+// codec; see NewRPCConnCfg.
 func NewRPCConn(nc net.Conn, role Role, push func(Envelope)) (*RPCConn, error) {
 	return NewRPCConnCfg(nc, role, push, ConnConfig{})
 }
@@ -150,10 +143,7 @@ func NewRPCConnCfg(nc net.Conn, role Role, push func(Envelope), cfg ConnConfig) 
 			c.codec = neg
 		}
 	}
-	c.co = NewCoalescer(nc, c.codec, CoalescerConfig{
-		Interval: cfg.CoalesceInterval,
-		MaxBytes: cfg.CoalesceMaxBytes,
-	})
+	c.co = NewCoalescer(nc, c.codec, CoalescerConfig{})
 
 	c.wg.Add(1)
 	go c.readLoop()
@@ -251,9 +241,10 @@ func (c *RPCConn) Reply(t MsgType, seq uint64, payload interface{}) error {
 	return c.co.Send(env, true, nil)
 }
 
-// Notify sends a message without waiting for a response. With coalescing
-// enabled the frame may ride the next flush (delayed at most the
-// coalesce interval); a later write failure surfaces through Done.
+// Notify sends a message without waiting for a response. The frame
+// rides the coalescer's next deferred flush, shared with whatever else
+// this goroutine sends before it yields; a write failure surfaces
+// through Done.
 func (c *RPCConn) Notify(t MsgType, payload interface{}) error {
 	env, err := c.codec.Encode(t, 0, payload)
 	if err != nil {

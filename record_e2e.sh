@@ -13,15 +13,23 @@ set -eu
 
 go run -C bench . -workload all -seed 11 -out "$PWD/bench/out"
 
+# "commit" is HEAD — the parent, when the change being measured is not
+# committed yet — and "tree" the git tree of the working tree as
+# `git add -A` would stage it (into a temporary index, so nothing is
+# staged), which names exactly what ran; on a clean checkout it is
+# HEAD's tree.
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-if [ -n "$(git status --porcelain --untracked-files=no 2>/dev/null)" ]; then
-    commit="$commit-dirty"
-fi
+idx=$(mktemp)
+tree=$( (cp "$(git rev-parse --git-dir)/index" "$idx" &&
+    GIT_INDEX_FILE="$idx" git add -A &&
+    GIT_INDEX_FILE="$idx" git write-tree) 2>/dev/null | cut -c1-12)
+rm -f "$idx"
 model=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1 | sed 's/[\\"]/\\&/g')
 {
     printf '{\n'
     printf '  "schema": "senseaid-bench-e2e/1",\n'
     printf '  "commit": "%s",\n' "$commit"
+    printf '  "tree": "%s",\n' "${tree:-unknown}"
     printf '  "go": "%s",\n' "$(go env GOVERSION)"
     printf '  "recorded_at": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
     printf '  "host": {"cpus": %s, "model": "%s", "kernel": "%s"},\n' \
