@@ -35,6 +35,10 @@ go test -race -shuffle=on -count=5 \
 # encoder and parser to encoding/json (byte-identical output, identical
 # decode) beyond the seed corpus the ordinary test run replays.
 go test -run '^$' -fuzz='^FuzzJournalRecordCodec$' -fuzztime=10s ./internal/core
+# Journal validator fuzz smoke: ten seconds of holding the single-pass
+# JSON validator persist.Load checks every record with to
+# encoding/json.Valid (the same verdict on every input).
+go test -run '^$' -fuzz='^FuzzValidJSON$' -fuzztime=10s ./internal/persist
 # Fault-injection smoke: the resilience suites (stalled peers, flaky
 # links, server restart) in short mode, so a quick pre-push run still
 # exercises the failure paths end to end.
@@ -60,11 +64,14 @@ fi
 # Crash-restart smoke: kill -9 durability end to end. The in-process
 # suite (abrupt-close fidelity, campaign resume, sharded recovery,
 # corrupt-state refusal, randomized crash soak under fault injection)
-# runs under the race detector; the binary test SIGKILLs a real
-# senseaidd mid-campaign and requires the restart to reclaim the task.
+# and the crash-point sweep (every append and commit boundary of a
+# sharded campaign, whole and torn, loaded and recovered on both sides
+# of the parallel-check split) run under the race detector; the binary
+# test SIGKILLs a real senseaidd mid-campaign and requires the restart
+# to reclaim the task.
 go test -race -count=1 \
-    -run 'CrashRecovery|CorruptState|TornJournal|CrashRestartSoak' \
-    ./internal/netserver
+    -run 'CrashRecovery|CorruptState|TornJournal|CrashRestartSoak|CrashPointSweep' \
+    ./internal/netserver ./internal/persist
 go test -count=1 -run '^TestCrashRestartBinaryEndToEnd$' .
 
 # Tracing benchmark record: measures span start/finish on the sampled
@@ -83,12 +90,13 @@ SENSEAID_BENCH_OUT="$PWD/BENCH_obs.json" \
 SENSEAID_BENCH_OUT="$PWD/BENCH_wire.json" \
     go test -run '^TestRecordWireBench$' -count=1 -v ./internal/wire
 
-# Recovery benchmark record: replays a 10k-record journal at boot and
-# times the journal record codec against encoding/json on the hot ops,
-# writes BENCH_recovery.json, and FAILS when recovery exceeds its
-# wall-clock budget, when encoding a record allocates or is under 3x
-# encoding/json, or when decoding is under 1.5x (see
-# TestRecordRecoveryBench).
+# Recovery benchmark record: replays a 10k-record journal at boot, times
+# persist.Load over a 64 MB journal against the sequential read it
+# replaced and the journal record codec against encoding/json on the hot
+# ops, writes BENCH_recovery.json, and FAILS when recovery exceeds its
+# wall-clock budget, when Load is under 2x the sequential read, when
+# encoding a record allocates or is under 3x encoding/json, or when
+# decoding is under 1.5x (see TestRecordRecoveryBench).
 SENSEAID_BENCH_OUT="$PWD/BENCH_recovery.json" \
     go test -run '^TestRecordRecoveryBench$' -count=1 -v ./internal/netserver
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"slices"
@@ -331,21 +332,38 @@ func (s *Server) Recover(snap *SnapshotState, records []JournalRecord, sinkFor f
 		last = snap.JournalSeq
 		s.installSnapshotLocked(snap, sinkFor, &res)
 	}
-	recs := slices.Clone(records)
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
-	for i := range recs {
-		if recs[i].Seq <= last {
+	// The caller's records are read in place, never copied or written
+	// (applyRecord does not write through its record): directly when they
+	// are already in sequence order, else through a stably sorted
+	// permutation — device-path appends land a few places out of order
+	// (see the top of the file), so a busy journal rarely is sorted, and
+	// a stable sort's insertion passes make short work of one that nearly
+	// is.
+	var order []int32
+	if !slices.IsSortedFunc(records, func(a, b JournalRecord) int { return cmp.Compare(a.Seq, b.Seq) }) {
+		order = make([]int32, len(records))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(records[a].Seq, records[b].Seq) })
+	}
+	for k := range records {
+		rec := &records[k]
+		if order != nil {
+			rec = &records[order[k]]
+		}
+		if rec.Seq <= last {
 			// Inside the snapshot already, a duplicate from the retained
 			// previous epoch, or an unnumbered (hostile) record.
 			res.Skipped++
 			continue
 		}
-		if s.applyRecord(&recs[i], sinkFor) {
+		if s.applyRecord(rec, sinkFor) {
 			res.Applied++
 		} else {
 			res.Skipped++
 		}
-		last = recs[i].Seq
+		last = rec.Seq
 	}
 	s.jseq.Store(last)
 	s.met.devices.Set(float64(s.devices.Len()))
@@ -450,7 +468,8 @@ func (s *Server) restoreStats(st Stats) {
 // selection or truth discovery, the same stats and metric bumps. Caller
 // holds s.mu. Returns false (and changes nothing) for malformed records
 // or references to missing state; it must never panic, whatever the
-// record contains — journals are attacker-reachable bytes on disk.
+// record contains — journals are attacker-reachable bytes on disk — and
+// must never write through rec, which is the caller's record in place.
 func (s *Server) applyRecord(rec *JournalRecord, sinkFor func(TaskID) DataSink) bool {
 	switch rec.Op {
 	case opSubmit:

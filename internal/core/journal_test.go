@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sync"
@@ -220,6 +221,56 @@ func TestSnapshotPlusTailReplay(t *testing.T) {
 	got := restored.Snapshot()
 	if !reflect.DeepEqual(normalize(want), normalize(got)) {
 		t.Errorf("snapshot+tail state diverges\nlive:     %+v\nreplayed: %+v", normalize(want), normalize(got))
+	}
+}
+
+// Recover reads the caller's records in place: it leaves them exactly as
+// they were, and a shuffled journal with duplicated and unnumbered
+// records replays to the state the sorted journal replays to.
+func TestRecoverReplaysInPlaceInAnyOrder(t *testing.T) {
+	j := &memJournal{}
+	live, err := NewServer(journaledConfig(j), &recordingDispatcher{})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	runCampaign(t, live)
+	replay := func(recs []JournalRecord) (SnapshotState, RecoveryResult) {
+		t.Helper()
+		restored, err := NewServer(journaledConfig(nil), &recordingDispatcher{})
+		if err != nil {
+			t.Fatalf("NewServer: %v", err)
+		}
+		before := jsonRoundTrip(t, recs) // a deep copy
+		res, err := restored.Recover(nil, recs, func(TaskID) DataSink { return nopSink })
+		if err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		if !reflect.DeepEqual(recs, before) {
+			t.Fatal("Recover changed the caller's records")
+		}
+		return restored.Snapshot(), res
+	}
+	sorted := jsonRoundTrip(t, j.records())
+	want, _ := replay(sorted)
+	if !reflect.DeepEqual(want, live.Snapshot()) {
+		t.Fatal("the sorted journal does not replay to the live state")
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		recs := jsonRoundTrip(t, sorted)
+		extra := 1 + rng.Intn(5)
+		for i := 0; i < extra; i++ {
+			recs = append(recs, recs[rng.Intn(len(sorted))])
+		}
+		recs = append(recs, JournalRecord{Op: opResetWindow}, JournalRecord{Op: opDeregister, DeviceID: "dev-a"})
+		rng.Shuffle(len(recs), func(a, b int) { recs[a], recs[b] = recs[b], recs[a] })
+		got, res := replay(recs)
+		if res.Applied != len(sorted) || res.Skipped != extra+2 {
+			t.Errorf("trial %d: applied %d, skipped %d; want %d and %d", trial, res.Applied, res.Skipped, len(sorted), extra+2)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: a shuffled journal replays differently\nsorted:   %+v\nshuffled: %+v", trial, want, got)
+		}
 	}
 }
 

@@ -52,6 +52,7 @@ type netMetrics struct {
 	recoveriesReset       *obs.Counter
 	recoveryReplayed      *obs.Counter
 	recoverySkipped       *obs.Counter
+	recoverySeconds       [recoveryPhases]*obs.Gauge
 	snapshotsOK           *obs.Counter
 	snapshotsErr          *obs.Counter
 	snapshotSeconds       *obs.Histogram
@@ -83,7 +84,7 @@ type netMetrics struct {
 func newNetMetrics(reg *obs.Registry) *netMetrics {
 	role := func(r string) obs.Labels { return obs.Labels{"role": r} }
 	path := func(p string) obs.Labels { return obs.Labels{"path": p} }
-	return &netMetrics{
+	m := &netMetrics{
 		reg: reg,
 		connsDevice: reg.Gauge("senseaid_net_connections",
 			"Open peer connections by role.", role("device")),
@@ -158,6 +159,29 @@ func newNetMetrics(reg *obs.Registry) *netMetrics {
 			aggPushLagBuckets, nil),
 		rpcHist: make(map[string]*obs.Histogram),
 		rpcErrs: make(map[string]*obs.Counter),
+	}
+	for i, phase := range recoveryPhaseNames {
+		m.recoverySeconds[i] = reg.Gauge("senseaid_recovery_seconds",
+			"Wall time of each phase of the last boot or promotion recovery.", obs.Labels{"phase": phase})
+	}
+	return m
+}
+
+// The phases of a recovery pass, in the order it runs them.
+const (
+	phaseLoad   = iota // persist.Load: read, frame and check the state files
+	phaseDecode        // snapshot and journal records into the core's types
+	phaseReplay        // core.Recover, and the routing rebuild after it
+	phaseCommit        // the post-recovery snapshot that opens a new epoch
+	recoveryPhases
+)
+
+var recoveryPhaseNames = [recoveryPhases]string{"load", "decode", "replay", "commit"}
+
+// noteRecoveryPhases records where the last recovery pass spent its time.
+func (m *netMetrics) noteRecoveryPhases(phases [recoveryPhases]time.Duration) {
+	for i, d := range phases {
+		m.recoverySeconds[i].Set(d.Seconds())
 	}
 }
 

@@ -11,6 +11,7 @@ package netserver
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,6 +170,26 @@ func (p *persister) ship(t wire.MsgType, payload interface{}) {
 	}
 }
 
+// snapshotPartBytes bounds the snapshot bytes one snapshot_ship frame
+// carries. A part rides as base64 (4/3 of its size) inside the frame's
+// JSON, so a part stays well under wire.MaxMessageBytes.
+const snapshotPartBytes = 512 << 10
+
+// shipSnapshot tees a committed snapshot to every replica: in one frame
+// when it fits (the frame it has always been), else in numbered parts
+// the standby assembles before it commits.
+func (p *persister) shipSnapshot(store string, raw []byte) {
+	if len(raw) <= snapshotPartBytes {
+		p.ship(wire.TypeSnapshotShip, wire.SnapshotShip{Store: store, Payload: raw})
+		return
+	}
+	for part := 1; len(raw) > 0; part++ {
+		n := min(len(raw), snapshotPartBytes)
+		p.ship(wire.TypeSnapshotShip, wire.SnapshotShip{Store: store, Part: part, Last: n == len(raw), Chunk: raw[:n]})
+		raw = raw[n:]
+	}
+}
+
 // RecoveryInfo summarizes what Listen recovered from the state
 // directory. The zero value means persistence was not configured.
 type RecoveryInfo struct {
@@ -272,7 +293,7 @@ func (p *persister) commitAgg() {
 		p.srv.log.Errorf("agg snapshot: %v", err)
 		return
 	}
-	p.ship(wire.TypeSnapshotShip, wire.SnapshotShip{Store: storeNameAgg, Payload: raw})
+	p.shipSnapshot(storeNameAgg, raw)
 }
 
 // bindCores attaches each store to its scheduling core once the
@@ -311,6 +332,13 @@ func (p *persister) bindCores() error {
 func (p *persister) recover() (RecoveryInfo, error) {
 	info := RecoveryInfo{Outcome: "fresh"}
 	prevRestarts, hadState := 0, false
+	var phases [recoveryPhases]time.Duration
+	mark := time.Now()
+	lap := func(phase int) {
+		now := time.Now()
+		phases[phase] += now.Sub(mark)
+		mark = now
+	}
 	for _, ps := range p.stores {
 		res, err := ps.store.Load()
 		switch {
@@ -333,6 +361,7 @@ func (p *persister) recover() (RecoveryInfo, error) {
 			p.srv.met.journalTruncatedBytes.Add(uint64(res.TruncatedBytes))
 			p.srv.log.Infof("state store %s: %d bytes of torn journal tail discarded", ps.name, res.TruncatedBytes)
 		}
+		lap(phaseLoad)
 
 		var snap *core.SnapshotState
 		if res.Snapshot != nil {
@@ -360,23 +389,15 @@ func (p *persister) recover() (RecoveryInfo, error) {
 			hadState = true
 		}
 
-		records := make([]core.JournalRecord, 0, len(res.Records))
-		for _, raw := range res.Records {
-			// Load has validated every record it returns, so the record
-			// decodes itself without json.Unmarshal's two further scans.
-			var rec core.JournalRecord
-			if uerr := rec.UnmarshalJSON(raw); uerr != nil {
-				info.Skipped++ // CRC-valid but schema-bad; salvage the rest
-				continue
-			}
-			records = append(records, rec)
-		}
+		records := decodeRecords(res.Records)
+		lap(phaseDecode)
 		rres, err := ps.core.Recover(snap, records, p.srv.casSink)
 		if err != nil {
 			return info, fmt.Errorf("netserver: recover %s: %w", ps.name, err)
 		}
 		info.Replayed += rres.Applied
 		info.Skipped += rres.Skipped
+		lap(phaseReplay)
 	}
 	if hadState {
 		if info.Outcome == "fresh" {
@@ -388,6 +409,7 @@ func (p *persister) recover() (RecoveryInfo, error) {
 		// Each shard restored its own devices and tasks; the routing layer
 		// re-learns who owns what before any traffic arrives.
 		ss.RebuildRouting()
+		lap(phaseReplay)
 	}
 	// Commit the post-recovery snapshot: it folds the replayed journal
 	// into a fresh consistent cut and opens the journal epoch the armed
@@ -398,9 +420,40 @@ func (p *persister) recover() (RecoveryInfo, error) {
 		}
 		ps.gate.armed.Store(true)
 	}
+	lap(phaseCommit)
+	p.srv.met.noteRecoveryPhases(phases)
 	p.recoverAgg()
 	return info, nil
 }
+
+// decodeRecords decodes a store's journal records on every core, each
+// into the slot of its index. Load has validated every record it
+// returns, so a record decodes itself without json.Unmarshal's two
+// further scans. One that does not decode (CRC-valid but schema-bad) is
+// left zero: Recover skips and counts an unnumbered record, so it is
+// salvaged around exactly as before.
+func decodeRecords(raws []json.RawMessage) []core.JournalRecord {
+	records := make([]core.JournalRecord, len(raws))
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(raws)/decodeSplitRecords))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				if records[i].UnmarshalJSON(raws[i]) != nil {
+					records[i] = core.JournalRecord{}
+				}
+			}
+		}(len(raws)*w/workers, len(raws)*(w+1)/workers)
+	}
+	wg.Wait()
+	return records
+}
+
+// decodeSplitRecords is the least share of a store's records worth a
+// decoding goroutine of its own.
+const decodeSplitRecords = 1024
 
 // commitOne snapshots one core into its store, recording the snapshot
 // metrics. The capture, the commit, and the replica shipment all happen
@@ -420,7 +473,7 @@ func (p *persister) commitOne(ps *persistedCore, restarts int) error {
 		n, err = ps.store.CommitRaw(raw)
 	}
 	if err == nil {
-		p.ship(wire.TypeSnapshotShip, wire.SnapshotShip{Store: ps.name, Payload: raw})
+		p.shipSnapshot(ps.name, raw)
 	}
 	ps.gate.shipMu.Unlock()
 	if err != nil {

@@ -1,8 +1,10 @@
 package netserver
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"net"
@@ -153,6 +155,7 @@ func TestCrashRecoveryStateFidelity(t *testing.T) {
 	if v := metricValue(s2.Metrics(), "senseaid_recoveries_total", obs.Labels{"outcome": "restored"}); v != 1 {
 		t.Fatalf(`senseaid_recoveries_total{outcome="restored"} = %v, want 1`, v)
 	}
+	requireRecoveryPhases(t, s2)
 }
 
 // TestCrashRecoveryCampaignResumes is the operator story: kill -9 mid
@@ -242,6 +245,39 @@ func TestCrashRecoverySharded(t *testing.T) {
 		t.Fatalf("resubmit returned %q, want original %q", taskID2, taskID)
 	}
 	waitFor(t, 5*time.Second, "post-restart reading", func() bool { return readings2() >= 1 })
+}
+
+// TestRecoverySkipsSchemaBadRecords: a CRC-valid record that does not
+// decode as a journal record is dropped and counted as skipped — even
+// one whose sequence number did decode — wherever it falls among the
+// ranges the records are decoded in.
+func TestRecoverySkipsSchemaBadRecords(t *testing.T) {
+	dir := t.TempDir()
+	store, err := persist.Open(dir, storeNameSingle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Commit(persistedState{}); err != nil {
+		t.Fatal(err)
+	}
+	const records, bad = 3000, 3
+	for i := 1; i <= records; i++ {
+		if i%1000 == 500 {
+			err = store.AppendRaw(json.RawMessage(fmt.Sprintf(`{"n":%d,"op":"energy","device_id":"d","joules":"lots"}`, i)))
+		} else {
+			err = store.Append(core.JournalRecord{Seq: uint64(i), Op: "energy", DeviceID: "d", Joules: 0.01})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := startDurable(t, dir, nil).Recovery()
+	if rec.Replayed != records-bad || rec.Skipped != bad {
+		t.Fatalf("replayed %d, skipped %d; want %d and %d", rec.Replayed, rec.Skipped, records-bad, bad)
+	}
 }
 
 // TestCorruptStateRefused flips bytes in the snapshot and asserts the
@@ -533,6 +569,104 @@ const (
 	codecDecodeViaJSONMin = 1.1
 )
 
+// loadOracle is persist.Load's journal read as it was before each record
+// was checked once and in parallel: read the file, then frame, CRC and
+// encoding/json.Valid one record at a time on one goroutine, collecting
+// the records into a slice and that slice into the result. It returns
+// how many records passed.
+func loadOracle(path string) (int, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	var recs, all []json.RawMessage
+	for off := 0; len(raw)-off >= 8; {
+		n := int(binary.BigEndian.Uint32(raw[off:]))
+		if n == 0 || n > persist.MaxRecordBytes || len(raw)-off-8 < n {
+			break
+		}
+		p := raw[off+8 : off+8+n]
+		if crc32.ChecksumIEEE(p) != binary.BigEndian.Uint32(raw[off+4:]) || !json.Valid(p) {
+			break
+		}
+		recs = append(recs, p)
+		off += 8 + n
+	}
+	all = append(all, recs...)
+	return len(all), nil
+}
+
+// loadBenchMB is the journal the Load measurement reads.
+const loadBenchMB = 64
+
+// loadSpeedupMin is the floor on persist.Load's speed over loadOracle.
+// Measured on 2 cores: 3-4x (2.4x of it the single-pass validator).
+const loadSpeedupMin = 2.0
+
+// benchLoad writes a loadBenchMB journal of the hot records and times
+// persist.Load and loadOracle over it, best of three each, in MB/s.
+func benchLoad(t *testing.T) map[string]interface{} {
+	dir := t.TempDir()
+	recs := hotJournalRecords()
+	var raw []byte
+	n := 0
+	for ; len(raw) < loadBenchMB<<20; n++ {
+		r := recs[n%len(recs)]
+		r.Seq = uint64(n + 1)
+		start := len(raw)
+		raw = append(raw, make([]byte, 8)...)
+		raw, _ = r.AppendJSON(raw)
+		binary.BigEndian.PutUint32(raw[start:], uint32(len(raw)-start-8))
+		binary.BigEndian.PutUint32(raw[start+4:], crc32.ChecksumIEEE(raw[start+8:]))
+	}
+	path := filepath.Join(dir, "core.journal.1")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mb := float64(len(raw)) / (1 << 20)
+	best := func(run func() int) float64 {
+		var fastest time.Duration
+		for i := 0; i < 3; i++ {
+			runtime.GC()
+			start := time.Now()
+			if got := run(); got != n {
+				t.Fatalf("read %d of %d records", got, n)
+			}
+			if d := time.Since(start); i == 0 || d < fastest {
+				fastest = d
+			}
+		}
+		return mb / fastest.Seconds()
+	}
+	load := best(func() int {
+		st, err := persist.Open(dir, "core")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := st.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Records)
+	})
+	oracle := best(func() int {
+		got, err := loadOracle(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	})
+	t.Logf("persist.Load %.0f MB/s, sequential oracle %.0f MB/s over %.0f MB", load, oracle, mb)
+	return map[string]interface{}{
+		"journal_mb":       mb,
+		"records":          n,
+		"gomaxprocs":       runtime.GOMAXPROCS(0),
+		"load_mb_per_s":    load,
+		"oracle_mb_per_s":  oracle,
+		"load_over_oracle": load / oracle,
+	}
+}
+
 // headCommit names the commit the recording ran on top of ("unknown"
 // outside a git checkout; "-dirty" when the tree had local changes).
 func headCommit() string {
@@ -548,11 +682,13 @@ func headCommit() string {
 }
 
 // TestRecordRecoveryBench measures boot-time recovery over a 10k-record
-// journal, and the journal record codec against encoding/json, and
-// writes BENCH_recovery.json in the BENCH_*.json common schema so both
-// trajectories are recorded in CI. Gated on SENSEAID_BENCH_OUT (ci.sh
-// sets it); FAILS when recovery exceeds its wall-clock budget, when
-// encoding a record into a reused buffer allocates or is less than
+// journal, persist.Load over a loadBenchMB journal against the
+// sequential oracle, and the journal record codec against
+// encoding/json, and writes BENCH_recovery.json in the BENCH_*.json
+// common schema so the trajectories are recorded in CI. Gated on
+// SENSEAID_BENCH_OUT (ci.sh sets it); FAILS when recovery exceeds its
+// wall-clock budget, when Load is under loadSpeedupMin times the oracle,
+// when encoding a record into a reused buffer allocates or is less than
 // codecEncodeMin times faster than encoding/json, or when decoding has
 // lost its margin over it.
 func TestRecordRecoveryBench(t *testing.T) {
@@ -598,6 +734,7 @@ func TestRecordRecoveryBench(t *testing.T) {
 		t.Fatalf("replayed %d of %d records", rec.Replayed, records)
 	}
 
+	load := benchLoad(t)
 	codec := benchJournalCodec(t)
 	over := func(slow, fast string) float64 {
 		return codec[slow].NsPerRecord / math.Max(codec[fast].NsPerRecord, 1)
@@ -614,7 +751,7 @@ func TestRecordRecoveryBench(t *testing.T) {
 	sort.Slice(cases, func(i, j int) bool { return cases[i].Name < cases[j].Name })
 
 	doc := map[string]interface{}{
-		"schema":      "senseaid-bench-recovery/2",
+		"schema":      "senseaid-bench-recovery/3",
 		"go":          runtime.Version(),
 		"recorded_at": time.Now().UTC().Format(time.RFC3339),
 		"commit":      headCommit(),
@@ -624,10 +761,12 @@ func TestRecordRecoveryBench(t *testing.T) {
 			"recovery_seconds": elapsed,
 			"budget_seconds":   recoveryBudgetSeconds,
 		},
+		"load":         load,
 		"codec":        cases,
 		"codec_ratios": ratios,
 		"gates": []string{
 			fmt.Sprintf("%d-record replay <= %.0f s", records, recoveryBudgetSeconds),
+			fmt.Sprintf("persist.Load over a %d MB journal >= %.1fx the sequential oracle", loadBenchMB, loadSpeedupMin),
 			"encode into a reused buffer: 0 allocs/record",
 			fmt.Sprintf("encode: oracle ns/record over codec >= %.1f", codecEncodeMin),
 			fmt.Sprintf("decode: oracle ns/record over codec >= %.1f (>= %.1f through json.Unmarshal)", codecDecodeMin, codecDecodeViaJSONMin),
@@ -643,6 +782,9 @@ func TestRecordRecoveryBench(t *testing.T) {
 	t.Logf("recovered %d records in %.3fs; codec ratios %v -> %s", records, elapsed, ratios, out)
 	if elapsed > recoveryBudgetSeconds {
 		t.Errorf("recovery took %.3fs for %d records, budget %.1fs", elapsed, records, recoveryBudgetSeconds)
+	}
+	if r := load["load_over_oracle"].(float64); r < loadSpeedupMin {
+		t.Errorf("persist.Load is %.2fx the sequential oracle, want >= %.1fx", r, loadSpeedupMin)
 	}
 	if n := codec["encode/codec-reused-buffer"].AllocsPerOp; n != 0 {
 		t.Errorf("encoding into a reused buffer allocates %d times per record, want 0", n)

@@ -212,7 +212,15 @@ func (sb *Standby) replicateOnce() error {
 	if err != nil {
 		return err
 	}
-	rc, err := wire.NewRPCConnCfg(nc, wire.RoleNode, sb.applyShipped, wire.ConnConfig{Codec: wire.Binary})
+	// Parts of a snapshot shipped in pieces, per store, for this session
+	// only: the read loop applies frames one at a time, in order.
+	parts := make(map[string]*snapshotParts)
+	rc, err := wire.NewRPCConnCfg(nc, wire.RoleNode, func(env wire.Envelope) {
+		if err := sb.applyShipped(env, parts); err != nil {
+			sb.log.Errorf("standby: %v; dropping the replication link", err)
+			_ = nc.Close()
+		}
+	}, wire.ConnConfig{Codec: wire.Binary})
 	if err != nil {
 		_ = nc.Close()
 		return err
@@ -240,42 +248,70 @@ func (sb *Standby) replicateOnce() error {
 	return fmt.Errorf("link to %s closed", sb.cfg.PrimaryAddr)
 }
 
+// snapshotParts is a snapshot being assembled from its shipped parts.
+type snapshotParts struct {
+	n   int // parts received
+	buf []byte
+}
+
 // applyShipped writes one shipped frame into the matching store,
-// byte-for-byte as the primary wrote it.
-func (sb *Standby) applyShipped(env wire.Envelope) {
+// byte-for-byte as the primary wrote it; a snapshot shipped in parts is
+// committed once its last part is in. Only a gap in a snapshot's parts
+// is an error: the session cannot recover the missing bytes, so the
+// caller drops the link and the next attach ships a fresh snapshot.
+func (sb *Standby) applyShipped(env wire.Envelope, parts map[string]*snapshotParts) error {
 	switch env.Type {
 	case wire.TypeSnapshotShip:
 		var ship wire.SnapshotShip
 		if err := wire.Decode(env, &ship); err != nil {
 			sb.log.Errorf("standby: bad snapshot frame: %v", err)
-			return
+			return nil
+		}
+		payload := []byte(ship.Payload)
+		if ship.Part > 0 {
+			sp := parts[ship.Store]
+			if sp == nil {
+				sp = new(snapshotParts)
+				parts[ship.Store] = sp
+			}
+			if ship.Part != sp.n+1 {
+				delete(parts, ship.Store)
+				return fmt.Errorf("snapshot for %s: part %d after part %d", ship.Store, ship.Part, sp.n)
+			}
+			sp.n++
+			sp.buf = append(sp.buf, ship.Chunk...)
+			if !ship.Last {
+				return nil
+			}
+			delete(parts, ship.Store)
+			payload = sp.buf
 		}
 		st, err := sb.storeFor(ship.Store)
 		if err != nil {
 			sb.log.Errorf("standby: %v", err)
-			return
+			return nil
 		}
 		if st == nil {
-			return // shutting down
+			return nil // shutting down
 		}
-		if _, err := st.CommitRaw(ship.Payload); err != nil {
+		if _, err := st.CommitRaw(payload); err != nil {
 			sb.log.Errorf("standby: commit %s: %v", ship.Store, err)
-			return
+			return nil
 		}
-		sb.log.Debugf("standby: snapshot for %s (%d bytes)", ship.Store, len(ship.Payload))
+		sb.log.Debugf("standby: snapshot for %s (%d bytes)", ship.Store, len(payload))
 	case wire.TypeJournalShip:
 		var ship wire.JournalShip
 		if err := wire.Decode(env, &ship); err != nil {
 			sb.log.Errorf("standby: bad journal frame: %v", err)
-			return
+			return nil
 		}
 		st, err := sb.storeFor(ship.Store)
 		if err != nil {
 			sb.log.Errorf("standby: %v", err)
-			return
+			return nil
 		}
 		if st == nil {
-			return
+			return nil
 		}
 		if err := st.AppendRaw(ship.Record); err != nil {
 			// "No journal open" is expected for records racing ahead of the
@@ -285,6 +321,7 @@ func (sb *Standby) applyShipped(env wire.Envelope) {
 	default:
 		sb.log.Debugf("standby: ignoring %s from primary", env.Type)
 	}
+	return nil
 }
 
 // storeFor opens (once) the persist store a shipped frame names.

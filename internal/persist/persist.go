@@ -27,8 +27,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -176,15 +178,24 @@ func (s *Store) Load() (*LoadResult, error) {
 		if e > s.epoch {
 			s.epoch = e
 		}
-		raw, err := os.ReadFile(s.journalPath(e))
+		f, err := os.Open(s.journalPath(e))
 		if err != nil {
 			return nil, fmt.Errorf("persist: read journal: %w", err)
 		}
-		if len(raw) > 0 {
+		st, err := f.Stat()
+		var truncated int64
+		size := 0
+		if err == nil {
+			size = int(st.Size())
+			res.Records, truncated, err = readJournal(res.Records, f, size, checkWorkers(size))
+		}
+		_ = f.Close() // only read
+		if err != nil {
+			return nil, fmt.Errorf("persist: read journal: %w", err)
+		}
+		if size > 0 {
 			res.HadState = true
 		}
-		recs, truncated := decodeJournal(raw)
-		res.Records = append(res.Records, recs...)
 		res.TruncatedBytes += truncated
 		if truncated > 0 {
 			break
@@ -211,7 +222,7 @@ func (s *Store) Commit(payload any) (int64, error) {
 // side of journal shipping, which must write the primary's exact bytes
 // so a later recovery on the replicated files sees an identical state.
 func (s *Store) CommitRaw(raw json.RawMessage) (int64, error) {
-	if !json.Valid(raw) {
+	if !validJSON(raw) {
 		return 0, fmt.Errorf("persist: snapshot payload is not valid JSON")
 	}
 	s.mu.Lock()
@@ -322,7 +333,7 @@ func (s *Store) Append(payload any) error {
 // journal record, written byte-for-byte as the primary journaled it)
 // and, coming from outside the process, is validated first.
 func (s *Store) AppendRaw(raw json.RawMessage) error {
-	if !json.Valid(raw) {
+	if !validJSON(raw) {
 		return fmt.Errorf("persist: record is not valid JSON")
 	}
 	return s.Append(Encoded(raw))
@@ -439,37 +450,131 @@ func decodeSnapshot(path string, raw []byte) (json.RawMessage, uint64, *CorruptE
 	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(raw[20:]) {
 		return corrupt("snapshot CRC mismatch")
 	}
-	if !json.Valid(payload) {
+	if !validJSON(payload) {
 		return corrupt("snapshot payload is not valid JSON")
 	}
 	return json.RawMessage(payload), epoch, nil
 }
 
-// decodeJournal walks one journal file image, returning the CRC-valid
-// record prefix and how many bytes were discarded at the first corrupt
-// or torn record.
-func decodeJournal(raw []byte) (recs []json.RawMessage, truncated int64) {
-	off := 0
-	for off < len(raw) {
-		rest := len(raw) - off
-		if rest < frameHeaderLen {
-			return recs, int64(rest)
+// checkSplitBytes is the least share of a journal file worth a checking
+// goroutine of its own: a file is checked on several only when each can
+// get at least this much, so a small journal never pays for the fan-out.
+const checkSplitBytes = 32 << 10
+
+// checkWorkers is how many goroutines check a journal file of n bytes.
+func checkWorkers(n int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), n/checkSplitBytes))
+}
+
+// readChunkBytes is how much of a journal file one read brings in:
+// little enough that the records just read are still in cache when they
+// are framed, and when the reader checks them itself.
+const readChunkBytes = 64 << 10
+
+// readJournal reads one journal file image from r (size bytes, as last
+// seen) and appends to recs the records that pass every check, returning
+// how many bytes were discarded at the first corrupt or torn record.
+// Each read's records are framed — their length fields walked — as they
+// arrive, while they are in cache: a walk over the whole image after
+// reading it would wait on memory at every length field. Their CRC and
+// grammar checks are queued for workers-1 checker goroutines, or run by
+// the reader itself when the queue is full, so the checks overlap the
+// reading and share the cores. The image is cut at the lowest frame that
+// failed — where a frame-by-frame walk stops, with the same records and
+// the same count of discarded bytes.
+func readJournal(recs []json.RawMessage, r io.Reader, size, workers int) ([]json.RawMessage, int64, error) {
+	var mu sync.Mutex
+	bad, badOff := -1, 0 // the lowest failing frame (an index into recs) and its offset
+	check := func(sp span) {
+		if k, at := checkRange(sp.raw, sp.frames, sp.off); k < len(sp.frames) {
+			mu.Lock()
+			if bad < 0 || sp.first+k < bad {
+				bad, badOff = sp.first+k, at
+			}
+			mu.Unlock()
 		}
+	}
+	// One span queued per checker, so a checker that finishes one finds
+	// the next waiting; with the queue full the reader checks it itself.
+	spans := make(chan span, workers-1)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for sp := range spans {
+				check(sp)
+			}
+		}()
+	}
+
+	raw := make([]byte, 0, size+1) // a byte over, so the read that meets EOF has room
+	base, off := len(recs), 0
+	var err error
+	for err == nil {
+		if len(raw) == cap(raw) {
+			raw = append(raw, 0)[:len(raw)] // the file grew
+		}
+		var n int
+		n, err = r.Read(raw[len(raw):min(cap(raw), len(raw)+readChunkBytes)])
+		raw = raw[:len(raw)+n]
+		framed := len(recs)
+		sp := span{raw: raw, first: framed, off: off}
+		if recs, off = frame(recs, raw, off); len(recs) > framed {
+			sp.frames = recs[framed:]
+			select {
+			case spans <- sp:
+			default:
+				check(sp)
+			}
+		}
+	}
+	close(spans)
+	wg.Wait()
+	switch {
+	case err != io.EOF:
+		return recs[:base], 0, err
+	case bad >= 0:
+		return recs[:bad], int64(len(raw) - badOff), nil
+	}
+	return recs, int64(len(raw) - off), nil
+}
+
+// span is consecutive framed records of one journal image, the first
+// at offset off of raw and at index first of the records read.
+type span struct {
+	raw    []byte
+	first  int
+	off    int
+	frames []json.RawMessage
+}
+
+// frame appends the records of raw from offset off on whose length field
+// is in bounds and whose bytes are all in raw, and returns the offset
+// after the last. It stops at the first that is not; called again with
+// more of the image, it carries on from there.
+func frame(recs []json.RawMessage, raw []byte, off int) ([]json.RawMessage, int) {
+	for len(raw)-off >= frameHeaderLen {
 		n := int(binary.BigEndian.Uint32(raw[off:]))
-		if n <= 0 || n > MaxRecordBytes || rest-frameHeaderLen < n {
-			return recs, int64(rest)
+		if n <= 0 || n > MaxRecordBytes || len(raw)-off-frameHeaderLen < n {
+			break
 		}
-		payload := raw[off+frameHeaderLen : off+frameHeaderLen+n]
-		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(raw[off+4:]) {
-			return recs, int64(rest)
-		}
-		if !json.Valid(payload) {
-			return recs, int64(rest)
-		}
-		recs = append(recs, json.RawMessage(payload))
+		recs = append(recs, json.RawMessage(raw[off+frameHeaderLen:off+frameHeaderLen+n]))
 		off += frameHeaderLen + n
 	}
-	return recs, 0
+	return recs, off
+}
+
+// checkRange checks consecutive frames, the first at offset off of raw,
+// and returns how many pass and the offset of the first that does not.
+func checkRange(raw []byte, frames []json.RawMessage, off int) (int, int) {
+	for k, p := range frames {
+		if crc32.ChecksumIEEE(p) != binary.BigEndian.Uint32(raw[off+4:]) || !validJSON(p) {
+			return k, off
+		}
+		off += frameHeaderLen + len(p)
+	}
+	return len(frames), off
 }
 
 // writeFileSync writes data to path and fsyncs it before closing.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -149,6 +150,8 @@ func newOut(payload interface{}) interface{} {
 		return &SubscribeAgg{}
 	case AggPush:
 		return &AggPush{}
+	case SnapshotShip:
+		return &SnapshotShip{}
 	}
 	return nil
 }
@@ -420,6 +423,31 @@ func TestBinaryJSONFallbackPayload(t *testing.T) {
 }
 
 // TestBinaryNilPayloadRoundTrip: acks with no payload are legal frames.
+// A whole snapshot_ship frame has the payload bytes it had before
+// snapshots could travel in parts, so either side of an upgrade reads the
+// other's frames; a whole snapshot and a part both round-trip through
+// both codecs.
+func TestSnapshotShipParts(t *testing.T) {
+	whole := SnapshotShip{Store: "core", Payload: json.RawMessage(`{"journal_seq":7}`)}
+	env, err := Binary.Encode(TypeSnapshotShip, 1, whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"store":"core","payload":{"journal_seq":7}}`; string(env.Payload) != want {
+		t.Fatalf("whole snapshot payload = %s, want %s", env.Payload, want)
+	}
+	// A part leaves Payload empty, which encodes and so decodes as null.
+	part := SnapshotShip{Store: "west", Payload: json.RawMessage("null"), Part: 2, Last: true, Chunk: []byte("\x00{\"tasks\":[\xff")}
+	for _, c := range []Codec{JSON, Binary} {
+		for _, in := range []SnapshotShip{whole, part} {
+			out, _ := roundTrip(t, c, TypeSnapshotShip, 3, in)
+			if !reflect.DeepEqual(*out.(*SnapshotShip), in) {
+				t.Errorf("%s: %+v round-tripped as %+v", c.Name(), in, *out.(*SnapshotShip))
+			}
+		}
+	}
+}
+
 func TestBinaryNilPayloadRoundTrip(t *testing.T) {
 	env, err := Binary.Encode(TypeAck, 11, nil)
 	if err != nil {

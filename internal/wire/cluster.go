@@ -46,8 +46,9 @@ const (
 	// TypePromote tells a standby to take over its region: finish
 	// replication, recover the shipped state, and enroll as primary.
 	TypePromote MsgType = "promote"
-	// TypeSnapshotShip carries one full snapshot payload to a standby
-	// (on attach, and again on every primary snapshot commit).
+	// TypeSnapshotShip carries one full snapshot payload, or one part of
+	// it, to a standby (on attach, and again on every primary snapshot
+	// commit).
 	TypeSnapshotShip MsgType = "snapshot_ship"
 	// TypeJournalShip streams one journal record to a standby as the
 	// primary appends it.
@@ -112,12 +113,19 @@ type Promote struct {
 }
 
 // SnapshotShip carries one store's full snapshot payload (the primary's
-// exact bytes, CRC'd again on the standby's disk).
+// exact bytes, CRC'd again on the standby's disk). A snapshot too large
+// for one frame travels in parts: Part counts them from 1, Chunk holds
+// each one's bytes and Last marks the final one, after which the standby
+// commits the whole. Part 0 is a whole snapshot in Payload — the only
+// form before parts existed, which still decodes as it always did.
 type SnapshotShip struct {
 	// Store names the state store ("core", or the region name on a
 	// sharded worker).
 	Store   string          `json:"store"`
 	Payload json.RawMessage `json:"payload"`
+	Part    int             `json:"part,omitempty"`
+	Last    bool            `json:"last,omitempty"`
+	Chunk   []byte          `json:"chunk,omitempty"`
 }
 
 // JournalShip streams one journal record to a standby.
