@@ -6,6 +6,12 @@
 # needs before pushing.
 set -eux
 
+# bench_diff prints, on one screen, how a BENCH_*.json just re-recorded
+# differs from the one committed at HEAD (all of it when none is).
+bench_diff() {
+    git show "HEAD:$1" 2>/dev/null | diff -u - "$1" | head -n 40
+}
+
 go vet ./...
 go build ./...
 go test -race ./...
@@ -53,12 +59,14 @@ go test -race -short -run 'Fault|Stall|Resilien|Reconnect|Restart|Idle|Flaky' \
 # costs over 4x one that does not (see TestRecordSelectionBench).
 SENSEAID_BENCH_OUT="$PWD/BENCH_selection.json" \
     go test -run '^TestRecordSelectionBench$' -count=1 -v ./internal/core
+bench_diff BENCH_selection.json
 
 # End-to-end benchmark record (opt-in: it takes minutes, and its numbers
 # mean something only on a machine doing nothing else): every bench/
 # workload at seed 11 into BENCH_e2e.json; see record_e2e.sh.
 if [ "${SENSEAID_BENCH_E2E:-}" = "1" ]; then
     ./record_e2e.sh
+    bench_diff BENCH_e2e.json
 fi
 
 # Crash-restart smoke: kill -9 durability end to end. The in-process
@@ -68,10 +76,13 @@ fi
 # sharded campaign, whole and torn, loaded and recovered on both sides
 # of the parallel-check split) run under the race detector; the binary
 # test SIGKILLs a real senseaidd mid-campaign and requires the restart
-# to reclaim the task.
+# to reclaim the task. All of persist then runs three times in shuffled
+# order: the SIGKILL of a child right after its appends return, the
+# mapping and descriptor release checks, and the sweep again.
 go test -race -count=1 \
     -run 'CrashRecovery|CorruptState|TornJournal|CrashRestartSoak|CrashPointSweep' \
     ./internal/netserver ./internal/persist
+go test -race -shuffle=on -count=3 ./internal/persist/...
 go test -count=1 -run '^TestCrashRestartBinaryEndToEnd$' .
 
 # Tracing benchmark record: measures span start/finish on the sampled
@@ -80,6 +91,7 @@ go test -count=1 -run '^TestCrashRestartBinaryEndToEnd$' .
 # must stay zero-alloc; see TestRecordObsBench).
 SENSEAID_BENCH_OUT="$PWD/BENCH_obs.json" \
     go test -run '^TestRecordObsBench$' -count=1 -v ./internal/obs
+bench_diff BENCH_obs.json
 
 # Wire benchmark record: measures encode+frame+read+decode for the hot
 # schedule/upload shapes under the JSON and binary codecs plus the write
@@ -89,16 +101,20 @@ SENSEAID_BENCH_OUT="$PWD/BENCH_obs.json" \
 # write per frame (see TestRecordWireBench).
 SENSEAID_BENCH_OUT="$PWD/BENCH_wire.json" \
     go test -run '^TestRecordWireBench$' -count=1 -v ./internal/wire
+bench_diff BENCH_wire.json
 
 # Recovery benchmark record: replays a 10k-record journal at boot, times
 # persist.Load over a 64 MB journal against the sequential read it
-# replaced and the journal record codec against encoding/json on the hot
-# ops, writes BENCH_recovery.json, and FAILS when recovery exceeds its
-# wall-clock budget, when Load is under 2x the sequential read, when
-# encoding a record allocates or is under 3x encoding/json, or when
-# decoding is under 1.5x (see TestRecordRecoveryBench).
+# replaced, the mapped journal append against one write(2) per record,
+# and the journal record codec against encoding/json on the hot ops,
+# writes BENCH_recovery.json, and FAILS when recovery exceeds its
+# wall-clock budget, when Load is under 2x the sequential read, when an
+# append allocates or is under 1.5x the write(2) path, when encoding a
+# record allocates or is under 3x encoding/json, or when decoding is
+# under 1.5x (see TestRecordRecoveryBench).
 SENSEAID_BENCH_OUT="$PWD/BENCH_recovery.json" \
     go test -run '^TestRecordRecoveryBench$' -count=1 -v ./internal/netserver
+bench_diff BENCH_recovery.json
 
 # Cluster benchmark record: runs the same steady-state campaign against
 # a worker directly and through the router tier, writes
@@ -107,6 +123,7 @@ SENSEAID_BENCH_OUT="$PWD/BENCH_recovery.json" \
 # path's (see TestRecordClusterBench).
 SENSEAID_BENCH_OUT="$PWD/BENCH_cluster.json" \
     go test -run '^TestRecordClusterBench$' -count=1 -v .
+bench_diff BENCH_cluster.json
 
 # Aggregation benchmark record: drives the streaming tier through the
 # core's delivery tap, writes BENCH_agg.json, and FAILS below 1M
@@ -115,6 +132,7 @@ SENSEAID_BENCH_OUT="$PWD/BENCH_cluster.json" \
 # (see TestRecordAggBench).
 SENSEAID_BENCH_OUT="$PWD/BENCH_agg.json" \
     go test -run '^TestRecordAggBench$' -count=1 -v ./internal/agg
+bench_diff BENCH_agg.json
 
 # City-scale chaos soak: the seeded city-wide campaign (tower outage
 # waves, primary SIGKILL + journal recovery, byzantine and clock-skewed
@@ -132,6 +150,7 @@ fi
 SENSEAID_BENCH_OUT="$PWD/BENCH_city.json" \
     SENSEAID_CHAOS_DEVICES="${SENSEAID_CHAOS_DEVICES:-$chaos_devices}" \
     go test -run '^TestRecordCityBench$' -count=1 -v -timeout 30m ./internal/chaos
+bench_diff BENCH_city.json
 
 # Shared-tier scenario: 100 concurrent campaigns on one cohort and one
 # aggregation tier; every campaign's streamed windows must match the

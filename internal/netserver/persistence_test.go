@@ -667,6 +667,109 @@ func benchLoad(t *testing.T) map[string]interface{} {
 	}
 }
 
+// appendSpeedupMin is the floor on persist.Store.Append's speed over
+// writeAppender on one goroutine. Measured on 2 cores: ~2x.
+const appendSpeedupMin = 1.5
+
+// appendBenchRecords is how many 250-byte records one append measurement
+// writes.
+const appendBenchRecords = 100_000
+
+// writeAppender is persist.Store.Append as it was before the journal was
+// mapped: the same frame, one write(2) per record under a mutex, on an
+// O_APPEND file.
+type writeAppender struct {
+	mu   sync.Mutex
+	f    *os.File
+	pool sync.Pool
+}
+
+func (w *writeAppender) append(rec []byte) error {
+	bp := w.pool.Get().(*[]byte)
+	frame := binary.BigEndian.AppendUint32((*bp)[:0], uint32(len(rec)))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(rec))
+	frame = append(frame, rec...)
+	w.mu.Lock()
+	_, err := w.f.Write(frame)
+	w.mu.Unlock()
+	*bp = frame
+	w.pool.Put(bp)
+	return err
+}
+
+// benchAppend times persist.Store.Append and writeAppender over
+// appendBenchRecords 250-byte records from 1 and 4 goroutines, best of
+// three each, and counts Append's allocations.
+func benchAppend(t *testing.T) map[string]interface{} {
+	rec := persist.Encoded(`{"pad":"` + strings.Repeat("x", 240) + `"}`)
+	nsPerRecord := func(g int, appendOne func() error) float64 {
+		start := time.Now()
+		var wg sync.WaitGroup
+		for i := 0; i < g; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < appendBenchRecords/g; k++ {
+					if err := appendOne(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		return float64(time.Since(start).Nanoseconds()) / appendBenchRecords
+	}
+	openMapped := func(dir string) *persist.Store {
+		st, err := persist.Open(dir, "core")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Commit(persistedState{}); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	res := map[string]interface{}{
+		"record_bytes": len(rec),
+		"records":      appendBenchRecords,
+		"gomaxprocs":   runtime.GOMAXPROCS(0),
+	}
+	for _, g := range []int{1, 4} {
+		mapped, write := math.Inf(1), math.Inf(1)
+		for i := 0; i < 3; i++ {
+			dir := t.TempDir()
+			st := openMapped(dir)
+			mapped = math.Min(mapped, nsPerRecord(g, func() error { return st.Append(&rec) }))
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.OpenFile(filepath.Join(dir, "write"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := &writeAppender{f: f, pool: sync.Pool{New: func() any { return new([]byte) }}}
+			write = math.Min(write, nsPerRecord(g, func() error { return w.append(rec) }))
+			_ = f.Close() // the bytes are not read back
+			_ = os.RemoveAll(dir)
+		}
+		t.Logf("%d goroutines: mapped append %.0f ns/record, write(2) %.0f", g, mapped, write)
+		res[fmt.Sprintf("goroutines_%d", g)] = map[string]float64{
+			"mapped_ns_per_record": mapped,
+			"write_ns_per_record":  write,
+			"write_over_mapped":    write / mapped,
+		}
+	}
+	st := openMapped(t.TempDir())
+	defer st.Close()
+	res["mapped_allocs_per_record"] = testing.AllocsPerRun(1000, func() {
+		if err := st.Append(&rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return res
+}
+
 // headCommit names the commit the recording ran on top of ("unknown"
 // outside a git checkout; "-dirty" when the tree had local changes).
 func headCommit() string {
@@ -683,14 +786,16 @@ func headCommit() string {
 
 // TestRecordRecoveryBench measures boot-time recovery over a 10k-record
 // journal, persist.Load over a loadBenchMB journal against the
-// sequential oracle, and the journal record codec against
+// sequential oracle, persist.Store.Append against the write(2) per
+// record it replaced, and the journal record codec against
 // encoding/json, and writes BENCH_recovery.json in the BENCH_*.json
 // common schema so the trajectories are recorded in CI. Gated on
 // SENSEAID_BENCH_OUT (ci.sh sets it); FAILS when recovery exceeds its
 // wall-clock budget, when Load is under loadSpeedupMin times the oracle,
-// when encoding a record into a reused buffer allocates or is less than
-// codecEncodeMin times faster than encoding/json, or when decoding has
-// lost its margin over it.
+// when Append allocates or is under appendSpeedupMin times the write(2)
+// path on one goroutine, when encoding a record into a reused buffer
+// allocates or is less than codecEncodeMin times faster than
+// encoding/json, or when decoding has lost its margin over it.
 func TestRecordRecoveryBench(t *testing.T) {
 	out := os.Getenv("SENSEAID_BENCH_OUT")
 	if out == "" {
@@ -735,6 +840,7 @@ func TestRecordRecoveryBench(t *testing.T) {
 	}
 
 	load := benchLoad(t)
+	appends := benchAppend(t)
 	codec := benchJournalCodec(t)
 	over := func(slow, fast string) float64 {
 		return codec[slow].NsPerRecord / math.Max(codec[fast].NsPerRecord, 1)
@@ -751,7 +857,7 @@ func TestRecordRecoveryBench(t *testing.T) {
 	sort.Slice(cases, func(i, j int) bool { return cases[i].Name < cases[j].Name })
 
 	doc := map[string]interface{}{
-		"schema":      "senseaid-bench-recovery/3",
+		"schema":      "senseaid-bench-recovery/4",
 		"go":          runtime.Version(),
 		"recorded_at": time.Now().UTC().Format(time.RFC3339),
 		"commit":      headCommit(),
@@ -762,11 +868,13 @@ func TestRecordRecoveryBench(t *testing.T) {
 			"budget_seconds":   recoveryBudgetSeconds,
 		},
 		"load":         load,
+		"append":       appends,
 		"codec":        cases,
 		"codec_ratios": ratios,
 		"gates": []string{
 			fmt.Sprintf("%d-record replay <= %.0f s", records, recoveryBudgetSeconds),
 			fmt.Sprintf("persist.Load over a %d MB journal >= %.1fx the sequential oracle", loadBenchMB, loadSpeedupMin),
+			fmt.Sprintf("persist.Store.Append, 1 goroutine: >= %.1fx one write(2) per record, 0 allocs/record", appendSpeedupMin),
 			"encode into a reused buffer: 0 allocs/record",
 			fmt.Sprintf("encode: oracle ns/record over codec >= %.1f", codecEncodeMin),
 			fmt.Sprintf("decode: oracle ns/record over codec >= %.1f (>= %.1f through json.Unmarshal)", codecDecodeMin, codecDecodeViaJSONMin),
@@ -785,6 +893,12 @@ func TestRecordRecoveryBench(t *testing.T) {
 	}
 	if r := load["load_over_oracle"].(float64); r < loadSpeedupMin {
 		t.Errorf("persist.Load is %.2fx the sequential oracle, want >= %.1fx", r, loadSpeedupMin)
+	}
+	if r := appends["goroutines_1"].(map[string]float64)["write_over_mapped"]; r < appendSpeedupMin {
+		t.Errorf("persist.Store.Append is %.2fx one write(2) per record, want >= %.1fx", r, appendSpeedupMin)
+	}
+	if n := appends["mapped_allocs_per_record"].(float64); n != 0 {
+		t.Errorf("persist.Store.Append allocates %v times per record, want 0", n)
 	}
 	if n := codec["encode/codec-reused-buffer"].AllocsPerOp; n != 0 {
 		t.Errorf("encoding into a reused buffer allocates %d times per record, want 0", n)

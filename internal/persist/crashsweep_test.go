@@ -1,12 +1,14 @@
 package persist_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -29,8 +31,10 @@ import (
 // is the in-memory replay of the records handed to the stores so far,
 // and at the end of every operation it must equal the live server's
 // (compared as snapshot JSON, shard by shard). Each append's copy is
-// also torn part-way through the record just written, and must recover
-// to the previous point with the torn bytes reported.
+// also torn part-way through the record just written — the bytes after
+// the tear zeroed in place, as a kill mid-copy into the mapped journal
+// leaves them, and then cut off — and must recover to the previous point
+// with the torn bytes reported.
 
 var (
 	sweepWest    = core.Region{Name: "west", Area: geo.Circle{Center: geo.CSDepartment, RadiusM: 2000}}
@@ -81,6 +85,7 @@ type sweep struct {
 	mu     sync.Mutex // boundaries are checked one at a time; shards append concurrently
 	snaps  []*core.SnapshotState
 	mem    [][]core.JournalRecord // every record handed to each store
+	ends   []int64                // the bytes of records in each store's open epoch
 	prev   string                 // the state at the previous point
 	points int
 	err    string // the first failed check; reported by the test goroutine
@@ -112,6 +117,7 @@ func (k sweepSink) Append(rec core.JournalRecord) {
 		return
 	}
 	w.mem[k.shard] = append(w.mem[k.shard], again)
+	w.ends[k.shard] += int64(8 + len(raw))
 	w.point(k.shard, len(raw))
 }
 
@@ -179,11 +185,13 @@ func (w *sweep) point(appended, recordLen int) {
 	}
 	w.points++
 	want := w.replay(w.snaps, w.mem)
-	largest, err := copyFiles(w.copy, w.dir)
-	if err != nil {
+	if err := copyFiles(w.copy, w.dir); err != nil {
 		w.fail("copy: %v", err)
 		return
 	}
+	// The split is by the records' bytes: a live journal file also holds
+	// the zeros reserved after them.
+	largest := slices.Max(w.ends)
 	w.small = w.small || largest < 2*persist.CheckSplitBytes
 	w.large = w.large || largest >= 2*persist.CheckSplitBytes
 	if got, cut := w.recoverDir(); got != want || cut != 0 {
@@ -193,50 +201,59 @@ func (w *sweep) point(appended, recordLen int) {
 	if appended >= 0 {
 		st := w.stores[appended]
 		path := filepath.Join(w.copy, fmt.Sprintf("%s.journal.%d", st.Name(), st.Epoch()))
-		info, err := os.Stat(path)
+		raw, err := os.ReadFile(path)
 		if err != nil {
 			w.fail("%v", err)
 			return
 		}
-		frameLen := 8 + recordLen
-		if err := os.Truncate(path, info.Size()-int64(1+w.rng.Intn(frameLen-1))); err != nil {
-			w.fail("%v", err)
-			return
-		}
-		if got, cut := w.recoverDir(); got != w.prev || cut == 0 {
-			w.fail("a record torn in %s recovers (%d bytes cut) to\n%s\nnot the previous point's\n%s", path, cut, got, w.prev)
-			return
+		end := w.ends[appended]
+		start := end - int64(8+recordLen)
+		at := start + 1 + w.rng.Int63n(end-start-1)
+		// Zeroed from the tear to the end of the file, then cut there. What
+		// is left of the record is torn — unless it is all zeros, which Load
+		// takes for space reserved ahead of the last record.
+		for _, size := range []int64{int64(len(raw)), at} {
+			torn := append(raw[:at:at], make([]byte, size-at)...)
+			if err := os.WriteFile(path, torn, 0o644); err != nil {
+				w.fail("%v", err)
+				return
+			}
+			wantCut := size - start
+			if len(bytes.TrimLeft(raw[start:at], "\x00")) == 0 {
+				wantCut = 0
+			}
+			if got, cut := w.recoverDir(); got != w.prev || cut != wantCut {
+				w.fail("a record torn at %d of %s (%d bytes) recovers (%d bytes cut, want %d) to\n%s\nnot the previous point's\n%s",
+					at, path, size, cut, wantCut, got, w.prev)
+				return
+			}
 		}
 	}
 	w.prev = want
 }
 
-// copyFiles replaces dst with a copy of the files in src and returns the
-// size of the largest journal file.
-func copyFiles(dst, src string) (largest int64, err error) {
+// copyFiles replaces dst with a copy of the files in src.
+func copyFiles(dst, src string) error {
 	if err := os.RemoveAll(dst); err != nil {
-		return 0, err
+		return err
 	}
 	if err := os.Mkdir(dst, 0o755); err != nil {
-		return 0, err
+		return err
 	}
 	entries, err := os.ReadDir(src)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	for _, e := range entries {
 		b, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
-			return 0, err
-		}
-		if strings.Contains(e.Name(), ".journal.") {
-			largest = max(largest, int64(len(b)))
+			return err
 		}
 	}
-	return largest, nil
+	return nil
 }
 
 // commit snapshots every shard into its store, each commit a crash point.
@@ -249,6 +266,7 @@ func (w *sweep) commit(live *core.ShardedServer) {
 		if _, err := w.stores[i].Commit(snap); err != nil {
 			w.t.Fatal(err)
 		}
+		w.ends[i] = 0
 		raw, _ := json.Marshal(snap)
 		w.snaps[i] = new(core.SnapshotState)
 		if err := json.Unmarshal(raw, w.snaps[i]); err != nil {
@@ -284,6 +302,7 @@ func TestCrashPointSweep(t *testing.T) {
 		copy:  filepath.Join(t.TempDir(), "copy"),
 		snaps: make([]*core.SnapshotState, len(sweepRegions)),
 		mem:   make([][]core.JournalRecord, len(sweepRegions)),
+		ends:  make([]int64, len(sweepRegions)),
 	}
 	for _, r := range sweepRegions {
 		st, err := persist.Open(w.dir, r.Name)

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -39,10 +40,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	})
 }
 
-// FuzzDecodeJournal feeds arbitrary bytes through the journal decoder:
-// it must never panic, accepted-prefix + truncated-suffix must cover the
-// file, and on any number of workers it must keep exactly the records
-// the sequential oracle keeps.
+// FuzzDecodeJournal feeds arbitrary bytes, followed by up to two
+// reservation steps of zeros, through the journal decoder: it must never
+// panic, accepted-prefix + truncated-suffix must cover the file unless
+// what is not accepted is all zeros, and on any number of workers it must
+// keep exactly the records the sequential oracle keeps.
 func FuzzDecodeJournal(f *testing.F) {
 	frame := func(payloads ...[]byte) []byte {
 		var buf []byte
@@ -55,19 +57,21 @@ func FuzzDecodeJournal(f *testing.F) {
 		}
 		return buf
 	}
-	f.Add([]byte{})
-	f.Add(frame([]byte(`{"seq":1}`)))
-	f.Add(frame([]byte(`{"seq":1}`), []byte(`{"seq":2}`)))
-	f.Add(frame([]byte(`{"seq":1}`))[:5])
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{}, uint32(0))
+	f.Add(frame([]byte(`{"seq":1}`)), uint32(reserveStep-17))
+	f.Add(frame([]byte(`{"seq":1}`), []byte(`{"seq":2}`)), uint32(0))
+	f.Add(frame([]byte(`{"seq":1}`))[:5], uint32(0))
+	f.Add(frame([]byte(`{"seq":1}`), []byte(`{"seq":2}`))[:20], uint32(2*reserveStep))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, uint32(3))
+	f.Fuzz(func(t *testing.T, data []byte, zeros uint32) {
+		data = append(data, make([]byte, zeros%(2*reserveStep+1))...)
 		recs, truncated := decodeJournal(nil, data, 3)
 		consumed := 0
 		for _, r := range recs {
 			consumed += 8 + len(r)
 		}
-		if consumed+int(truncated) != len(data) {
-			t.Fatalf("prefix %d + truncated %d != file %d", consumed, truncated, len(data))
+		if rest := data[consumed:]; int(truncated) != len(rest) && (truncated != 0 || len(bytes.TrimLeft(rest, "\x00")) != 0) {
+			t.Fatalf("prefix %d + truncated %d != file %d, and the rest is not all zeros", consumed, truncated, len(data))
 		}
 		sameDecode(t, "fuzzed image", data)
 	})

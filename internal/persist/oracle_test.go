@@ -17,11 +17,16 @@ import (
 
 // decodeJournalOracle is the journal decoder Load used before checks ran
 // in parallel: one frame at a time, length then CRC then encoding/json's
-// grammar, stopping at the first frame that fails any of them. The
-// decoder Load uses now must agree with it on every input.
+// grammar, stopping at the first frame that fails any of them — and
+// counting nothing cut when all that is left is zeros, the space a live
+// journal reserves. The decoder Load uses now must agree with it on
+// every input.
 func decodeJournalOracle(raw []byte) (recs []json.RawMessage, truncated int64) {
 	off := 0
 	for off < len(raw) {
+		if len(bytes.TrimLeft(raw[off:], "\x00")) == 0 {
+			return recs, 0
+		}
 		rest := len(raw) - off
 		if rest < frameHeaderLen {
 			return recs, int64(rest)
@@ -104,9 +109,10 @@ func randomRecord(rng *rand.Rand) []byte {
 
 // TestDecodeJournalMatchesOracle: over random journal images, clean or
 // with frames corrupted — up to three in their CRC or their grammar,
-// then perhaps one in its length or torn off — the parallel decoder keeps
-// exactly the records the sequential oracle keeps and cuts exactly as
-// many bytes, on any number of workers.
+// then perhaps one in its length or torn off — and followed by up to two
+// reservation steps of zeros, the parallel decoder keeps exactly the
+// records the sequential oracle keeps and cuts exactly as many bytes, on
+// any number of workers.
 func TestDecodeJournalMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 300; iter++ {
@@ -138,6 +144,9 @@ func TestDecodeJournalMatchesOracle(t *testing.T) {
 			case 2: // a torn tail
 				raw = raw[:at+rng.Intn(len(raw)-at)]
 			}
+		}
+		if rng.Intn(2) == 0 { // what a live or killed journal reserves past its end
+			raw = append(raw, make([]byte, rng.Intn(2*reserveStep+1))...)
 		}
 		sameDecode(t, fmt.Sprintf("image %d (%d frames)", iter, len(offs)), raw)
 	}

@@ -10,6 +10,11 @@
 //	<name>.snap          snapshot: header + CRC + JSON payload
 //	<name>.journal.<N>   journal epoch N: length/CRC-framed JSON records
 //
+// A journal open for appending is followed by zero bytes reserved for the
+// records to come (journal_linux.go); closing it cuts them off, and Load
+// reads zeros after the last record as that reserved space, not as a
+// torn record.
+//
 // Commit writes the snapshot atomically (temp file, fsync, rename) and
 // rotates to a fresh journal epoch; the previous epoch's file is kept
 // until the next rotation so records racing a commit are never lost
@@ -79,7 +84,7 @@ type Store struct {
 
 	mu      sync.Mutex
 	epoch   uint64
-	journal *os.File
+	journal *journal
 }
 
 // Open prepares a store under dir (created if missing). No files are
@@ -138,7 +143,8 @@ type LoadResult struct {
 	// crashed rotation, duplicate each other).
 	Records []json.RawMessage
 	// TruncatedBytes counts journal bytes discarded at the first corrupt
-	// record (the torn tail of a crash mid-append).
+	// record (the torn tail of a crash mid-append). Zeros after the last
+	// good record are space reserved for appending and are not counted.
 	TruncatedBytes int64
 	// HadState reports whether any prior state existed on disk at all —
 	// the restart-vs-first-boot distinction.
@@ -245,12 +251,14 @@ func (s *Store) CommitRaw(raw json.RawMessage) (int64, error) {
 	}
 	syncDir(s.dir)
 
-	j, err := os.OpenFile(s.journalPath(next), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	j, err := openJournal(s.journalPath(next))
 	if err != nil {
 		return 0, fmt.Errorf("persist: open journal: %w", err)
 	}
 	if s.journal != nil {
-		_ = s.journal.Close()
+		// A close that fails leaves the old epoch its reserved zero tail,
+		// which Load reads as such: its records are all there.
+		_ = s.journal.close()
 	}
 	prev := s.epoch
 	s.journal = j
@@ -295,15 +303,16 @@ const frameHeaderLen = 8
 
 // framePool recycles the buffers records are framed in, so a steady
 // stream of appends allocates nothing. Records are encoded outside the
-// store's lock — only the write itself is serialised — hence a pool and
-// not one buffer per store.
+// store's lock — only the copy into the journal is serialised — hence a
+// pool and not one buffer per store.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Append frames one record (length, CRC32, JSON payload) onto the
-// current journal epoch in a single write: the record is in the kernel
-// when Append returns, whatever happens to the process next. Commit
-// must have run first in this process — the journal always belongs to
-// the epoch of the snapshot it extends.
+// current journal epoch, copying it into the file's shared mapping: the
+// record is in the kernel's page cache when Append returns, whatever
+// happens to the process next. Commit must have run first in this
+// process — the journal always belongs to the epoch of the snapshot it
+// extends.
 func (s *Store) Append(payload any) error {
 	bp := framePool.Get().(*[]byte)
 	frame := append((*bp)[:0], make([]byte, frameHeaderLen)...)
@@ -340,7 +349,7 @@ func (s *Store) AppendRaw(raw json.RawMessage) error {
 }
 
 // writeFrame fills in the header of a frame whose record starts at
-// frameHeaderLen and writes the whole of it at once.
+// frameHeaderLen and appends the whole of it to the journal.
 func (s *Store) writeFrame(frame []byte) error {
 	rec := frame[frameHeaderLen:]
 	if len(rec) > MaxRecordBytes {
@@ -353,7 +362,7 @@ func (s *Store) writeFrame(frame []byte) error {
 	if s.journal == nil {
 		return fmt.Errorf("persist: no journal open (Commit first)")
 	}
-	if _, err := s.journal.Write(frame); err != nil {
+	if err := s.journal.append(frame); err != nil {
 		return fmt.Errorf("persist: append: %w", err)
 	}
 	return nil
@@ -370,23 +379,24 @@ func (s *Store) Epoch() uint64 {
 
 // Sync flushes the journal to stable storage (graceful drain; routine
 // appends rely on the kernel page cache, which survives a process kill).
+// On Linux fsync writes back the pages dirtied through the mapping too.
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.journal == nil {
 		return nil
 	}
-	return s.journal.Sync()
+	return s.journal.f.Sync()
 }
 
-// Close releases the journal file handle.
+// Close releases the journal, cutting its file to the records appended.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.journal == nil {
 		return nil
 	}
-	err := s.journal.Close()
+	err := s.journal.close()
 	s.journal = nil
 	return err
 }
@@ -399,7 +409,7 @@ func (s *Store) Reset() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.journal != nil {
-		_ = s.journal.Close()
+		_ = s.journal.close() // the file is set aside as it stands
 		s.journal = nil
 	}
 	aside := func(path string) error {
@@ -473,7 +483,8 @@ const readChunkBytes = 64 << 10
 
 // readJournal reads one journal file image from r (size bytes, as last
 // seen) and appends to recs the records that pass every check, returning
-// how many bytes were discarded at the first corrupt or torn record.
+// how many bytes were discarded at the first corrupt or torn record
+// (tornBytes).
 // Each read's records are framed — their length fields walked — as they
 // arrive, while they are in cache: a walk over the whole image after
 // reading it would wait on memory at every length field. Their CRC and
@@ -535,9 +546,36 @@ func readJournal(recs []json.RawMessage, r io.Reader, size, workers int) ([]json
 	case err != io.EOF:
 		return recs[:base], 0, err
 	case bad >= 0:
-		return recs[:bad], int64(len(raw) - badOff), nil
+		recs, off = recs[:bad], badOff
 	}
-	return recs, int64(len(raw) - off), nil
+	return recs, tornBytes(raw[off:]), nil
+}
+
+// tornBytes is how many bytes of a journal image's tail, after its last
+// good record, are discarded: all of them, unless all are zero — then
+// they are the space a journal reserves ahead of its end for appending,
+// and no record was torn.
+func tornBytes(tail []byte) int64 {
+	for _, c := range tail {
+		if c != 0 {
+			return int64(len(tail))
+		}
+	}
+	return 0
+}
+
+// journalEnd is where the good records of an existing journal file end.
+func journalEnd(f *os.File) (int64, error) {
+	st, err := f.Stat()
+	if err != nil || st.Size() == 0 {
+		return 0, err
+	}
+	recs, _, err := readJournal(nil, f, int(st.Size()), 1)
+	var end int64
+	for _, r := range recs {
+		end += frameHeaderLen + int64(len(r))
+	}
+	return end, err
 }
 
 // span is consecutive framed records of one journal image, the first

@@ -17,7 +17,7 @@ type rec struct {
 	Op  string `json:"op"`
 }
 
-func openStore(t *testing.T, dir string) *Store {
+func openStore(t testing.TB, dir string) *Store {
 	t.Helper()
 	st, err := Open(dir, "core")
 	if err != nil {
