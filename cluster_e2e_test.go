@@ -269,6 +269,12 @@ func waitUntilCluster(t *testing.T, d time.Duration, what string, cond func() bo
 
 // clusterBenchRecord is the shape of BENCH_cluster.json.
 type clusterBenchRecord struct {
+	// Schema, Commit and Tree stamp the record the way record_e2e.sh
+	// stamps BENCH_e2e.json: HEAD, and the git tree of the working tree
+	// that was measured.
+	Schema            string  `json:"schema"`
+	Commit            string  `json:"commit"`
+	Tree              string  `json:"tree"`
 	SingleP99Seconds  float64 `json:"single_p99_seconds"`
 	ClusterP99Seconds float64 `json:"cluster_p99_seconds"`
 	OverheadRatio     float64 `json:"overhead_ratio"`
@@ -411,7 +417,11 @@ func TestRecordClusterBench(t *testing.T) {
 	defer func() { _ = trunk.Close() }()
 	routedLat := measureDeliveryPath(t, r.Addr(), window)
 
+	commit, tree := gitStamp()
 	rec := clusterBenchRecord{
+		Schema:            "senseaid-bench-cluster/1",
+		Commit:            commit,
+		Tree:              tree,
 		SingleP99Seconds:  p99(directLat),
 		ClusterP99Seconds: p99(routedLat),
 		SelectionsPerSec:  float64(len(routedLat)) / window.Seconds(),
@@ -438,4 +448,44 @@ func TestRecordClusterBench(t *testing.T) {
 		t.Fatalf("router tier costs %.2fx the direct dispatch p99 (%.4fs vs %.4fs), budget %.1fx",
 			rec.OverheadRatio, rec.ClusterP99Seconds, rec.SingleP99Seconds, maxRatio)
 	}
+}
+
+// gitStamp names what a record measured: HEAD's short hash, and the git
+// tree of the working tree as `git add -A` would stage it — written
+// through a copy of the index, so nothing is staged — cut to 12
+// characters as record_e2e.sh does. "unknown" outside a git checkout.
+func gitStamp() (commit, tree string) {
+	commit, tree = "unknown", "unknown"
+	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+	}
+	gitDir, err := exec.Command("git", "rev-parse", "--git-dir").Output()
+	if err != nil {
+		return commit, tree
+	}
+	index, err := os.ReadFile(filepath.Join(strings.TrimSpace(string(gitDir)), "index"))
+	if err != nil {
+		return commit, tree
+	}
+	tmp, err := os.CreateTemp("", "senseaid-index-")
+	if err != nil {
+		return commit, tree
+	}
+	defer os.Remove(tmp.Name())
+	_, werr := tmp.Write(index)
+	if cerr := tmp.Close(); werr != nil || cerr != nil {
+		return commit, tree
+	}
+	env := append(os.Environ(), "GIT_INDEX_FILE="+tmp.Name())
+	add := exec.Command("git", "add", "-A")
+	add.Env = env
+	if err := add.Run(); err != nil {
+		return commit, tree
+	}
+	write := exec.Command("git", "write-tree")
+	write.Env = env
+	if out, err := write.Output(); err == nil && len(strings.TrimSpace(string(out))) >= 12 {
+		tree = strings.TrimSpace(string(out))[:12]
+	}
+	return commit, tree
 }

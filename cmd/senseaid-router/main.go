@@ -10,8 +10,9 @@
 //	                [-ping-interval duration] [-ping-timeout duration]
 //	                [-v] [-vv]
 //
-// Relayed pushes on one connection share one write syscall when they
-// are read off the worker before the relay goroutine yields;
+// The router keeps one link to each enrolled primary and carries every
+// session it relays to that worker as a stream of the link; frames read
+// off a link in one pass reach each client in one write.
 // -coalesce-interval is deprecated and ignored (accepted so old command
 // lines still parse).
 //
@@ -49,7 +50,7 @@ func run() error {
 	metricsAddr := flag.String("metrics-addr", "", "admin HTTP address serving /metrics and /healthz (empty disables)")
 	pingInterval := flag.Duration("ping-interval", time.Second, "how often to health-check each enrolled node's trunk")
 	pingTimeout := flag.Duration("ping-timeout", 2*time.Second, "a health check slower than this fails the node")
-	_ = flag.Duration("coalesce-interval", 0, "deprecated and ignored: relayed pushes flush as soon as the relay goroutine yields")
+	_ = flag.Duration("coalesce-interval", 0, "deprecated and ignored: relayed frames are written as soon as the link's reader has read all it can")
 	verbose := flag.Bool("v", false, "log lifecycle events to stderr")
 	debug := flag.Bool("vv", false, "log per-session routing to stderr")
 	flag.Parse()

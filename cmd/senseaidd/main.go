@@ -59,12 +59,12 @@
 //
 // With -enroll (and exactly one -regions), the server joins a
 // senseaid-router as that region's primary: devices and CASes dial the
-// router, which relays their sessions here. -node-id names the node,
-// -advertise overrides the dial-back address. With -standby-of, the
-// server instead runs as the region's warm standby: it replicates the
-// named primary's snapshots and journal into its own -state-dir and,
-// when the router promotes it, boots a full server on the replicated
-// state and enrolls as the new primary.
+// router, which relays their sessions here over one link. -node-id
+// names the node, -advertise overrides the address the router dials its
+// link to. With -standby-of, the server instead runs as the region's
+// warm standby: it replicates the named primary's snapshots and journal
+// into its own -state-dir and, when the router promotes it, boots a
+// full server on the replicated state and enrolls as the new primary.
 package main
 
 import (
@@ -148,7 +148,7 @@ func run() error {
 	flag.Var(&regions, "regions", "edge region as name@lat,lon,radiusM (repeatable; two or more shard the deployment)")
 	enroll := flag.String("enroll", "", "router address to enroll this node with (requires exactly one -regions)")
 	nodeID := flag.String("node-id", "", "cluster node name (default <region>-primary or <region>-standby)")
-	advertise := flag.String("advertise", "", "address the router should dial for client sessions (default the bound listen address)")
+	advertise := flag.String("advertise", "", "address the router should dial its link to, which carries the region's client sessions (default the bound listen address)")
 	standbyOf := flag.String("standby-of", "", "run as a warm standby replicating from this primary's address; promotes to a full server when the router says so (requires -state-dir and one -regions)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the admin endpoint")
 	traceSample := flag.Float64("trace-sample", 1, "fraction of task traces retained in /traces (0 disables sampling; errors and slow ops are always kept)")

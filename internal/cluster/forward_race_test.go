@@ -11,103 +11,133 @@ import (
 	"senseaid/internal/wire"
 )
 
-// pipeUpstream builds an upstream over an in-memory pipe whose far end
-// counts every well-formed frame it receives.
-func pipeUpstream(t *testing.T, readers *sync.WaitGroup, received *int64) *upstream {
+// pipeLink runs a link over an in-memory pipe whose far end, standing in
+// for a worker, counts every client frame it receives (stream hellos and
+// closes are link bookkeeping, not client frames).
+func pipeLink(t *testing.T, r *Router, readers *sync.WaitGroup, received *int64) *link {
 	t.Helper()
-	codec, err := wire.CodecByName("json")
-	if err != nil {
-		t.Fatalf("CodecByName: %v", err)
-	}
 	c1, c2 := net.Pipe()
-	sc := &sconn{
-		nc:    c1,
-		br:    bufio.NewReader(c1),
-		codec: codec,
-		co:    wire.NewCoalescer(c1, codec, wire.CoalescerConfig{WriteTimeout: 2 * time.Second}),
+	l, err := r.startLink(c1, bufio.NewReader(c1))
+	if err != nil {
+		t.Fatalf("startLink: %v", err)
 	}
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
+		defer c2.Close()
 		br := bufio.NewReader(c2)
 		for {
-			if _, err := codec.ReadFrame(br); err != nil {
+			env, err := wire.Link.ReadFrame(br)
+			if err != nil {
 				return
 			}
-			atomic.AddInt64(received, 1)
+			if env.Type != wire.TypeHello && env.Type != wire.TypeStreamClose {
+				atomic.AddInt64(received, 1)
+			}
 		}
 	}()
-	return &upstream{sc: sc, pending: make(map[uint64]chan wire.Envelope), dead: make(chan struct{})}
+	t.Cleanup(func() { l.close() })
+	return l
 }
 
-// TestForwardDeliversExactlyOnceAcrossUpstreamSwaps pins the relay
-// teardown race: device frames racing a re-home's upstream swap (swap
-// under the session lock, then close the old upstream — rehome's exact
-// order) must land on exactly one upstream. Before the retry in
-// forward(), a frame could hit the just-closed coalescer and land on
-// NO upstream even though a live one existed; a naive same-upstream
-// retry could land it twice. Run with -race.
+// pipeClient is a client connection nobody reads, for sessions whose
+// client the test never writes to.
+func pipeClient(t *testing.T, r *Router) *sconn {
+	t.Helper()
+	c1, c2 := net.Pipe()
+	t.Cleanup(func() { _ = c1.Close(); _ = c2.Close() })
+	return r.newSconn(c1, bufio.NewReader(c1), wire.Binary)
+}
+
+// TestForwardDeliversExactlyOnceAcrossUpstreamSwaps pins the stream
+// teardown race: device frames racing a re-home's stream swap (swap
+// under the session lock, then close the old stream — rehome's exact
+// order) must land on exactly one stream, whether the new stream shares
+// the old one's link or rides another worker's. Before the retry in
+// forward(), a frame could hit the just-closed stream and land on NO
+// stream even though a live one existed; a naive same-stream retry
+// could land it twice. Run with -race.
 func TestForwardDeliversExactlyOnceAcrossUpstreamSwaps(t *testing.T) {
-	r := startRouter(t)
-	var readers sync.WaitGroup
-	var received int64
-
-	ds := &deviceSession{r: r, deviceID: "swap-dev"}
-	cur := pipeUpstream(t, &readers, &received)
-	ds.mu.Lock()
-	ds.up = cur
-	ds.mu.Unlock()
-
-	env, err := wire.Encode(wire.TypeStateReport, 7, wire.StateReport{})
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-
-	var delivered int64 // forwards that reported success
-	stop := make(chan struct{})
-	var senders sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		senders.Add(1)
-		go func() {
-			defer senders.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := ds.forward(env); err == nil {
-					atomic.AddInt64(&delivered, 1)
-				}
+	for _, tc := range []struct {
+		name  string
+		links int
+	}{{"one_link", 1}, {"two_links", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := startRouter(t)
+			var readers sync.WaitGroup
+			var received int64
+			links := make([]*link, tc.links)
+			for i := range links {
+				links[i] = pipeLink(t, r, &readers, &received)
 			}
-		}()
-	}
 
-	// Hammer swaps while the senders run, mirroring rehome(): install
-	// the new upstream under the lock, then close the old one.
-	for i := 0; i < 200; i++ {
-		next := pipeUpstream(t, &readers, &received)
-		ds.mu.Lock()
-		old := ds.up
-		ds.up = next
-		ds.mu.Unlock()
-		old.close()
-		cur = next
-		time.Sleep(200 * time.Microsecond)
-	}
-	close(stop)
-	senders.Wait()
-	cur.close()
-	readers.Wait()
+			ds := &deviceSession{r: r, client: pipeClient(t, r), deviceID: "swap-dev"}
+			open := func(i int) *stream {
+				st, err := links[i%len(links)].open(ds, ds.client, wire.RoleDevice)
+				if err != nil {
+					t.Fatalf("open: %v", err)
+				}
+				return st
+			}
+			ds.mu.Lock()
+			ds.up = open(0)
+			ds.mu.Unlock()
 
-	got, want := atomic.LoadInt64(&received), atomic.LoadInt64(&delivered)
-	if got != want {
-		t.Fatalf("exactly-once violated: %d frames delivered to upstreams, %d forwards reported success", got, want)
-	}
-	if want == 0 {
-		t.Fatal("no forward ever succeeded; the test exercised nothing")
-	}
-	if r.met.swapRetries.Value() == 0 {
-		t.Log("note: no forward raced a swap this run (timing-dependent); the invariant still held")
+			env, err := wire.Encode(wire.TypeStateReport, 7, wire.StateReport{})
+			if err != nil {
+				t.Fatalf("Encode: %v", err)
+			}
+
+			var delivered int64 // forwards that reported success
+			stop := make(chan struct{})
+			var senders sync.WaitGroup
+			for i := 0; i < 4; i++ {
+				senders.Add(1)
+				go func() {
+					defer senders.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if err := ds.forward(env); err == nil {
+							atomic.AddInt64(&delivered, 1)
+						}
+					}
+				}()
+			}
+
+			// Hammer swaps while the senders run, mirroring rehome():
+			// install the new stream under the lock, then close the old one.
+			for i := 1; i <= 200; i++ {
+				next := open(i)
+				ds.mu.Lock()
+				old := ds.up
+				ds.up = next
+				ds.mu.Unlock()
+				old.close()
+				time.Sleep(200 * time.Microsecond)
+			}
+			close(stop)
+			senders.Wait()
+			// Everything the senders wrote is flushed before the links close.
+			for _, l := range links {
+				_ = l.co.Close()
+				_ = l.nc.Close()
+			}
+			readers.Wait()
+
+			got, want := atomic.LoadInt64(&received), atomic.LoadInt64(&delivered)
+			if got != want {
+				t.Fatalf("exactly-once violated: %d frames delivered to workers, %d forwards reported success", got, want)
+			}
+			if want == 0 {
+				t.Fatal("no forward ever succeeded; the test exercised nothing")
+			}
+			if r.met.swapRetries.Value() == 0 {
+				t.Log("note: no forward raced a swap this run (timing-dependent); the invariant still held")
+			}
+		})
 	}
 }

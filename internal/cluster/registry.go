@@ -19,12 +19,42 @@ import (
 )
 
 // nodeEntry is one enrolled node as the registry sees it: the identity
-// and coverage it announced, and the trunk to reach it on.
+// and coverage it announced, the trunk to reach it on and, for a
+// primary, the link its client sessions ride (dialed on first use).
 type nodeEntry struct {
 	id    string
 	role  string // wire.NodeRolePrimary or NodeRoleStandby
-	addr  string // session dial address (devices, CAS relays)
+	addr  string // the address the link dials
 	trunk *trunk
+
+	linkMu  sync.Mutex
+	link    *link
+	retired bool // no longer its region's primary: dial no link for it
+}
+
+// retire is called once n stops being its region's primary. A successor
+// at the same address — the same worker enrolling again after its trunk
+// dropped — inherits the link and every session on it; otherwise the
+// link closes, and its clients with it, so they redial into whatever
+// now serves the region.
+func (n *nodeEntry) retire(next *nodeEntry) {
+	n.linkMu.Lock()
+	l := n.link
+	n.link, n.retired = nil, true
+	n.linkMu.Unlock()
+	if l == nil {
+		return
+	}
+	if next != nil && next.addr == n.addr {
+		next.linkMu.Lock()
+		if next.link == nil {
+			next.link, l = l, nil
+		}
+		next.linkMu.Unlock()
+	}
+	if l != nil {
+		l.close()
+	}
 }
 
 // regionEntry is one region's control-plane state: its coverage area
@@ -34,6 +64,9 @@ type regionEntry struct {
 	area    geo.Circle
 	primary *nodeEntry
 	standby *nodeEntry
+	// orphan is a primary whose trunk died with no standby to promote:
+	// its link stays up in case the same worker enrolls again.
+	orphan *nodeEntry
 }
 
 // registry maps regions to nodes. Enrollment is last-writer-wins per
@@ -50,16 +83,17 @@ func newRegistry() *registry {
 }
 
 // enroll records one NodeHello. The announced area updates the region's
-// coverage (primary wins over standby on disagreement).
-func (g *registry) enroll(h wire.NodeHello, t *trunk) (*nodeEntry, error) {
+// coverage (primary wins over standby on disagreement). A new primary
+// returns the entry it replaces, for the caller to retire.
+func (g *registry) enroll(h wire.NodeHello, t *trunk) (n, replaced *nodeEntry, err error) {
 	if h.Region == "" || h.NodeID == "" {
-		return nil, fmt.Errorf("cluster: enrollment needs a node id and a region")
+		return nil, nil, fmt.Errorf("cluster: enrollment needs a node id and a region")
 	}
 	area := geo.Circle{Center: geo.Point{Lat: h.Lat, Lon: h.Lon}, RadiusM: h.RadiusM}
 	if !area.Center.Valid() || area.RadiusM <= 0 {
-		return nil, fmt.Errorf("cluster: enrollment for %s has no coverage area", h.Region)
+		return nil, nil, fmt.Errorf("cluster: enrollment for %s has no coverage area", h.Region)
 	}
-	n := &nodeEntry{id: h.NodeID, role: h.NodeRole, addr: h.Addr, trunk: t}
+	n = &nodeEntry{id: h.NodeID, role: h.NodeRole, addr: h.Addr, trunk: t}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	re, ok := g.regions[h.Region]
@@ -70,9 +104,13 @@ func (g *registry) enroll(h wire.NodeHello, t *trunk) (*nodeEntry, error) {
 	switch h.NodeRole {
 	case wire.NodeRolePrimary:
 		if h.Addr == "" {
-			return nil, fmt.Errorf("cluster: a primary must advertise a session address")
+			return nil, nil, fmt.Errorf("cluster: a primary must advertise a session address")
 		}
-		re.primary = n
+		replaced = re.primary
+		if replaced == nil {
+			replaced = re.orphan
+		}
+		re.primary, re.orphan = n, nil
 		re.area = area
 	case wire.NodeRoleStandby:
 		re.standby = n
@@ -80,29 +118,35 @@ func (g *registry) enroll(h wire.NodeHello, t *trunk) (*nodeEntry, error) {
 			re.area = area
 		}
 	default:
-		return nil, fmt.Errorf("cluster: unknown node role %q", h.NodeRole)
+		return nil, nil, fmt.Errorf("cluster: unknown node role %q", h.NodeRole)
 	}
-	return n, nil
+	return n, replaced, nil
 }
 
 // drop removes whatever entries a dead trunk owned. It returns, per
 // region, the standby to promote when the trunk was that region's
-// primary and a standby is enrolled.
-func (g *registry) drop(t *trunk) (promote []promotion) {
+// primary and a standby is enrolled — and then also the dropped
+// primary, for the caller to retire: its region is moving. Without a
+// standby the primary is kept as the region's orphan, for a re-enrolling
+// worker at the same address to take its link over.
+func (g *registry) drop(t *trunk) (promote []promotion, retired []*nodeEntry) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for name, re := range g.regions {
 		if re.primary != nil && re.primary.trunk == t {
-			re.primary = nil
 			if re.standby != nil {
 				promote = append(promote, promotion{region: name, standby: re.standby})
+				retired = append(retired, re.primary)
+			} else {
+				re.orphan = re.primary
 			}
+			re.primary = nil
 		}
 		if re.standby != nil && re.standby.trunk == t {
 			re.standby = nil
 		}
 	}
-	return promote
+	return promote, retired
 }
 
 // promotion pairs a region with the standby taking it over.
@@ -171,23 +215,6 @@ func (g *registry) primaries() []regionPrimary {
 	for _, name := range g.sortedNamesLocked() {
 		if re := g.regions[name]; re.primary != nil {
 			out = append(out, regionPrimary{region: name, node: re.primary})
-		}
-	}
-	return out
-}
-
-// trunks snapshots every enrolled trunk (the health-check sweep).
-func (g *registry) trunks() []*trunk {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	seen := make(map[*trunk]bool)
-	var out []*trunk
-	for _, re := range g.regions {
-		for _, n := range []*nodeEntry{re.primary, re.standby} {
-			if n != nil && !seen[n.trunk] {
-				seen[n.trunk] = true
-				out = append(out, n.trunk)
-			}
 		}
 	}
 	return out

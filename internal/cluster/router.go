@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"log"
@@ -74,7 +73,7 @@ func newRouterMetrics(reg *obs.Registry) *routerMetrics {
 		relayErrors: reg.Counter("senseaid_router_relay_errors_total",
 			"Frames dropped because relaying them failed.", nil),
 		swapRetries: reg.Counter("senseaid_router_swap_retries_total",
-			"Client frames re-sent on a session's fresh upstream after a send raced a re-home or promotion swap.", nil),
+			"Client frames re-sent on a session's fresh stream after a send raced a re-home or promotion swap.", nil),
 		pingFailures: reg.Counter("senseaid_router_ping_failures_total",
 			"Trunk health checks that failed or timed out.", nil),
 		noRoute: reg.Counter("senseaid_router_unroutable_total",
@@ -90,8 +89,13 @@ type Router struct {
 	met *routerMetrics
 	reg *registry
 
+	// wrap, when set, wraps every accepted connection and every dialed
+	// link (fault injection in tests).
+	wrap func(net.Conn) net.Conn
+
 	connMu sync.Mutex
 	conns  map[net.Conn]bool
+	shut   bool // Close has run: no connection is tracked any more
 
 	done    chan struct{}
 	closeMu sync.Once
@@ -100,6 +104,11 @@ type Router struct {
 
 // Listen starts a router on cfg.Addr.
 func Listen(cfg Config) (*Router, error) {
+	return listen(cfg, nil)
+}
+
+// listen is Listen with a connection wrapper (see Router.wrap).
+func listen(cfg Config, wrap func(net.Conn) net.Conn) (*Router, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
@@ -135,6 +144,7 @@ func Listen(cfg Config) (*Router, error) {
 		log:   obs.NewLogger(cfg.Logger, cfg.LogLevel),
 		met:   newRouterMetrics(reg),
 		reg:   newRegistry(),
+		wrap:  wrap,
 		conns: make(map[net.Conn]bool),
 		done:  make(chan struct{}),
 	}
@@ -157,6 +167,7 @@ func (r *Router) Close() error {
 		close(r.done)
 		err = r.ln.Close()
 		r.connMu.Lock()
+		r.shut = true
 		for nc := range r.conns {
 			_ = nc.Close()
 		}
@@ -182,7 +193,13 @@ func (r *Router) acceptLoop() {
 			r.log.Errorf("accept: %v", err)
 			continue
 		}
-		r.track(nc)
+		if r.wrap != nil {
+			nc = r.wrap(nc)
+		}
+		if !r.track(nc) {
+			_ = nc.Close()
+			return
+		}
 		r.wg.Add(1)
 		go func() {
 			defer r.wg.Done()
@@ -193,10 +210,16 @@ func (r *Router) acceptLoop() {
 	}
 }
 
-func (r *Router) track(nc net.Conn) {
+// track registers a connection for Close to tear down; it reports
+// false once Close has run.
+func (r *Router) track(nc net.Conn) bool {
 	r.connMu.Lock()
+	defer r.connMu.Unlock()
+	if r.shut {
+		return false
+	}
 	r.conns[nc] = true
-	r.connMu.Unlock()
+	return true
 }
 
 func (r *Router) untrack(nc net.Conn) {
@@ -212,7 +235,7 @@ func (r *Router) serveConn(nc net.Conn) {
 	if r.cfg.HandshakeTimeout > 0 {
 		_ = nc.SetReadDeadline(time.Now().Add(r.cfg.HandshakeTimeout))
 	}
-	br := bufio.NewReaderSize(nc, 16<<10)
+	br := wire.NewReader(nc, 16<<10)
 	env, err := wire.ReadFrame(br)
 	if err != nil {
 		return
@@ -293,9 +316,13 @@ func (r *Router) serveTrunk(sc *sconn) {
 		return
 	}
 	t := newTrunk(sc, nh)
-	if _, err := r.reg.enroll(nh, t); err != nil {
+	n, replaced, err := r.reg.enroll(nh, t)
+	if err != nil {
 		sc.sendErr(env.Seq, err)
 		return
+	}
+	if replaced != nil {
+		replaced.retire(n)
 	}
 	r.met.nodes.Set(float64(r.reg.nodeCount()))
 	if err := sc.send(mustEncode(sc.codec, wire.TypeAck, env.Seq, wire.Ack{Ref: nh.NodeID}), true); err != nil {
@@ -313,7 +340,10 @@ func (r *Router) serveTrunk(sc *sconn) {
 
 	t.readLoop()
 	close(pingDone)
-	promotions := r.reg.drop(t)
+	promotions, retired := r.reg.drop(t)
+	for _, n := range retired {
+		n.retire(nil)
+	}
 	r.met.nodes.Set(float64(r.reg.nodeCount()))
 	r.log.Infof("node %s (region %s, role %s) lost", nh.NodeID, nh.Region, nh.NodeRole)
 	for _, p := range promotions {
@@ -357,6 +387,40 @@ func (r *Router) promote(p promotion) {
 	if _, err := p.standby.trunk.call(wire.TypePromote, wire.Promote{Region: p.region}, r.cfg.CallTimeout); err != nil {
 		r.log.Errorf("promote %s: %v", p.standby.id, err)
 	}
+}
+
+// openStream opens a stream for one client session on the node's link,
+// dialing the link on first use (or after the last one died) — once per
+// worker, not once per session.
+func (r *Router) openStream(n *nodeEntry, owner streamOwner, client *sconn, role wire.Role) (*stream, error) {
+	n.linkMu.Lock()
+	l := n.link
+	if l == nil || l.isDead() {
+		if n.retired {
+			n.linkMu.Unlock()
+			return nil, fmt.Errorf("cluster: node %s no longer serves its region", n.id)
+		}
+		var err error
+		if l, err = r.dialLink(n.addr); err != nil {
+			n.linkMu.Unlock()
+			return nil, err
+		}
+		n.link = l
+	}
+	n.linkMu.Unlock()
+	return l.open(owner, client, role)
+}
+
+// hangUp closes a client connection once what is queued for it has been
+// written, on a goroutine of its own: the caller may be a link's reader,
+// which must not wait on one client.
+func (r *Router) hangUp(client *sconn) {
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		_ = client.co.Close()
+		_ = client.nc.Close()
+	}()
 }
 
 // mustEncode wraps codec.Encode for payloads the router itself built —

@@ -7,19 +7,10 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"time"
 
 	"senseaid/internal/core"
 	"senseaid/internal/wire"
 )
-
-// internalSeqBase partitions a relayed connection's sequence space.
-// Client frames use small client-assigned sequence numbers; requests
-// the router itself injects into an upstream (attach_device after a
-// re-home) use sequences at or above this base, so the relay loop can
-// tell a reply to the client from a reply to the router without
-// inspecting payloads.
-const internalSeqBase = uint64(1) << 62
 
 // sconn is one framed connection as a session sees it: reader, codec,
 // and a coalescing writer.
@@ -40,14 +31,29 @@ func (r *Router) newSconn(nc net.Conn, br *bufio.Reader, codec wire.Codec) *scon
 // read off a binary connection but this connection speaks v1 JSON (the
 // json codec refuses binary payloads rather than corrupt the stream).
 func (sc *sconn) send(env wire.Envelope, urgent bool) error {
-	if env.BinaryPayload() && sc.codec.Version() == wire.ProtocolVersion {
-		re, err := transcode(env)
-		if err != nil {
-			return err
-		}
-		env = re
+	env, err := sc.fit(env)
+	if err != nil {
+		return err
 	}
 	return sc.co.Send(env, urgent, nil)
+}
+
+// queue buffers one envelope for the link reader's next relay to this
+// connection (see link.readLoop), transcoding as send does.
+func (sc *sconn) queue(env wire.Envelope) error {
+	env, err := sc.fit(env)
+	if err != nil {
+		return err
+	}
+	return sc.co.Queue(env, nil)
+}
+
+// fit re-encodes a binary payload for a v1 connection.
+func (sc *sconn) fit(env wire.Envelope) (wire.Envelope, error) {
+	if env.BinaryPayload() && sc.codec.Version() == wire.ProtocolVersion {
+		return transcode(env)
+	}
+	return env, nil
 }
 
 func (sc *sconn) sendErr(seq uint64, err error) {
@@ -95,142 +101,9 @@ func transcode(env wire.Envelope) (wire.Envelope, error) {
 	return wire.Encode(env.Type, env.Seq, v)
 }
 
-// upstream is the router's connection to one worker on behalf of one
-// client session. Client traffic relays through it verbatim; the
-// router's own injected requests use the internal sequence space and
-// rendezvous through pending.
-type upstream struct {
-	sc *sconn
-
-	mu      sync.Mutex
-	seq     uint64
-	pending map[uint64]chan wire.Envelope
-	closed  bool
-	dead    chan struct{}
-}
-
-// call sends one router-internal request on the upstream and waits for
-// the worker's reply.
-func (u *upstream) call(typ wire.MsgType, payload interface{}, timeout time.Duration) (wire.Envelope, error) {
-	u.mu.Lock()
-	if u.closed {
-		u.mu.Unlock()
-		return wire.Envelope{}, wire.ErrClosed
-	}
-	u.seq++
-	seq := internalSeqBase + u.seq
-	ch := make(chan wire.Envelope, 1)
-	u.pending[seq] = ch
-	u.mu.Unlock()
-	defer func() {
-		u.mu.Lock()
-		delete(u.pending, seq)
-		u.mu.Unlock()
-	}()
-
-	env, err := u.sc.codec.Encode(typ, seq, payload)
-	if err != nil {
-		return wire.Envelope{}, err
-	}
-	if err := u.sc.co.Send(env, true, nil); err != nil {
-		return wire.Envelope{}, err
-	}
-	select {
-	case resp := <-ch:
-		if resp.Type == wire.TypeError {
-			var e wire.Error
-			_ = wire.Decode(resp, &e)
-			return wire.Envelope{}, fmt.Errorf("cluster: %s: %s", typ, e.Message)
-		}
-		return resp, nil
-	case <-u.dead:
-		return wire.Envelope{}, wire.ErrClosed
-	case <-time.After(timeout):
-		return wire.Envelope{}, fmt.Errorf("cluster: %s: timeout after %v", typ, timeout)
-	}
-}
-
-// deliver hands an internal-sequence reply to its waiting call.
-func (u *upstream) deliver(env wire.Envelope) {
-	u.mu.Lock()
-	ch, ok := u.pending[env.Seq]
-	u.mu.Unlock()
-	if ok {
-		ch <- env
-	}
-}
-
-// markDead fails present and future internal calls.
-func (u *upstream) markDead() {
-	u.mu.Lock()
-	if !u.closed {
-		u.closed = true
-		close(u.dead)
-	}
-	u.mu.Unlock()
-}
-
-// close tears the upstream down: the connection, its coalescer, and
-// any waiting internal calls.
-func (u *upstream) close() {
-	u.markDead()
-	_ = u.sc.nc.Close()
-	u.sc.co.Close()
-}
-
-// dialUpstream opens a session connection to a worker, negotiating the
-// binary codec (the worker may grant v1; the sconn remembers what it
-// got).
-func (r *Router) dialUpstream(addr string, role wire.Role) (*upstream, error) {
-	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: dial worker %s: %w", addr, err)
-	}
-	fail := func(err error) (*upstream, error) {
-		_ = nc.Close()
-		return nil, err
-	}
-	_ = nc.SetDeadline(time.Now().Add(r.cfg.HandshakeTimeout))
-	hello, err := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: role, Version: wire.ProtocolVersionBinary})
-	if err != nil {
-		return fail(err)
-	}
-	if err := wire.WriteFrame(nc, hello); err != nil {
-		return fail(err)
-	}
-	br := bufio.NewReaderSize(nc, 16<<10)
-	env, err := wire.ReadFrame(br)
-	if err != nil {
-		return fail(err)
-	}
-	if env.Type == wire.TypeError {
-		var e wire.Error
-		_ = wire.Decode(env, &e)
-		return fail(fmt.Errorf("cluster: worker %s refused hello: %s", addr, e.Message))
-	}
-	var ack wire.Ack
-	if err := wire.Decode(env, &ack); err != nil {
-		return fail(err)
-	}
-	version := ack.Version
-	if version == 0 {
-		version = wire.ProtocolVersion
-	}
-	codec, ok := wire.CodecForVersion(version)
-	if !ok {
-		return fail(fmt.Errorf("cluster: worker %s granted unknown version %d", addr, version))
-	}
-	_ = nc.SetDeadline(time.Time{})
-	return &upstream{
-		sc:      r.newSconn(nc, br, codec),
-		pending: make(map[uint64]chan wire.Envelope),
-		dead:    make(chan struct{}),
-	}, nil
-}
-
 // deviceSession relays one device's connection to the worker owning
-// its region, re-homing the device when its reported position crosses
-// a region boundary.
+// its region, as a stream of that worker's link, re-homing the device
+// when its reported position crosses a region boundary.
 type deviceSession struct {
 	r      *Router
 	client *sconn
@@ -238,7 +111,7 @@ type deviceSession struct {
 	mu       sync.Mutex
 	deviceID string
 	region   string
-	up       *upstream
+	up       *stream
 }
 
 func (r *Router) serveDeviceSession(client *sconn) {
@@ -276,8 +149,8 @@ func (r *Router) serveDeviceSession(client *sconn) {
 }
 
 // handleRegister routes the device to the primary covering its
-// position and opens (or re-opens) its upstream. A re-register that
-// lands in a different region abandons the old upstream without an
+// position and opens (or re-opens) its stream there. A re-register that
+// lands in a different region abandons the old stream without an
 // export: register rebuilds the device's record from scratch on any
 // node, exactly as it does on a single-node server.
 func (ds *deviceSession) handleRegister(env wire.Envelope) error {
@@ -290,35 +163,25 @@ func (ds *deviceSession) handleRegister(env wire.Envelope) error {
 		return err
 	}
 	ds.mu.Lock()
-	old := ds.up
-	sameRegion := ds.region == region
-	ds.mu.Unlock()
-	if old != nil && sameRegion {
-		ds.mu.Lock()
+	if ds.up != nil && ds.region == region {
 		ds.deviceID = reg.DeviceID
 		ds.mu.Unlock()
 		return ds.forward(env)
 	}
-	if old != nil {
-		ds.mu.Lock()
-		ds.up = nil
-		ds.mu.Unlock()
-		old.close()
-	}
-	up, err := ds.r.dialUpstream(node.addr, wire.RoleDevice)
+	ds.mu.Unlock()
+	st, err := ds.r.openStream(node, ds, ds.client, wire.RoleDevice)
 	if err != nil {
 		return err
 	}
 	ds.mu.Lock()
+	old := ds.up
 	ds.deviceID = reg.DeviceID
 	ds.region = region
-	ds.up = up
+	ds.up = st
 	ds.mu.Unlock()
-	ds.r.wg.Add(1)
-	go func() {
-		defer ds.r.wg.Done()
-		ds.relayUpstream(up)
-	}()
+	if old != nil {
+		old.close()
+	}
 	ds.r.log.Debugf("device %s routed to region %s (%s)", reg.DeviceID, region, node.addr)
 	return ds.forward(env)
 }
@@ -344,26 +207,26 @@ func (ds *deviceSession) handleStateReport(env wire.Envelope) error {
 	return ds.forward(env)
 }
 
-// forward relays one client frame to the device's upstream.
+// forward relays one client frame up the device's stream.
 //
-// The upstream read and the send are not atomic: a re-home (or a
-// promotion-driven redial) may swap ds.up in between, leaving this send
-// aimed at an upstream whose close() already poisoned its coalescer. A
-// closed coalescer refuses the frame *without writing it* — so on a
-// send error the frame has landed on no upstream, and if the session
-// meanwhile points at a different live upstream, retrying there
-// delivers it exactly once. Retrying on the *same* upstream would risk
-// a duplicate (a flush error after partial progress still poisons the
-// stream, but the peer may have read the frame), so the retry fires
-// only when the upstream actually changed.
+// The stream read and the send are not atomic: a re-home (or a
+// re-register in another region) may swap ds.up in between, leaving
+// this send aimed at a stream whose close() already ran. A closed
+// stream refuses the frame *without writing it* — so on a send error
+// the frame has landed on no stream, and if the session meanwhile
+// points at a different live stream, retrying there delivers it exactly
+// once. Retrying on the *same* stream would risk a duplicate (a flush
+// error after partial progress poisons the link, but the worker may
+// have read the frame), so the retry fires only when the stream
+// actually changed.
 func (ds *deviceSession) forward(env wire.Envelope) error {
 	ds.mu.Lock()
 	up := ds.up
 	ds.mu.Unlock()
 	if up == nil {
-		return fmt.Errorf("cluster: not registered (no upstream)")
+		return fmt.Errorf("cluster: not registered (no stream)")
 	}
-	err := up.sc.send(env, true)
+	err := up.send(env)
 	if err == nil {
 		return nil
 	}
@@ -372,51 +235,33 @@ func (ds *deviceSession) forward(env wire.Envelope) error {
 	ds.mu.Unlock()
 	if cur != nil && cur != up {
 		ds.r.met.swapRetries.Inc()
-		ds.r.log.Debugf("forward for %s raced an upstream swap; retrying on the current upstream", ds.deviceID)
-		return cur.sc.send(env, true)
+		ds.r.log.Debugf("forward for %s raced a stream swap; retrying on the current stream", ds.deviceID)
+		return cur.send(env)
 	}
 	return err
 }
 
-// relayUpstream pumps worker frames back to the device. Internal
-// sequences rendezvous with waiting router calls; everything else goes
-// to the client — urgently for replies, coalesced for schedule pushes
-// (frames already read off the upstream before the loop blocks share
-// one write).
-// When the upstream dies while still current (a worker crash, not a
-// re-home), the client connection is closed too: the device's daemon
+// streamLost runs when the worker ends the device's stream (idle
+// timeout, deregister) or its link dies (a worker crash). A current
+// stream takes the client connection with it: the device's daemon
 // redials through the router and re-registers, which re-routes it to
-// whatever node now owns the region.
-func (ds *deviceSession) relayUpstream(up *upstream) {
-	for {
-		env, err := up.sc.codec.ReadFrame(up.sc.br)
-		if err != nil {
-			break
-		}
-		if env.Seq >= internalSeqBase {
-			up.deliver(env)
-			continue
-		}
-		if err := ds.client.send(env, env.Seq != 0); err != nil {
-			ds.r.met.relayErrors.Inc()
-			break
-		}
-	}
-	up.markDead()
+// whatever node now owns the region. A stream the session already
+// replaced is nothing to the client.
+func (ds *deviceSession) streamLost(st *stream) {
 	ds.mu.Lock()
-	current := ds.up == up
+	current := ds.up == st
 	ds.mu.Unlock()
 	if current {
-		_ = ds.client.nc.Close()
+		ds.r.hangUp(ds.client)
 	}
 }
 
 // rehome moves the device's server-side state to the target region's
-// primary and swings the session's upstream over to it. Ordering
+// primary and swings the session over to a stream there. Ordering
 // (DESIGN.md §14): export (which also unbinds the device on the old
-// node) → import on the new node → swap the relay → attach_device to
-// bind the new node's transport. If the import fails the exported
-// record is restored to the old node and the session stays put.
+// node) → import on the new node → swap the stream → attach_device to
+// bind the new node's session. If the import fails the exported record
+// is restored to the old node and the session stays put.
 //
 // The triggering report is folded into the record between export and
 // import, exactly as the in-process crossing does: the new node homes
@@ -466,27 +311,22 @@ func (ds *deviceSession) rehome(target string, sr wire.StateReport) error {
 		}
 		return fmt.Errorf("import into %s: %w", target, err)
 	}
-	up, err := ds.r.dialUpstream(newNode.addr, wire.RoleDevice)
+	up, err := ds.r.openStream(newNode, ds, ds.client, wire.RoleDevice)
 	if err != nil {
 		// State has moved; the session cannot follow. Drop the client so
 		// its daemon redials and registers against the new region.
-		_ = ds.client.nc.Close()
-		return fmt.Errorf("dial %s: %w", target, err)
+		ds.r.hangUp(ds.client)
+		return fmt.Errorf("open a stream in %s: %w", target, err)
 	}
-	// Swap before closing the old upstream so its relay's death does not
-	// take the client connection down with it.
+	// Swap before closing the old stream, so frames the client sends from
+	// now on go to the new node (forward retries one that raced the swap).
 	ds.mu.Lock()
 	ds.up = up
 	ds.region = target
 	ds.mu.Unlock()
 	oldUp.close()
-	ds.r.wg.Add(1)
-	go func() {
-		defer ds.r.wg.Done()
-		ds.relayUpstream(up)
-	}()
 	if _, err := up.call(wire.TypeAttachDevice, wire.AttachDevice{DeviceID: deviceID}, ds.r.cfg.CallTimeout); err != nil {
-		_ = ds.client.nc.Close()
+		ds.r.hangUp(ds.client)
 		return fmt.Errorf("attach on %s: %w", target, err)
 	}
 	ds.r.met.rehomes.Inc()
@@ -495,20 +335,20 @@ func (ds *deviceSession) rehome(target string, sr wire.StateReport) error {
 }
 
 // casSession relays one application server's connection, fanning its
-// requests out to the regions its tasks live in. Submissions route by
-// the task's area; updates and deletes route by the region prefix the
-// task ID carries (the request-ID grammar doing double duty as the
-// routing table).
+// requests out to the regions its tasks live in, one stream per region.
+// Submissions route by the task's area; updates and deletes route by the
+// region prefix the task ID carries (the request-ID grammar doing double
+// duty as the routing table).
 type casSession struct {
 	r      *Router
 	client *sconn
 
 	mu  sync.Mutex
-	ups map[string]*upstream // by region
+	ups map[string]*stream // by region
 }
 
 func (r *Router) serveCASSession(client *sconn) {
-	cs := &casSession{r: r, client: client, ups: make(map[string]*upstream)}
+	cs := &casSession{r: r, client: client, ups: make(map[string]*stream)}
 	defer func() {
 		cs.mu.Lock()
 		ups := cs.ups
@@ -532,18 +372,21 @@ func (r *Router) serveCASSession(client *sconn) {
 
 // route picks the region a CAS request belongs to and forwards it.
 func (cs *casSession) route(env wire.Envelope) error {
-	var region, addr string
+	var (
+		region string
+		node   *nodeEntry
+	)
 	switch env.Type {
 	case wire.TypeSubmitTask:
 		var spec wire.TaskSpec
 		if err := wire.Decode(env, &spec); err != nil {
 			return err
 		}
-		node, reg, err := cs.r.reg.primaryForPoint(spec.Center)
+		n, reg, err := cs.r.reg.primaryForPoint(spec.Center)
 		if err != nil {
 			return err
 		}
-		region, addr = reg, node.addr
+		region, node = reg, n
 	case wire.TypeUpdateTask, wire.TypeDeleteTask:
 		var taskID string
 		if env.Type == wire.TypeUpdateTask {
@@ -563,11 +406,11 @@ func (cs *casSession) route(env wire.Envelope) error {
 		if i <= 0 {
 			return fmt.Errorf("cluster: task id %q carries no region prefix", taskID)
 		}
-		node, err := cs.r.reg.primaryForRegion(taskID[:i])
+		n, err := cs.r.reg.primaryForRegion(taskID[:i])
 		if err != nil {
 			return err
 		}
-		region, addr = taskID[:i], node.addr
+		region, node = taskID[:i], n
 	case wire.TypeSubscribeAgg:
 		var sa wire.SubscribeAgg
 		if err := wire.Decode(env, &sa); err != nil {
@@ -577,11 +420,11 @@ func (cs *casSession) route(env wire.Envelope) error {
 	default:
 		return fmt.Errorf("cluster: unexpected %s from a cas", env.Type)
 	}
-	up, err := cs.upstreamFor(region, addr)
+	up, err := cs.streamFor(region, node)
 	if err != nil {
 		return err
 	}
-	return up.sc.send(env, true)
+	return up.send(env)
 }
 
 // routeSubscribeAgg relays a window subscription. A scoped subscription
@@ -591,7 +434,7 @@ func (cs *casSession) route(env wire.Envelope) error {
 // enrolled region primary via router-internal calls; the single ack
 // returned to the client joins the per-worker subscription ids
 // ("agg-1,agg-2"), and each worker's agg_push frames then relay through
-// the per-region upstreams exactly like sensed-data deliveries — the
+// the per-region streams exactly like sensed-data deliveries — the
 // client merges them by subscription id.
 func (cs *casSession) routeSubscribeAgg(env wire.Envelope, sa wire.SubscribeAgg) error {
 	region := sa.Region
@@ -605,11 +448,11 @@ func (cs *casSession) routeSubscribeAgg(env wire.Envelope, sa wire.SubscribeAgg)
 		if err != nil {
 			return err
 		}
-		up, err := cs.upstreamFor(region, node.addr)
+		up, err := cs.streamFor(region, node)
 		if err != nil {
 			return err
 		}
-		return up.sc.send(env, true)
+		return up.send(env)
 	}
 	prims := cs.r.reg.primaries()
 	if len(prims) == 0 {
@@ -617,7 +460,7 @@ func (cs *casSession) routeSubscribeAgg(env wire.Envelope, sa wire.SubscribeAgg)
 	}
 	refs := make([]string, 0, len(prims))
 	for _, pr := range prims {
-		up, err := cs.upstreamFor(pr.region, pr.node.addr)
+		up, err := cs.streamFor(pr.region, pr.node)
 		if err != nil {
 			return err
 		}
@@ -635,71 +478,58 @@ func (cs *casSession) routeSubscribeAgg(env wire.Envelope, sa wire.SubscribeAgg)
 		wire.Ack{Ref: strings.Join(refs, ",")}), true)
 }
 
-// upstreamFor lazily opens this session's relay to one region.
-func (cs *casSession) upstreamFor(region, addr string) (*upstream, error) {
+// streamFor returns this session's stream to one region, opening it
+// on first use.
+func (cs *casSession) streamFor(region string, node *nodeEntry) (*stream, error) {
 	cs.mu.Lock()
-	if cs.ups == nil {
-		cs.mu.Unlock()
+	up, ok := cs.ups[region]
+	closed := cs.ups == nil
+	cs.mu.Unlock()
+	if closed {
 		return nil, wire.ErrClosed
 	}
-	if up, ok := cs.ups[region]; ok {
-		cs.mu.Unlock()
+	if ok {
 		return up, nil
 	}
-	cs.mu.Unlock()
-	up, err := cs.r.dialUpstream(addr, wire.RoleCAS)
+	// Opened outside the lock: the first stream to a worker dials its
+	// link, and the link's reader takes this lock in streamLost.
+	up, err := cs.r.openStream(node, cs, cs.client, wire.RoleCAS)
 	if err != nil {
 		return nil, err
 	}
 	cs.mu.Lock()
-	if cs.ups == nil {
-		cs.mu.Unlock()
+	prior, raced := cs.ups[region]
+	if cs.ups != nil && !raced {
+		cs.ups[region] = up
+	}
+	closed = cs.ups == nil
+	cs.mu.Unlock()
+	switch {
+	case closed:
 		up.close()
 		return nil, wire.ErrClosed
-	}
-	if prior, ok := cs.ups[region]; ok {
-		cs.mu.Unlock()
+	case raced:
 		up.close()
 		return prior, nil
 	}
-	cs.ups[region] = up
-	cs.mu.Unlock()
-	cs.r.wg.Add(1)
-	go func() {
-		defer cs.r.wg.Done()
-		cs.relayUpstream(region, up)
-	}()
 	return up, nil
 }
 
-// relayUpstream pumps one region's frames (acks and sensed-data
-// deliveries) back to the CAS. A dying upstream closes the whole
-// client connection: the CAS daemon redials, resubmits idempotently by
+// streamLost closes the whole client connection when one region's
+// stream dies: the CAS daemon redials, resubmits idempotently by
 // ClientTaskID, and the promoted node reclaims the tasks — partial
 // connectivity would otherwise silently drop one region's deliveries.
-func (cs *casSession) relayUpstream(region string, up *upstream) {
-	for {
-		env, err := up.sc.codec.ReadFrame(up.sc.br)
-		if err != nil {
-			break
-		}
-		if env.Seq >= internalSeqBase {
-			up.deliver(env)
-			continue
-		}
-		if err := cs.client.send(env, env.Seq != 0); err != nil {
-			cs.r.met.relayErrors.Inc()
-			break
-		}
-	}
-	up.markDead()
+func (cs *casSession) streamLost(st *stream) {
 	cs.mu.Lock()
-	current := cs.ups != nil && cs.ups[region] == up
-	if current {
-		delete(cs.ups, region)
+	current := false
+	for region, up := range cs.ups {
+		if up == st {
+			delete(cs.ups, region)
+			current = true
+		}
 	}
 	cs.mu.Unlock()
 	if current {
-		_ = cs.client.nc.Close()
+		cs.r.hangUp(cs.client)
 	}
 }

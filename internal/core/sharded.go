@@ -338,13 +338,17 @@ func (s *ShardedServer) SubmitTask(t Task, now time.Time, sink DataSink) (TaskID
 	if i < 0 {
 		return "", fmt.Errorf("core: task area %s is outside every region", t.Area)
 	}
+	// The routing entry is in place before anyone can look the task up:
+	// the shard may dispatch the task's first request as soon as its own
+	// lock drops, and the upload answering it must find its shard. The
+	// shard's SubmitTask never calls back into this layer.
+	s.taskMu.Lock()
+	defer s.taskMu.Unlock()
 	id, err := s.shards[i].server.SubmitTask(t, now, sink)
 	if err != nil {
 		return "", err
 	}
-	s.taskMu.Lock()
 	s.taskHome[id] = i
-	s.taskMu.Unlock()
 	return id, nil
 }
 

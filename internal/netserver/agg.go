@@ -77,13 +77,13 @@ func (s *Server) pushAgg(c *conn, p agg.Push) {
 			oldest = w.End
 		}
 	}
-	c.notify(wire.TypeAggPush, out, false, func(err error) {
+	c.notify(wire.TypeAggPush, out, func(err error) {
 		if err != nil {
 			// Same policy as sensed-data delivery: a CAS whose socket cannot
 			// take a push is dead; closing it kicks serveCAS out of its read
 			// loop, which unsubscribes this connection.
 			s.log.Errorf("agg push %s: %v", out.Sub, err)
-			_ = c.nc.Close()
+			c.close()
 			return
 		}
 		if lag := s.clock.Now().Sub(oldest); lag > 0 {

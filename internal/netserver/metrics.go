@@ -30,9 +30,11 @@ type netMetrics struct {
 	connsDevice    *obs.Gauge
 	connsCAS       *obs.Gauge
 	connsNode      *obs.Gauge
+	connsRouter    *obs.Gauge
 	acceptedDevice *obs.Counter
 	acceptedCAS    *obs.Counter
 	acceptedNode   *obs.Counter
+	acceptedRouter *obs.Counter
 	casDisconnects *obs.Counter
 
 	// dispatchRetries counts schedules re-sent on a device's fresh
@@ -98,6 +100,10 @@ func newNetMetrics(reg *obs.Registry) *netMetrics {
 			"Open peer connections by role.", role("node")),
 		acceptedNode: reg.Counter("senseaid_net_connections_total",
 			"Accepted peer connections by role.", role("node")),
+		connsRouter: reg.Gauge("senseaid_net_connections",
+			"Open peer connections by role.", role("router")),
+		acceptedRouter: reg.Counter("senseaid_net_connections_total",
+			"Accepted peer connections by role.", role("router")),
 		casDisconnects: reg.Counter("senseaid_cas_disconnects_total",
 			"CAS connections lost with live tasks still registered.", nil),
 		dispatchRetries: reg.Counter("senseaid_dispatch_retries_total",
@@ -232,7 +238,7 @@ var knownTypes = map[wire.MsgType]bool{
 	wire.TypeDeleteTask: true, wire.TypeSensedData: true,
 	wire.TypeAttachDevice: true, wire.TypeNodeHello: true,
 	wire.TypeNodePing: true, wire.TypeSubscribeAgg: true,
-	wire.TypeAggPush: true,
+	wire.TypeAggPush: true, wire.TypeStreamClose: true,
 }
 
 // observeRPC records one handled message: latency into senseaid_rpc_seconds

@@ -9,10 +9,11 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
+	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"senseaid/internal/agg"
@@ -194,19 +195,21 @@ type Server struct {
 	// Entries live and die with taskCAS entries.
 	taskTrace map[core.TaskID]obs.TraceContext
 
-	// relayed is set once Enroll succeeds: every device and CAS session
-	// then arrives through the router, one process reading them all.
-	relayed atomic.Bool
-
 	wg      sync.WaitGroup
 	done    chan struct{}
 	closeMu sync.Once
 }
 
-// conn is one peer connection. Until the Hello exchange finishes it
-// writes raw v1 JSON frames under writeMu; once the codec is negotiated
-// all writes go through the coalescer, which serialises them and batches
+// conn is one peer session. Until the Hello exchange finishes it writes
+// raw v1 JSON frames under writeMu; once the codec is negotiated all
+// writes go through the coalescer, which serialises them and batches
 // pushes into shared syscalls.
+//
+// A session relayed by a router is a stream of the router's link
+// (link.go) instead of a socket of its own: stream is its id, its
+// frames arrive on inbox, fed by the link's reader, and leave through
+// the link's coalescer (co) tagged with the id; ended closes when the
+// stream does. nc is then the link's socket, and br is unused.
 type conn struct {
 	nc           net.Conn
 	br           *bufio.Reader
@@ -214,6 +217,12 @@ type conn struct {
 	co           *wire.Coalescer
 	writeTimeout time.Duration
 	writeMu      sync.Mutex
+
+	stream  uint64
+	inbox   chan wire.Envelope
+	ended   chan struct{}
+	endOnce sync.Once
+	idle    *time.Timer // the stream's idle deadline, reused across reads
 }
 
 // send writes one frame that the peer is waiting on (a response): it
@@ -224,7 +233,7 @@ func (c *conn) send(t wire.MsgType, seq uint64, payload interface{}) error {
 		return err
 	}
 	if c.co != nil {
-		return c.co.Send(env, true, nil)
+		return c.write(env, true, nil)
 	}
 	// Pre-negotiation: the Hello exchange is always v1 JSON framing.
 	c.writeMu.Lock()
@@ -236,18 +245,85 @@ func (c *conn) send(t wire.MsgType, seq uint64, payload interface{}) error {
 }
 
 // notify queues one server-initiated push. done fires exactly once with
-// the frame's outcome. A deferred push rides the coalescer's next shared
-// flush, and done runs on its flusher goroutine once the pushing
-// goroutine has yielded (wire.Coalescer); with now set the push is
-// written before notify returns, carrying whatever the connection has
-// buffered, and done runs inline.
-func (c *conn) notify(t wire.MsgType, payload interface{}, now bool, done func(error)) {
+// the frame's outcome. The push rides the coalescer's next shared flush
+// — the next response's, or the deferred flusher's once the pushing
+// goroutine has yielded (wire.Coalescer).
+func (c *conn) notify(t wire.MsgType, payload interface{}, done func(error)) {
 	env, err := c.codec.Encode(t, 0, payload)
 	if err != nil {
 		done(err)
 		return
 	}
-	_ = c.co.Send(env, now, done)
+	_ = c.write(env, false, done)
+}
+
+// write hands one encoded frame to the coalescer. A stream that has
+// ended refuses it without writing it.
+func (c *conn) write(env wire.Envelope, urgent bool, done func(error)) error {
+	if c.stream != 0 {
+		select {
+		case <-c.ended:
+			if done != nil {
+				done(wire.ErrClosed)
+			}
+			return wire.ErrClosed
+		default:
+		}
+		env = env.OnStream(c.stream)
+	}
+	return c.co.Send(env, urgent, done)
+}
+
+// read returns the session's next frame. A device session passes its
+// idle timeout: a read that waits longer fails with a timeout error
+// (isTimeout), on a socket by its read deadline and on a stream by a
+// timer, since a stream has no deadline of its own.
+func (c *conn) read(idle time.Duration) (wire.Envelope, error) {
+	if c.stream == 0 {
+		if idle > 0 {
+			_ = c.nc.SetReadDeadline(time.Now().Add(idle))
+		}
+		return c.codec.ReadFrame(c.br)
+	}
+	var expired <-chan time.Time
+	if idle > 0 {
+		if c.idle == nil {
+			c.idle = time.NewTimer(idle)
+		} else {
+			c.idle.Reset(idle)
+		}
+		expired = c.idle.C
+	}
+	select {
+	case env := <-c.inbox:
+		if expired != nil && !c.idle.Stop() {
+			// Fired as the frame arrived: drain it, or the next read's
+			// Reset would find a stale expiry waiting.
+			select {
+			case <-c.idle.C:
+			default:
+			}
+		}
+		return env, nil
+	case <-c.ended:
+		if expired != nil {
+			c.idle.Stop()
+		}
+		return wire.Envelope{}, io.EOF
+	case <-expired:
+		return wire.Envelope{}, os.ErrDeadlineExceeded
+	}
+}
+
+// close ends the session: a socket closes, which unblocks its read
+// loop; a stream ends, which does the same for its loop and tells the
+// router.
+func (c *conn) close() {
+	if c.stream == 0 {
+		_ = c.nc.Close()
+		return
+	}
+	c.endOnce.Do(func() { close(c.ended) })
 }
 
 func (c *conn) sendErr(seq uint64, err error) {
@@ -538,7 +614,7 @@ func (s *Server) acceptLoop() {
 		}
 		c := &conn{
 			nc:           nc,
-			br:           bufio.NewReaderSize(nc, 16<<10),
+			br:           wire.NewReader(nc, 16<<10),
 			codec:        wire.JSON,
 			writeTimeout: s.cfg.WriteTimeout,
 		}
@@ -643,7 +719,7 @@ func (s *Server) sendSchedule(c *conn, gen uint64, sched wire.Schedule, span obs
 	// The timeline stamps the push, not the callback: the flush outcome
 	// can arrive after the device has already uploaded.
 	pushedAt := s.clock.Now()
-	c.notify(wire.TypeSchedule, sched, false, func(err error) {
+	c.notify(wire.TypeSchedule, sched, func(err error) {
 		if err == nil {
 			span.Finish()
 			s.timeline.Note(taskID, "dispatched", devID, pushedAt)
@@ -653,7 +729,7 @@ func (s *Server) sendSchedule(c *conn, gen uint64, sched wire.Schedule, span obs
 		// coalescer already closed the conn, which unblocks its read loop
 		// so the stale device entry is reclaimed. Close again here for the
 		// paths that fail before the coalescer touches the socket.
-		_ = c.nc.Close()
+		c.close()
 		s.connMu.Lock()
 		cur, connected := s.devices[devID]
 		curGen := s.devGen[devID]
@@ -679,25 +755,20 @@ func (s *Server) sendSchedule(c *conn, gen uint64, sched wire.Schedule, span obs
 // signature matches core.Recover's sink factory.
 //
 // The core runs the sink inside ReceiveData, on the upload's handler,
-// before the handler writes the upload's ack. Behind a router the
-// reading is written there and then: the router reads this worker's
-// device and CAS sessions together, and Go's netpoller runs the
-// last-readied connection first, so the ack must be the later write for
-// the router to relay it first. A server that devices reach directly
-// defers the reading behind the ack instead, which reaches the device
-// one write sooner (DESIGN.md §13, "Delivery and ack order").
+// before the handler writes the upload's ack. The reading is deferred
+// like any push, so the ack, which the device is blocked on, flushes
+// it: on a socket of its own the ack leaves one write sooner, and on a
+// router link the reading and the ack leave in one write, reading first
+// (DESIGN.md §13, "Delivery and ack order").
 func (s *Server) casSink(core.TaskID) core.DataSink {
-	return func(tid core.TaskID, dev string, r sensors.Reading) {
-		s.deliverToCAS(tid, dev, r, s.relayed.Load())
-	}
+	return s.deliverToCAS
 }
 
-// deliverToCAS pushes one validated reading to the task's current owner,
-// written before it returns when now is set and otherwise deferred to
-// the connection's next shared flush. The core invokes sinks outside its
-// scheduling lock; the conn lookup takes connMu only for the map read,
-// and the send serialises on the conn's own write lock.
-func (s *Server) deliverToCAS(tid core.TaskID, dev string, r sensors.Reading, now bool) {
+// deliverToCAS pushes one validated reading to the task's current owner
+// on the connection's next shared flush. The core invokes sinks outside
+// its scheduling lock; the conn lookup takes connMu only for the map
+// read, and the send serialises in the conn's coalescer.
+func (s *Server) deliverToCAS(tid core.TaskID, dev string, r sensors.Reading) {
 	s.connMu.Lock()
 	c, ok := s.taskCAS[tid]
 	traceCtx := s.taskTrace[tid]
@@ -726,7 +797,7 @@ func (s *Server) deliverToCAS(tid core.TaskID, dev string, r sensors.Reading, no
 	c.notify(wire.TypeSensedData, wire.SensedData{
 		TaskID: string(tid), DeviceID: reported, Reading: r,
 		TraceID: spanCtx.Trace.String(), SpanID: spanCtx.Span.String(),
-	}, now, func(e error) {
+	}, func(e error) {
 		if e != nil {
 			s.log.Errorf("deliver to CAS for %s: %v", tid, e)
 			// CAS connections have no idle timeout, so a dead CAS is detected
@@ -734,7 +805,7 @@ func (s *Server) deliverToCAS(tid core.TaskID, dev string, r sensors.Reading, no
 			// unframeable anyway; closing it kicks serveCAS out of its read
 			// loop, which deletes the connection's tasks — no further
 			// dispatches burn device energy on data nobody will receive.
-			_ = c.nc.Close()
+			c.close()
 			span.FinishErr(e)
 			return
 		}
@@ -785,7 +856,14 @@ func (s *Server) serveConn(c *conn) {
 		return
 	}
 	negotiated := hello.Version
-	if negotiated > s.cfg.MaxWireVersion {
+	if hello.Role == wire.RoleRouter {
+		// A router link carries binary frames whatever clients may
+		// negotiate: its streams relay every client's payloads verbatim.
+		if negotiated != wire.ProtocolVersionBinary {
+			c.sendErr(env.Seq, fmt.Errorf("netserver: a router link speaks protocol version %d", wire.ProtocolVersionBinary))
+			return
+		}
+	} else if negotiated > s.cfg.MaxWireVersion {
 		negotiated = wire.ProtocolVersion
 	}
 	ack := wire.Ack{}
@@ -800,31 +878,53 @@ func (s *Server) serveConn(c *conn) {
 	// The ack was the last v1-framed write; everything after speaks the
 	// negotiated codec, batched through the coalescer.
 	c.codec, _ = wire.CodecForVersion(negotiated)
+	if hello.Role == wire.RoleRouter {
+		c.codec = wire.Link
+	}
 	c.co = wire.NewCoalescer(c.nc, c.codec, wire.CoalescerConfig{WriteTimeout: s.cfg.WriteTimeout})
 	defer c.co.Close()
 
 	switch hello.Role {
-	case wire.RoleDevice:
-		s.met.acceptedDevice.Inc()
-		s.met.connsDevice.Add(1)
-		s.log.Debugf("device connection from %s", c.nc.RemoteAddr())
-		s.serveDevice(c)
-		s.met.connsDevice.Add(-1)
-	case wire.RoleCAS:
-		s.met.acceptedCAS.Inc()
-		s.met.connsCAS.Add(1)
-		s.log.Debugf("CAS connection from %s", c.nc.RemoteAddr())
-		s.serveCAS(c)
-		s.met.connsCAS.Add(-1)
 	case wire.RoleNode:
 		s.met.acceptedNode.Inc()
 		s.met.connsNode.Add(1)
 		s.log.Debugf("node connection from %s", c.nc.RemoteAddr())
 		s.serveNode(c)
 		s.met.connsNode.Add(-1)
+	case wire.RoleRouter:
+		s.met.acceptedRouter.Inc()
+		s.met.connsRouter.Add(1)
+		s.log.Infof("router link from %s", c.nc.RemoteAddr())
+		s.serveLink(c)
+		s.met.connsRouter.Add(-1)
 	default:
-		c.sendErr(env.Seq, fmt.Errorf("netserver: unknown role %q", hello.Role))
+		if !s.serveSession(c, hello.Role) {
+			c.sendErr(env.Seq, fmt.Errorf("netserver: unknown role %q", hello.Role))
+		}
 	}
+}
+
+// serveSession runs one device or CAS session — a connection of its own
+// or a stream of a router link — to its end, counted under its role. It
+// reports false for any other role.
+func (s *Server) serveSession(c *conn, role wire.Role) bool {
+	switch role {
+	case wire.RoleDevice:
+		s.met.acceptedDevice.Inc()
+		s.met.connsDevice.Add(1)
+		s.log.Debugf("device session from %s", c.nc.RemoteAddr())
+		s.serveDevice(c)
+		s.met.connsDevice.Add(-1)
+	case wire.RoleCAS:
+		s.met.acceptedCAS.Inc()
+		s.met.connsCAS.Add(1)
+		s.log.Debugf("CAS session from %s", c.nc.RemoteAddr())
+		s.serveCAS(c)
+		s.met.connsCAS.Add(-1)
+	default:
+		return false
+	}
+	return true
 }
 
 // serveDevice handles a device connection's message loop. Each message is
@@ -844,13 +944,10 @@ func (s *Server) serveDevice(c *conn) {
 	}()
 	for {
 		// Device traffic is periodic by design (state reports every
-		// ReportPeriod), so a connection that goes silent past the idle
+		// ReportPeriod), so a session that goes silent past the idle
 		// timeout is a dead link whose TCP state never noticed — cut it
 		// loose so the fan-out map and the goroutine are reclaimed.
-		if s.cfg.IdleTimeout > 0 {
-			_ = c.nc.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		}
-		env, err := c.codec.ReadFrame(c.br)
+		env, err := c.read(s.cfg.IdleTimeout)
 		if err != nil {
 			if isTimeout(err) {
 				s.met.idleDisconnects.Inc()
@@ -1092,7 +1189,7 @@ func (s *Server) serveCAS(c *conn) {
 		}
 	}()
 	for {
-		env, err := c.codec.ReadFrame(c.br)
+		env, err := c.read(0)
 		if err != nil {
 			return
 		}

@@ -135,71 +135,6 @@ func TestEndToEndDataFlow(t *testing.T) {
 	}
 }
 
-// TestRelayedServerDeliversBeforeAck: behind a router a reading is
-// written to its CAS before the upload is acked, so by the time the
-// device holds its ack the delivery has already completed (its
-// "delivered" timeline event is noted once the write succeeds).
-func TestRelayedServerDeliversBeforeAck(t *testing.T) {
-	s := startServer(t)
-	s.relayed.Store(true)
-	app, err := cas.Dial(s.Addr())
-	if err != nil {
-		t.Fatalf("cas.Dial: %v", err)
-	}
-	defer func() { _ = app.Close() }()
-	if err := app.ReceiveSensedData(func(wire.SensedData) {}); err != nil {
-		t.Fatalf("ReceiveSensedData: %v", err)
-	}
-	dev, err := client.Dial(client.Config{
-		Addr:       s.Addr(),
-		DeviceID:   "relayed-1",
-		Position:   geo.CSDepartment,
-		BatteryPct: 90,
-		Sensors:    []sensors.Type{sensors.Barometer},
-	})
-	if err != nil {
-		t.Fatalf("client.Dial: %v", err)
-	}
-	t.Cleanup(func() { _ = dev.Close() })
-	if err := dev.Register(); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	taskID, err := app.Task(barometerSpec(1))
-	if err != nil {
-		t.Fatalf("Task: %v", err)
-	}
-	acked := make(chan int, 16) // "delivered" events seen once each ack returned
-	err = dev.StartSensing(func(sch wire.Schedule) {
-		go func() {
-			reading := sensors.Reading{Sensor: sch.Sensor, Value: 1013.25, Unit: "hPa", At: time.Now(), Where: geo.CSDepartment}
-			if err := dev.SendSenseData(sch.RequestID, reading); err != nil {
-				return
-			}
-			tl, _ := s.timeline.Get(taskID)
-			n := 0
-			for _, e := range tl.Events {
-				if e.Stage == "delivered" {
-					n++
-				}
-			}
-			acked <- n
-		}()
-	})
-	if err != nil {
-		t.Fatalf("StartSensing: %v", err)
-	}
-	for want := 1; want <= 3; want++ {
-		select {
-		case n := <-acked:
-			if n < want {
-				t.Fatalf("upload %d acked with %d deliveries noted: the ack went out before the reading", want, n)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("upload %d never acked", want)
-		}
-	}
-}
-
 func TestUnsatisfiableTaskWaits(t *testing.T) {
 	s := startServer(t)
 	autoDevice(t, s.Addr(), "lonely")

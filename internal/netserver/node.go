@@ -246,8 +246,8 @@ func (t *NodeTrunk) Close() error {
 // server must be running exactly one region (Config.Regions of length
 // one): the region's name is what prefixes its task IDs, which is the
 // grammar the router routes by. advertise is the address the router
-// dials for client sessions — the server's own listen address when
-// empty.
+// dials its link to, which carries the region's client sessions — the
+// server's own listen address when empty.
 func (s *Server) Enroll(routerAddr, nodeID, advertise string) (*NodeTrunk, error) {
 	if len(s.cfg.Regions) != 1 {
 		return nil, fmt.Errorf("netserver: enrollment requires exactly one region, have %d", len(s.cfg.Regions))
@@ -256,7 +256,7 @@ func (s *Server) Enroll(routerAddr, nodeID, advertise string) (*NodeTrunk, error
 		advertise = s.Addr()
 	}
 	r := s.cfg.Regions[0]
-	t, err := DialTrunk(TrunkConfig{
+	return DialTrunk(TrunkConfig{
 		RouterAddr: routerAddr,
 		Hello: wire.NodeHello{
 			NodeID:   nodeID,
@@ -270,10 +270,6 @@ func (s *Server) Enroll(routerAddr, nodeID, advertise string) (*NodeTrunk, error
 		Handle: s.handleNodeRequest,
 		Logger: s.log,
 	})
-	if err == nil {
-		s.relayed.Store(true)
-	}
-	return t, err
 }
 
 // handleNodeRequest serves the router's re-homing RPCs against this

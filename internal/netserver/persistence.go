@@ -161,10 +161,10 @@ func (p *persister) ship(t wire.MsgType, payload interface{}) {
 	p.replMu.Unlock()
 	for _, c := range links {
 		cc := c
-		cc.notify(t, payload, false, func(err error) {
+		cc.notify(t, payload, func(err error) {
 			if err != nil {
 				p.srv.met.replShipErrors.Inc()
-				_ = cc.nc.Close()
+				cc.close()
 			}
 		})
 	}

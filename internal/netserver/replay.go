@@ -71,6 +71,6 @@ func (s *Server) replayBuffered(tid core.TaskID) {
 	s.replayMu.Unlock()
 	for _, e := range buf {
 		s.met.deliveriesReplayed.Inc()
-		s.deliverToCAS(tid, e.dev, e.r, false)
+		s.deliverToCAS(tid, e.dev, e.r)
 	}
 }

@@ -61,6 +61,8 @@ const (
 	// Live-aggregation subscription channel (PR 9).
 	binSubscribeAgg
 	binAggPush
+	// Router↔worker link streams.
+	binStreamClose
 )
 
 var typeToCode = map[MsgType]byte{
@@ -89,6 +91,8 @@ var typeToCode = map[MsgType]byte{
 
 	TypeSubscribeAgg: binSubscribeAgg,
 	TypeAggPush:      binAggPush,
+
+	TypeStreamClose: binStreamClose,
 }
 
 var codeToType = func() map[byte]MsgType {

@@ -15,6 +15,9 @@ import "encoding/json"
 //	worker  --enroll-->  router   one trunk per worker; the router issues
 //	                              node RPCs (ping, export/import, promote)
 //	                              down it and the worker replies.
+//	router  --link-->    worker   one link per enrolled primary, carrying
+//	                              every relayed device and CAS session as
+//	                              a numbered stream (see Link).
 //	standby --attach-->  primary  the primary ships its snapshot, then
 //	                              streams journal records as they append.
 
@@ -22,6 +25,10 @@ import "encoding/json"
 // router, or a standby attaching to a primary for replication) in the
 // Hello exchange.
 const RoleNode Role = "node"
+
+// RoleRouter identifies a router's link to a worker in the Hello
+// exchange. A link always speaks the binary codec and frames with Link.
+const RoleRouter Role = "router"
 
 // Node-to-node message types.
 const (
@@ -53,6 +60,9 @@ const (
 	// TypeJournalShip streams one journal record to a standby as the
 	// primary appends it.
 	TypeJournalShip MsgType = "journal_ship"
+	// TypeStreamClose ends one stream of a link, from either side. It
+	// carries no payload; the stream id says which.
+	TypeStreamClose MsgType = "stream_close"
 )
 
 // Node roles in a NodeHello.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 	"time"
@@ -138,6 +139,55 @@ func FuzzReadFrameBinary(f *testing.F) {
 		out := newOut(samplePayloads()[got.Type])
 		if out != nil && len(got.Payload) > 0 {
 			_ = Decode(got, out)
+		}
+	})
+}
+
+// FuzzReadLinkFrame throws arbitrary bytes at the router↔worker link
+// framing: a stream id prefix in front of a v2 binary frame. Hostile or
+// missing stream ids, a prefix cut short and frames on unknown streams
+// must error or parse, never panic — and LinkFrameBuffered must agree
+// with ReadFrame about whether a whole frame is there.
+func FuzzReadLinkFrame(f *testing.F) {
+	frame := func(stream uint64, t MsgType, seq uint64, payload interface{}) []byte {
+		env, err := Binary.Encode(t, seq, payload)
+		if err != nil {
+			f.Fatal(err)
+		}
+		b, err := Link.AppendFrame(nil, env.OnStream(stream))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	valid := frame(3, TypeStateReport, 9, StateReport{BatteryPct: 50})
+	f.Add(valid)
+	f.Add(valid[:1]) // stream id only
+	f.Add(valid[:3]) // truncated inner frame
+	f.Add(frame(1, TypeHello, 0, Hello{Role: RoleDevice, Version: ProtocolVersionBinary}))
+	f.Add(frame(1<<40, TypeStreamClose, 0, nil))                                    // close for a stream nobody opened
+	f.Add(frame(^uint64(0), TypeAck, 1, Ack{Ref: "x"}))                             // largest stream id
+	f.Add(append([]byte{0}, valid[1:]...))                                          // stream 0
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}) // overlong stream id
+	f.Add([]byte{0x80})                                                             // stream id cut mid-varint
+	f.Add(append(append([]byte{}, valid...), valid...))                             // two frames back to back
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br := bufio.NewReaderSize(bytes.NewReader(data), 64)
+		_, _ = br.Peek(len(data)) // buffer what fits, as a socket read would
+		whole := LinkFrameBuffered(br)
+		got, err := Link.ReadFrame(br)
+		if err != nil {
+			return
+		}
+		if got.Stream() == 0 {
+			t.Fatal("parsed a link frame on stream 0")
+		}
+		if got.Type == "" {
+			t.Fatal("decoded envelope without a type")
+		}
+		if !whole && len(data) <= 64 {
+			t.Fatal("LinkFrameBuffered said no whole frame, but one parsed from the buffer alone")
 		}
 	})
 }

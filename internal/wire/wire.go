@@ -74,6 +74,19 @@ type Envelope struct {
 	// encoding rather than JSON. Envelopes remember how they were
 	// encoded so Decode works regardless of which codec framed them.
 	binPayload bool
+	// stream is the link stream the frame travels on (see Link); 0 for
+	// a frame on a connection of its own.
+	stream uint64
+}
+
+// Stream names the link stream the envelope was read from or is bound
+// for; 0 off a link.
+func (e Envelope) Stream() uint64 { return e.stream }
+
+// OnStream returns the envelope bound for stream id of a link.
+func (e Envelope) OnStream(id uint64) Envelope {
+	e.stream = id
+	return e
 }
 
 // BinaryPayload reports whether the envelope's payload is in the v2
