@@ -24,8 +24,19 @@ go test -run '^$' -bench . -benchtime 1x ./...
 # Order-dependence and shared-state check on the packages the selection
 # pass, the journal path and the transport (codec, coalescer, tracer,
 # server, router) live in: race detector with the test order shuffled.
-go test -race -shuffle=on ./internal/core/... ./internal/geo/... ./internal/persist/... \
-    ./internal/wire/... ./internal/obs/... ./internal/netserver/... ./internal/cluster/...
+# Its full output (-v: the shuffle seed, every test and every race
+# report) goes to a file that a failing run keeps, printing the file's
+# path and its tail, so a rare failure leaves its evidence behind.
+race_log=$(mktemp "${TMPDIR:-/tmp}/senseaid-race-shuffle.XXXXXX")
+if ! go test -race -shuffle=on -v ./internal/core/... ./internal/geo/... ./internal/persist/... \
+    ./internal/wire/... ./internal/obs/... ./internal/netserver/... ./internal/cluster/... \
+    > "$race_log" 2>&1; then
+    echo "ci: the -race -shuffle=on run failed; its full output is in $race_log" >&2
+    grep -E '^(--- FAIL|FAIL|panic:|WARNING: DATA RACE|-test.shuffle)' "$race_log" >&2 || true
+    tail -n 80 "$race_log" >&2
+    exit 1
+fi
+rm -f "$race_log"
 # The end-to-end trace over real sockets, fifty times: a dispatch span
 # whose flush callback lands after the delivery completed the trace must
 # join the retained record, not corrupt the ring.

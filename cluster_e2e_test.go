@@ -183,15 +183,16 @@ func TestClusterFailoverEndToEnd(t *testing.T) {
 		return false
 	})
 
-	// kill -9 the primary mid-campaign: no drain, no goodbye on the trunk.
+	// kill -9 the primary mid-campaign: no drain, no goodbye on its link.
 	killAt := time.Now()
 	if err := primary.Process.Kill(); err != nil {
 		t.Fatalf("kill primary: %v", err)
 	}
 	_, _ = primary.Process.Wait()
 
-	// The router notices the dead trunk and promotes; the standby boots a
-	// full server on its replicated state and enrolls as west's primary.
+	// The router notices the dead link and promotes the standby over the
+	// standby's own link's control stream; the standby boots a full
+	// server on its replicated state and enrolls as west's primary.
 	waitForLine(t, standbyOut, "promoted: taking over region west", 15*time.Second)
 	waitForLine(t, standbyOut, "enrolled with router", 15*time.Second)
 
@@ -410,11 +411,9 @@ func TestRecordClusterBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = worker.Close() }()
-	trunk, err := worker.Enroll(r.Addr(), "west-1", "")
-	if err != nil {
+	if err := worker.Enroll(r.Addr(), "west-1"); err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = trunk.Close() }()
 	routedLat := measureDeliveryPath(t, r.Addr(), window)
 
 	commit, tree := gitStamp()

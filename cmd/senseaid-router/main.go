@@ -10,9 +10,11 @@
 //	                [-ping-interval duration] [-ping-timeout duration]
 //	                [-v] [-vv]
 //
-// The router keeps one link to each enrolled primary and carries every
-// session it relays to that worker as a stream of the link; frames read
-// off a link in one pass reach each client in one write.
+// Each enrolled node's connection is its link: the router dials nothing.
+// Stream 0 of a link carries the router's health checks and promotions,
+// and every session the router relays to a primary is another stream of
+// it; frames read off a link in one pass reach each client in one
+// write.
 // -coalesce-interval is deprecated and ignored (accepted so old command
 // lines still parse).
 //
@@ -20,7 +22,7 @@
 // routed by position to the enrolled region containing them, task
 // submissions by their area's center, and task updates/deletes by the
 // region prefix their task ID carries. When a region's primary dies
-// (trunk EOF or a failed health check), the router promotes that
+// (link EOF or a failed health check), the router promotes that
 // region's standby, which boots on its replicated state and re-enrolls.
 // The router itself holds no campaign state and can restart freely.
 package main
@@ -48,7 +50,7 @@ func main() {
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:7118", "listen address (nodes, devices, and CAS all dial here)")
 	metricsAddr := flag.String("metrics-addr", "", "admin HTTP address serving /metrics and /healthz (empty disables)")
-	pingInterval := flag.Duration("ping-interval", time.Second, "how often to health-check each enrolled node's trunk")
+	pingInterval := flag.Duration("ping-interval", time.Second, "how often to health-check each enrolled node's link")
 	pingTimeout := flag.Duration("ping-timeout", 2*time.Second, "a health check slower than this fails the node")
 	_ = flag.Duration("coalesce-interval", 0, "deprecated and ignored: relayed frames are written as soon as the link's reader has read all it can")
 	verbose := flag.Bool("v", false, "log lifecycle events to stderr")

@@ -10,8 +10,7 @@
 //	          [-codec binary|json] [-rpc-workers n]
 //	          [-agg-window duration] [-agg-retention n]
 //	          [-regions name@lat,lon,radiusM]... [-pprof]
-//	          [-enroll host:port] [-node-id name] [-advertise host:port]
-//	          [-standby-of host:port]
+//	          [-enroll host:port] [-node-id name] [-standby-of host:port]
 //	          [-trace-sample rate] [-trace-slow duration] [-v] [-vv]
 //
 // -codec caps the wire encoding the server will negotiate: "binary"
@@ -58,13 +57,14 @@
 // their area, and per-shard series (shard="name") on /metrics.
 //
 // With -enroll (and exactly one -regions), the server joins a
-// senseaid-router as that region's primary: devices and CASes dial the
-// router, which relays their sessions here over one link. -node-id
-// names the node, -advertise overrides the address the router dials its
-// link to. With -standby-of, the server instead runs as the region's
-// warm standby: it replicates the named primary's snapshots and journal
-// into its own -state-dir and, when the router promotes it, boots a
-// full server on the replicated state and enrolls as the new primary.
+// senseaid-router as that region's primary: it dials the router, and
+// that one connection is its link, over which the router relays the
+// sessions of the devices and CASes that dial it. -node-id names the
+// node. With -standby-of, the server instead runs as the region's warm
+// standby: it replicates the named primary's snapshots and journal into
+// its own -state-dir, enrolls with the router over a link of its own
+// and, when the router promotes it over that link, boots a full server
+// on the replicated state and enrolls as the new primary.
 package main
 
 import (
@@ -148,7 +148,6 @@ func run() error {
 	flag.Var(&regions, "regions", "edge region as name@lat,lon,radiusM (repeatable; two or more shard the deployment)")
 	enroll := flag.String("enroll", "", "router address to enroll this node with (requires exactly one -regions)")
 	nodeID := flag.String("node-id", "", "cluster node name (default <region>-primary or <region>-standby)")
-	advertise := flag.String("advertise", "", "address the router should dial its link to, which carries the region's client sessions (default the bound listen address)")
 	standbyOf := flag.String("standby-of", "", "run as a warm standby replicating from this primary's address; promotes to a full server when the router says so (requires -state-dir and one -regions)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the admin endpoint")
 	traceSample := flag.Float64("trace-sample", 1, "fraction of task traces retained in /traces (0 disables sampling; errors and slow ops are always kept)")
@@ -234,7 +233,6 @@ func run() error {
 			RouterAddr:  *enroll,
 			NodeID:      id,
 			Region:      regions[0],
-			Advertise:   *advertise,
 			StateDir:    *stateDir,
 			Logger:      obs.NewLogger(logger, level),
 		})
@@ -296,12 +294,10 @@ func run() error {
 		if id == "" {
 			id = regions[0].Name + "-primary"
 		}
-		trunk, err := srv.Enroll(*enroll, id, *advertise)
-		if err != nil {
+		if err := srv.Enroll(*enroll, id); err != nil {
 			_ = srv.Close()
 			return err
 		}
-		defer func() { _ = trunk.Close() }()
 		fmt.Printf("enrolled with router %s as %s (region %s)\n", *enroll, id, regions[0].Name)
 	}
 

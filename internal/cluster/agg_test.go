@@ -25,11 +25,9 @@ func startAggWorker(t *testing.T, r *Router, region core.Region, nodeID string) 
 		t.Fatalf("netserver.Listen(%s): %v", region.Name, err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-	trunk, err := s.Enroll(r.Addr(), nodeID, "")
-	if err != nil {
+	if err := s.Enroll(r.Addr(), nodeID); err != nil {
 		t.Fatalf("Enroll(%s): %v", nodeID, err)
 	}
-	t.Cleanup(func() { _ = trunk.Close() })
 	return s
 }
 

@@ -17,11 +17,12 @@ import (
 func pipeLink(t *testing.T, r *Router, readers *sync.WaitGroup, received *int64) *link {
 	t.Helper()
 	c1, c2 := net.Pipe()
-	l, err := r.startLink(c1, bufio.NewReader(c1))
-	if err != nil {
-		t.Fatalf("startLink: %v", err)
-	}
-	readers.Add(1)
+	l := r.newLink(c1, bufio.NewReader(c1))
+	readers.Add(2)
+	go func() {
+		defer readers.Done()
+		l.readLoop()
+	}()
 	go func() {
 		defer readers.Done()
 		defer c2.Close()

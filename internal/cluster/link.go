@@ -18,22 +18,24 @@ const linkReadBuf = 64 << 10
 
 // internalSeqBase partitions a stream's sequence space. Client frames
 // use small client-assigned sequence numbers; requests the router itself
-// injects into a stream (attach_device after a re-home, the fan-out of
-// an unscoped subscription) use sequences at or above this base, so the
-// link's reader can tell a reply to the client from a reply to the
-// router without inspecting payloads.
+// injects into a stream (a re-home's export and import, the fan-out of
+// an unscoped subscription, the control stream's ping and promote) use
+// sequences at or above this base, so the link's reader can tell a reply
+// to the client from a reply to the router without inspecting payloads.
 const internalSeqBase = uint64(1) << 62
 
-// link is the router's one connection to a region primary (DESIGN.md
-// §14). Every device and CAS session relayed to that worker is a
-// numbered stream on it: client frames go up through the link's one
-// coalescer, and one reader hands the worker's frames to the sessions
+// link is the router's one connection to an enrolled node, which the
+// node dialled (DESIGN.md §14). Stream 0 is control (ctrl): the router's
+// ping and promote. Every device and CAS session relayed to the node is
+// another numbered stream on it: client frames go up through the link's
+// one coalescer, and one reader hands the node's frames to the sessions
 // by stream id.
 type link struct {
-	r  *Router
-	nc net.Conn
-	br *bufio.Reader
-	co *wire.Coalescer
+	r    *Router
+	nc   net.Conn
+	br   *bufio.Reader
+	co   *wire.Coalescer
+	ctrl *stream // stream 0; it has no client and no owner
 
 	// openMu orders stream opens: a worker takes a hello only on an id
 	// above every id it has seen, so hellos must reach the link in id
@@ -68,59 +70,9 @@ type streamOwner interface {
 	streamLost(st *stream)
 }
 
-// dialLink opens a link to a worker: a v1 hello naming the router role,
-// which the worker always grants the binary codec, then link frames.
-func (r *Router) dialLink(addr string) (*link, error) {
-	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: dial worker %s: %w", addr, err)
-	}
-	if r.wrap != nil {
-		nc = r.wrap(nc)
-	}
-	fail := func(err error) (*link, error) {
-		_ = nc.Close()
-		return nil, err
-	}
-	_ = nc.SetDeadline(time.Now().Add(r.cfg.HandshakeTimeout))
-	hello, err := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: wire.RoleRouter, Version: wire.ProtocolVersionBinary})
-	if err != nil {
-		return fail(err)
-	}
-	if err := wire.WriteFrame(nc, hello); err != nil {
-		return fail(err)
-	}
-	br := wire.NewReader(nc, linkReadBuf)
-	env, err := wire.ReadFrame(br)
-	if err != nil {
-		return fail(err)
-	}
-	if env.Type == wire.TypeError {
-		var e wire.Error
-		_ = wire.Decode(env, &e)
-		return fail(fmt.Errorf("cluster: worker %s refused the link: %s", addr, e.Message))
-	}
-	var ack wire.Ack
-	if err := wire.Decode(env, &ack); err != nil {
-		return fail(err)
-	}
-	if ack.Version != wire.ProtocolVersionBinary {
-		return fail(fmt.Errorf("cluster: worker %s granted a link version %d", addr, ack.Version))
-	}
-	_ = nc.SetDeadline(time.Time{})
-	l, err := r.startLink(nc, br)
-	if err != nil {
-		return fail(err)
-	}
-	r.log.Infof("link to %s open", addr)
-	return l, nil
-}
-
-// startLink runs a link over a connection whose hello is done.
-func (r *Router) startLink(nc net.Conn, br *bufio.Reader) (*link, error) {
-	if !r.track(nc) {
-		return nil, wire.ErrClosed
-	}
+// newLink makes a link of a node's connection, once its hello is done.
+// The caller runs its readLoop.
+func (r *Router) newLink(nc net.Conn, br *bufio.Reader) *link {
 	l := &link{
 		r:       r,
 		nc:      nc,
@@ -128,13 +80,8 @@ func (r *Router) startLink(nc net.Conn, br *bufio.Reader) (*link, error) {
 		co:      wire.NewCoalescer(nc, wire.Link, wire.CoalescerConfig{WriteTimeout: r.cfg.WriteTimeout}),
 		streams: make(map[uint64]*stream),
 	}
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		defer r.untrack(nc)
-		l.readLoop()
-	}()
-	return l, nil
+	l.ctrl = &stream{l: l, gone: make(chan struct{})}
+	return l
 }
 
 // readLoop hands the worker's frames to their streams until the link
@@ -158,18 +105,29 @@ func (l *link) readLoop() {
 		}
 		replies, pushes = replies[:0], pushes[:0]
 	}
+read:
 	for {
 		env, err := wire.Link.ReadFrame(l.br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				l.r.log.Errorf("link to %s: %v; closing it", l.nc.RemoteAddr(), err)
+				l.r.log.Errorf("link from %s: %v; closing it", l.nc.RemoteAddr(), err)
 			}
 			break
 		}
-		l.mu.Lock()
-		st := l.streams[env.Stream()]
-		l.mu.Unlock()
+		st := l.ctrl
+		if id := env.Stream(); id != 0 {
+			l.mu.Lock()
+			st = l.streams[id]
+			l.mu.Unlock()
+		}
 		switch {
+		case st == l.ctrl:
+			if env.Seq < internalSeqBase {
+				// A node originates nothing after its node_hello.
+				l.r.log.Errorf("link from %s: %s on the control stream; closing it", l.nc.RemoteAddr(), env.Type)
+				break read
+			}
+			st.deliver(env)
 		case st == nil:
 			// A stream the router already closed: its last frames, and the
 			// worker's answering stream_close, have nowhere to go.
@@ -208,16 +166,26 @@ func (l *link) close() {
 	l.mu.Unlock()
 	_ = l.nc.Close()
 	l.co.Close()
+	l.ctrl.end()
 	for _, st := range streams {
 		st.lost()
 	}
 }
 
-// isDead reports whether the link has closed.
-func (l *link) isDead() bool {
+// shed ends every session on a link whose node another enrollment has
+// replaced as its region's primary: the worker is told, and each client
+// is closed, so it redials into the successor. The link itself stays up
+// — closing it would make the displaced node redial and enroll again,
+// displacing its successor in turn.
+func (l *link) shed() {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dead
+	streams := l.streams
+	l.streams = make(map[uint64]*stream)
+	l.mu.Unlock()
+	for _, st := range streams {
+		st.close()
+		st.owner.streamLost(st)
+	}
 }
 
 // open starts a stream for one client session. Its hello rides the

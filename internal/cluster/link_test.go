@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ import (
 )
 
 // startRouterWrapped is startRouter with a connection wrapper on every
-// accepted connection and every dialed link.
+// accepted connection, the nodes' links included.
 func startRouterWrapped(t *testing.T, wrap func(net.Conn) net.Conn) *Router {
 	t.Helper()
 	r, err := listen(Config{Addr: "127.0.0.1:0", WriteTimeout: 2 * time.Second}, wrap)
@@ -46,11 +47,9 @@ func startWorkerCfg(t *testing.T, r *Router, cfg netserver.Config, nodeID string
 		t.Fatalf("netserver.Listen: %v", err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-	trunk, err := s.Enroll(r.Addr(), nodeID, "")
-	if err != nil {
+	if err := s.Enroll(r.Addr(), nodeID); err != nil {
 		t.Fatalf("Enroll(%s): %v", nodeID, err)
 	}
-	t.Cleanup(func() { _ = trunk.Close() })
 	return s
 }
 
@@ -94,8 +93,6 @@ func metric(t *testing.T, s *netserver.Server, name, labels string) float64 {
 // wireTap records, in one global order, every write the router makes to
 // its clients and every read it makes off its links.
 type wireTap struct {
-	workers map[string]bool // listen addresses: a conn to one is a link
-
 	mu     sync.Mutex
 	events []tapEvent
 }
@@ -107,12 +104,18 @@ type tapEvent struct {
 
 type tapConn struct {
 	net.Conn
-	tap  *wireTap
-	link bool
+	tap *wireTap
+	// link is settled by the connection's first read, its hello: a node
+	// dialled it. The router writes nothing before that read.
+	read, link bool
 }
 
 func (c *tapConn) Read(b []byte) (int, error) {
 	n, err := c.Conn.Read(b)
+	if n > 0 && !c.read {
+		c.read = true
+		c.link = bytes.Contains(b[:n], []byte(`"role":"node"`))
+	}
 	if n > 0 && c.link {
 		c.tap.record(c, b[:n])
 	}
@@ -133,10 +136,7 @@ func (tp *wireTap) record(c *tapConn, b []byte) {
 }
 
 func (tp *wireTap) wrap(nc net.Conn) net.Conn {
-	tp.mu.Lock()
-	link := tp.workers[nc.RemoteAddr().String()]
-	tp.mu.Unlock()
-	return &tapConn{Conn: nc, tap: tp, link: link}
+	return &tapConn{Conn: nc, tap: tp}
 }
 
 // tapFrame is one frame as the tap saw it: its place in the recorded
@@ -147,8 +147,8 @@ type tapFrame struct {
 	env        wire.Envelope
 }
 
-// frames parses what the tap recorded: link reads as the link hello's
-// v1 ack then link frames, client writes as binary frames (the hello
+// frames parses what the tap recorded: link reads as the node's v1
+// hello then link frames, client writes as binary frames (the hello
 // acks the router writes before any client frame are v1).
 func (tp *wireTap) frames(t *testing.T) []tapFrame {
 	t.Helper()
@@ -201,12 +201,9 @@ func (tp *wireTap) frames(t *testing.T) []tapFrame {
 func TestLinkOrdersReadingAndAck(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-	tp := &wireTap{workers: map[string]bool{}}
+	tp := &wireTap{}
 	r := startRouterWrapped(t, tp.wrap)
-	w := startWorker(t, r, westRegion, "west-1", "")
-	tp.mu.Lock()
-	tp.workers[w.Addr()] = true
-	tp.mu.Unlock()
+	startWorker(t, r, westRegion, "west-1", "")
 
 	app, err := cas.DialCodec(r.Addr(), "binary")
 	if err != nil {
@@ -341,15 +338,11 @@ func TestLinkIdleStreamClosedAndCounted(t *testing.T) {
 func TestLinkStalledClientDoesNotStallOthers(t *testing.T) {
 	const bound = 500 * time.Millisecond // the router's write timeout is 2 s
 	var mu sync.Mutex
-	var routerAddr string // set once the router listens; a dialed link never matches it
 	accepted := 0
 	stallAt := -1
 	r := startRouterWrapped(t, func(nc net.Conn) net.Conn {
 		mu.Lock()
 		defer mu.Unlock()
-		if nc.LocalAddr().String() != routerAddr {
-			return nc
-		}
 		accepted++
 		if accepted-1 == stallAt {
 			// Its hello ack (two writes) and its register ack go through;
@@ -358,9 +351,6 @@ func TestLinkStalledClientDoesNotStallOthers(t *testing.T) {
 		}
 		return nc
 	})
-	mu.Lock()
-	routerAddr = r.Addr()
-	mu.Unlock()
 	startWorker(t, r, westRegion, "west-1", "")
 	mu.Lock()
 	stallAt = accepted // the next accepted connection is the stalled device
@@ -413,98 +403,128 @@ func TestLinkStalledClientDoesNotStallOthers(t *testing.T) {
 	}
 }
 
-// TestLinkGarbageClosesLinkAndClients: a link frame the router cannot
-// parse is a fault of the whole link: the router closes it, and with it
-// every client session it carried.
-func TestLinkGarbageClosesLinkAndClients(t *testing.T) {
-	r := startRouter(t)
-	// A fake worker: it enrolls over a real trunk, accepts the link,
-	// answers the first register, then writes garbage.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// fakeNode enrolls with the router by hand as west's primary and
+// returns its end of the link, the node_hello acknowledged.
+func fakeNode(t *testing.T, r *Router, nodeID string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	nc, err := net.Dial("tcp", r.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = ln.Close() })
-	trunk, err := netserver.DialTrunk(netserver.TrunkConfig{
-		RouterAddr: r.Addr(),
-		Hello: wire.NodeHello{
-			NodeID: "fake-1", Region: westRegion.Name, NodeRole: wire.NodeRolePrimary,
-			Lat: westCenter.Lat, Lon: westCenter.Lon, RadiusM: westRegion.Area.RadiusM,
-			Addr: ln.Addr().String(),
-		},
-	})
-	if err != nil {
+	t.Cleanup(func() { _ = nc.Close() })
+	hello, _ := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: wire.RoleNode, Version: wire.ProtocolVersionBinary})
+	if err := wire.WriteFrame(nc, hello); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = trunk.Close() })
-	registered := make(chan struct{}, 8)
-	sendGarbage := make(chan struct{})
-	go func() {
-		nc, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer nc.Close()
-		br := bufio.NewReader(nc)
-		if _, err := wire.ReadFrame(br); err != nil { // the link hello
-			return
-		}
-		ack, _ := wire.Encode(wire.TypeAck, 1, wire.Ack{Version: wire.ProtocolVersionBinary})
-		if err := wire.WriteFrame(nc, ack); err != nil {
-			return
-		}
-		go func() {
-			<-sendGarbage
-			_, _ = nc.Write([]byte{0x05, 0x00, 0xFF, 0xFF, 0xFF})
-		}()
-		for {
-			env, err := wire.Link.ReadFrame(br)
-			if err != nil {
-				return
-			}
-			if env.Type == wire.TypeRegister {
-				reply, _ := wire.Binary.Encode(wire.TypeAck, env.Seq, wire.Ack{})
-				b, _ := wire.Link.AppendFrame(nil, reply.OnStream(env.Stream()))
-				if _, err := nc.Write(b); err != nil {
-					return
-				}
-				registered <- struct{}{}
-			}
-		}
-	}()
-
-	var devs []*client.Client
-	for i := 0; i < 3; i++ {
-		devs = append(devs, binaryDevice(t, r.Addr(), fmt.Sprintf("victim-%d", i), westCenter))
-		<-registered
+	br := bufio.NewReader(nc)
+	if _, err := wire.ReadFrame(br); err != nil { // the hello's ack
+		t.Fatal(err)
 	}
-	close(sendGarbage)
-	for i, d := range devs {
-		select {
-		case <-d.Done():
-		case <-time.After(5 * time.Second):
-			t.Fatalf("client %d survived its link's protocol fault", i)
-		}
-	}
-	waitFor(t, 5*time.Second, "device sessions to drain", func() bool {
-		return r.met.sessDevice.Value() == 0
+	nh, _ := wire.Link.Encode(wire.TypeNodeHello, 1, wire.NodeHello{
+		NodeID: nodeID, Region: westRegion.Name, NodeRole: wire.NodeRolePrimary,
+		Lat: westCenter.Lat, Lon: westCenter.Lon, RadiusM: westRegion.Area.RadiusM,
 	})
+	if err := wire.Link.WriteFrame(nc, nh); err != nil {
+		t.Fatal(err)
+	}
+	if env, err := wire.Link.ReadFrame(br); err != nil || env.Type != wire.TypeAck {
+		t.Fatalf("enrollment answered %s (%v)", env.Type, err)
+	}
+	return nc, br
 }
 
-// TestOneLinkPerWorkerNoLeaks: 64 devices and one CAS through the router,
-// some re-homed across the two workers, then all disconnected. Each
-// worker accepted exactly one router connection (not one per session),
-// its device and CAS session gauges return to zero, and so does the
-// router's goroutine count to its baseline.
+// TestLinkGarbageClosesLinkAndClients: a link frame the router cannot
+// parse, or a request a node sends on the control stream, is a fault of
+// the whole link: the router closes it, and with it every client session
+// it carried, and drops the node.
+func TestLinkGarbageClosesLinkAndClients(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		garbage func() []byte
+	}{
+		{"unparsable", func() []byte { return []byte{0x05, 0x00, 0xFF, 0xFF, 0xFF} }},
+		{"control_request", func() []byte {
+			env, _ := wire.Binary.Encode(wire.TypeSubmitTask, 1, wire.TaskSpec{})
+			b, _ := wire.Link.AppendFrame(nil, env)
+			return b
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := startRouter(t)
+			// A fake worker: it enrolls, answers each register, then writes
+			// the garbage.
+			nc, br := fakeNode(t, r, "fake-1")
+			registered := make(chan struct{}, 8)
+			sendGarbage := make(chan struct{})
+			go func() {
+				<-sendGarbage
+				_, _ = nc.Write(tc.garbage())
+			}()
+			go func() {
+				for {
+					env, err := wire.Link.ReadFrame(br)
+					if err != nil {
+						return
+					}
+					if env.Type == wire.TypeRegister {
+						reply, _ := wire.Binary.Encode(wire.TypeAck, env.Seq, wire.Ack{})
+						b, _ := wire.Link.AppendFrame(nil, reply.OnStream(env.Stream()))
+						if _, err := nc.Write(b); err != nil {
+							return
+						}
+						registered <- struct{}{}
+					}
+				}
+			}()
+
+			var devs []*client.Client
+			for i := 0; i < 3; i++ {
+				devs = append(devs, binaryDevice(t, r.Addr(), fmt.Sprintf("victim-%d", i), westCenter))
+				<-registered
+			}
+			close(sendGarbage)
+			for i, d := range devs {
+				select {
+				case <-d.Done():
+				case <-time.After(5 * time.Second):
+					t.Fatalf("client %d survived its link's protocol fault", i)
+				}
+			}
+			waitFor(t, 5*time.Second, "device sessions to drain and the node to drop", func() bool {
+				return r.met.sessDevice.Value() == 0 && r.reg.nodeCount() == 0
+			})
+		})
+	}
+}
+
+// TestOneLinkPerWorkerNoLeaks: 64 devices and one CAS through the
+// router, some re-homed across the two workers, then all disconnected.
+// Between the router and each worker there is exactly one TCP
+// connection in total, counted on both ends: each worker opened one link
+// and its listener accepted nothing (the router dials no one), and the
+// router accepted one connection per client plus one per worker. The
+// session gauges return to zero, and so does the router's goroutine
+// count to its baseline.
 func TestOneLinkPerWorkerNoLeaks(t *testing.T) {
-	r := startRouter(t)
-	west := startWorker(t, r, westRegion, "west-1", "")
-	east := startWorker(t, r, eastRegion, "east-1", "")
+	var accepted atomic.Int64 // every connection the router accepted
+	r := startRouterWrapped(t, func(nc net.Conn) net.Conn {
+		accepted.Add(1)
+		return nc
+	})
+	var workerAccepts atomic.Int64 // every connection either worker's listener accepted
+	countAccepts := func(nc net.Conn) net.Conn {
+		workerAccepts.Add(1)
+		return nc
+	}
+	west := startWorkerCfg(t, r, netserver.Config{Regions: []core.Region{westRegion}, WrapConn: countAccepts}, "west-1")
+	east := startWorkerCfg(t, r, netserver.Config{Regions: []core.Region{eastRegion}, WrapConn: countAccepts}, "east-1")
+	clients := 0
 
 	// Warm one session through each worker, so the baseline counts the
-	// links (which outlive their sessions) and nothing else.
+	// links' own goroutines and nothing else.
 	for _, pos := range []geo.Point{westCenter, eastCenter} {
 		c := binaryDevice(t, r.Addr(), "warm", pos)
+		clients++
 		_ = c.Close()
 	}
 	gauge := func(s *netserver.Server, role string) float64 {
@@ -523,6 +543,7 @@ func TestOneLinkPerWorkerNoLeaks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clients++
 	if _, err := app.Task(regionSpec(westCenter, 1, time.Second)); err != nil {
 		t.Fatal(err)
 	}
@@ -536,6 +557,7 @@ func TestOneLinkPerWorkerNoLeaks(t *testing.T) {
 			pos = eastCenter
 		}
 		devs = append(devs, binaryDevice(t, r.Addr(), fmt.Sprintf("fleet-%d", i), pos))
+		clients++
 	}
 	if gauge(west, "device")+gauge(east, "device") != 64 {
 		t.Fatalf("worker device sessions %v + %v, want 64", gauge(west, "device"), gauge(east, "device"))
@@ -549,8 +571,14 @@ func TestOneLinkPerWorkerNoLeaks(t *testing.T) {
 
 	for _, s := range []*netserver.Server{west, east} {
 		if n := metric(t, s, "senseaid_net_connections_total", `{role="router"}`); n != 1 {
-			t.Fatalf("a worker accepted %v router connections, want exactly 1", n)
+			t.Fatalf("a worker opened %v router links, want exactly 1", n)
 		}
+	}
+	if n := workerAccepts.Load(); n != 0 {
+		t.Fatalf("the workers' listeners accepted %d connections; the router must dial none", n)
+	}
+	if got, want := accepted.Load(), int64(clients+2); got != want {
+		t.Fatalf("the router accepted %d connections for %d clients and 2 workers, want %d", got, clients, want)
 	}
 	_ = app.Close()
 	for _, d := range devs {
@@ -568,11 +596,11 @@ func TestOneLinkPerWorkerNoLeaks(t *testing.T) {
 	}
 }
 
-// TestTrunkRedialKeepsLinkAndSessions: a worker whose trunk drops while
-// it keeps running re-enrolls at the same address and takes its link
-// over, so the sessions on it carry on — a trunk blip is not a worker
-// death.
-func TestTrunkRedialKeepsLinkAndSessions(t *testing.T) {
+// TestLinkDeathClosesClientsAndWorkerReenrolls: a worker's enrollment
+// connection is its only one, so when it dies every client relayed over
+// it is closed and the worker is dropped; the worker dials again and
+// re-enrolls, and a device that redials is served over the new link.
+func TestLinkDeathClosesClientsAndWorkerReenrolls(t *testing.T) {
 	r := startRouter(t)
 	w := startWorker(t, r, westRegion, "west-1", "")
 	dev := binaryDevice(t, r.Addr(), "steady-1", westCenter)
@@ -581,22 +609,55 @@ func TestTrunkRedialKeepsLinkAndSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old.trunk.close()
+	old.link.close()
+	select {
+	case <-dev.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("a client outlived the link it was relayed over")
+	}
 	waitFor(t, 5*time.Second, "the worker to re-enroll", func() bool {
 		n, err := r.reg.primaryForRegion(westRegion.Name)
 		return err == nil && n != old
 	})
-	if err := dev.ReportState(westCenter, 80, time.Now()); err != nil {
-		t.Fatalf("report after the trunk redial: %v", err)
+	again := binaryDevice(t, r.Addr(), "steady-1", westCenter)
+	if err := again.ReportState(westCenter, 80, time.Now()); err != nil {
+		t.Fatalf("report after the worker re-enrolled: %v", err)
 	}
+	if n := metric(t, w, "senseaid_net_connections_total", `{role="router"}`); n != 2 {
+		t.Fatalf("the worker opened %v router links, want 2: the first and its redial", n)
+	}
+	waitGauge := func() bool { return metric(t, w, "senseaid_net_connections", `{role="device"}`) == 1 }
+	waitFor(t, 5*time.Second, "one device session on the worker", waitGauge)
+}
+
+// TestReplacedPrimaryShedsSessionsKeepsLink: a second primary enrolling
+// for a region replaces the first. The first one's clients are closed,
+// so they redial into the successor, but its link stays up: closed, it
+// would redial and enroll again, and the two would displace each other
+// for as long as both run.
+func TestReplacedPrimaryShedsSessionsKeepsLink(t *testing.T) {
+	r := startRouter(t)
+	first := startWorker(t, r, westRegion, "west-1", "")
+	dev := binaryDevice(t, r.Addr(), "shed-1", westCenter)
+	startWorker(t, r, westRegion, "west-2", "")
 	select {
 	case <-dev.Done():
-		t.Fatal("the device was disconnected by a trunk redial")
-	default:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a client of the replaced primary was kept")
 	}
-	// A session opened after the redial rides the same link.
-	_ = binaryDevice(t, r.Addr(), "newcomer-1", westCenter)
-	if n := metric(t, w, "senseaid_net_connections_total", `{role="router"}`); n != 1 {
-		t.Fatalf("the worker accepted %v router links, want the one it had", n)
+	again := binaryDevice(t, r.Addr(), "shed-1", westCenter)
+	if err := again.ReportState(westCenter, 80, time.Now()); err != nil {
+		t.Fatalf("report through the successor: %v", err)
 	}
+	time.Sleep(600 * time.Millisecond) // past the first redial a closed link would make
+	n, err := r.reg.primaryForRegion(westRegion.Name)
+	if err != nil || n.id != "west-2" {
+		t.Fatalf("west's primary is %v (%v), want west-2", n, err)
+	}
+	if got := metric(t, first, "senseaid_net_connections_total", `{role="router"}`); got != 1 {
+		t.Fatalf("the replaced primary opened %v router links, want the 1 it kept", got)
+	}
+	waitFor(t, 5*time.Second, "the replaced primary's session to end", func() bool {
+		return metric(t, first, "senseaid_net_connections", `{role="device"}`) == 0
+	})
 }

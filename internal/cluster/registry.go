@@ -19,42 +19,12 @@ import (
 )
 
 // nodeEntry is one enrolled node as the registry sees it: the identity
-// and coverage it announced, the trunk to reach it on and, for a
-// primary, the link its client sessions ride (dialed on first use).
+// it announced and the link it enrolled over, which carries its control
+// stream and, for a primary, every client session routed to it.
 type nodeEntry struct {
-	id    string
-	role  string // wire.NodeRolePrimary or NodeRoleStandby
-	addr  string // the address the link dials
-	trunk *trunk
-
-	linkMu  sync.Mutex
-	link    *link
-	retired bool // no longer its region's primary: dial no link for it
-}
-
-// retire is called once n stops being its region's primary. A successor
-// at the same address — the same worker enrolling again after its trunk
-// dropped — inherits the link and every session on it; otherwise the
-// link closes, and its clients with it, so they redial into whatever
-// now serves the region.
-func (n *nodeEntry) retire(next *nodeEntry) {
-	n.linkMu.Lock()
-	l := n.link
-	n.link, n.retired = nil, true
-	n.linkMu.Unlock()
-	if l == nil {
-		return
-	}
-	if next != nil && next.addr == n.addr {
-		next.linkMu.Lock()
-		if next.link == nil {
-			next.link, l = l, nil
-		}
-		next.linkMu.Unlock()
-	}
-	if l != nil {
-		l.close()
-	}
+	id   string
+	role string // wire.NodeRolePrimary or NodeRoleStandby
+	link *link
 }
 
 // regionEntry is one region's control-plane state: its coverage area
@@ -64,9 +34,6 @@ type regionEntry struct {
 	area    geo.Circle
 	primary *nodeEntry
 	standby *nodeEntry
-	// orphan is a primary whose trunk died with no standby to promote:
-	// its link stays up in case the same worker enrolls again.
-	orphan *nodeEntry
 }
 
 // registry maps regions to nodes. Enrollment is last-writer-wins per
@@ -84,16 +51,19 @@ func newRegistry() *registry {
 
 // enroll records one NodeHello. The announced area updates the region's
 // coverage (primary wins over standby on disagreement). A new primary
-// returns the entry it replaces, for the caller to retire.
-func (g *registry) enroll(h wire.NodeHello, t *trunk) (n, replaced *nodeEntry, err error) {
+// returns the entry it replaces, whose sessions the caller sheds.
+func (g *registry) enroll(h wire.NodeHello, l *link) (replaced *nodeEntry, err error) {
 	if h.Region == "" || h.NodeID == "" {
-		return nil, nil, fmt.Errorf("cluster: enrollment needs a node id and a region")
+		return nil, fmt.Errorf("cluster: enrollment needs a node id and a region")
 	}
 	area := geo.Circle{Center: geo.Point{Lat: h.Lat, Lon: h.Lon}, RadiusM: h.RadiusM}
 	if !area.Center.Valid() || area.RadiusM <= 0 {
-		return nil, nil, fmt.Errorf("cluster: enrollment for %s has no coverage area", h.Region)
+		return nil, fmt.Errorf("cluster: enrollment for %s has no coverage area", h.Region)
 	}
-	n = &nodeEntry{id: h.NodeID, role: h.NodeRole, addr: h.Addr, trunk: t}
+	if h.NodeRole != wire.NodeRolePrimary && h.NodeRole != wire.NodeRoleStandby {
+		return nil, fmt.Errorf("cluster: unknown node role %q", h.NodeRole)
+	}
+	n := &nodeEntry{id: h.NodeID, role: h.NodeRole, link: l}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	re, ok := g.regions[h.Region]
@@ -101,52 +71,37 @@ func (g *registry) enroll(h wire.NodeHello, t *trunk) (n, replaced *nodeEntry, e
 		re = &regionEntry{name: h.Region}
 		g.regions[h.Region] = re
 	}
-	switch h.NodeRole {
-	case wire.NodeRolePrimary:
-		if h.Addr == "" {
-			return nil, nil, fmt.Errorf("cluster: a primary must advertise a session address")
-		}
+	if h.NodeRole == wire.NodeRolePrimary {
 		replaced = re.primary
-		if replaced == nil {
-			replaced = re.orphan
-		}
-		re.primary, re.orphan = n, nil
+		re.primary = n
 		re.area = area
-	case wire.NodeRoleStandby:
-		re.standby = n
-		if re.primary == nil {
-			re.area = area
-		}
-	default:
-		return nil, nil, fmt.Errorf("cluster: unknown node role %q", h.NodeRole)
+		return replaced, nil
 	}
-	return n, replaced, nil
+	re.standby = n
+	if re.primary == nil {
+		re.area = area
+	}
+	return nil, nil
 }
 
-// drop removes whatever entries a dead trunk owned. It returns, per
-// region, the standby to promote when the trunk was that region's
-// primary and a standby is enrolled — and then also the dropped
-// primary, for the caller to retire: its region is moving. Without a
-// standby the primary is kept as the region's orphan, for a re-enrolling
-// worker at the same address to take its link over.
-func (g *registry) drop(t *trunk) (promote []promotion, retired []*nodeEntry) {
+// drop removes whatever entries a dead link owned. It returns, per
+// region, the standby to promote when the link was that region's
+// primary and a standby is enrolled.
+func (g *registry) drop(l *link) (promote []promotion) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for name, re := range g.regions {
-		if re.primary != nil && re.primary.trunk == t {
+		if re.primary != nil && re.primary.link == l {
 			if re.standby != nil {
 				promote = append(promote, promotion{region: name, standby: re.standby})
-				retired = append(retired, re.primary)
-			} else {
-				re.orphan = re.primary
 			}
 			re.primary = nil
 		}
-		if re.standby != nil && re.standby.trunk == t {
+		if re.standby != nil && re.standby.link == l {
 			re.standby = nil
 		}
 	}
-	return promote, retired
+	return promote
 }
 
 // promotion pairs a region with the standby taking it over.

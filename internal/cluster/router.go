@@ -16,19 +16,20 @@ import (
 type Config struct {
 	// Addr is the TCP listen address clients and nodes dial.
 	Addr string
-	// MaxWireVersion caps the codec granted to client connections (node
-	// trunks always get binary). 0 means binary.
+	// MaxWireVersion caps the codec granted to client connections (a
+	// node's link always gets binary). 0 means binary.
 	MaxWireVersion int
 	// HandshakeTimeout bounds the hello exchange. Default 10s.
 	HandshakeTimeout time.Duration
 	// WriteTimeout bounds every frame write. Default 5s.
 	WriteTimeout time.Duration
-	// CallTimeout bounds one trunk RPC (export, import, promote).
-	// Default 10s.
+	// CallTimeout bounds one router-originated request on a link
+	// (export, import, promote, a fanned-out subscription). Default 10s.
 	CallTimeout time.Duration
-	// PingInterval paces trunk health checks; PingTimeout fails one.
+	// PingInterval paces the health checks on each node's link (on its
+	// control stream); PingTimeout fails one, which closes the link.
 	// Defaults 1s / 2s. A SIGKILLed node usually announces itself faster
-	// through TCP (EOF on the trunk), so the ping is the backstop for
+	// through TCP (EOF on the link), so the ping is the backstop for
 	// silent deaths (cable pulls, frozen processes).
 	PingInterval, PingTimeout time.Duration
 	// Logger receives operational messages; nil discards them.
@@ -75,7 +76,7 @@ func newRouterMetrics(reg *obs.Registry) *routerMetrics {
 		swapRetries: reg.Counter("senseaid_router_swap_retries_total",
 			"Client frames re-sent on a session's fresh stream after a send raced a re-home or promotion swap.", nil),
 		pingFailures: reg.Counter("senseaid_router_ping_failures_total",
-			"Trunk health checks that failed or timed out.", nil),
+			"Node link health checks that failed or timed out.", nil),
 		noRoute: reg.Counter("senseaid_router_unroutable_total",
 			"Client requests refused because no enrolled region could serve them.", nil),
 	}
@@ -89,8 +90,8 @@ type Router struct {
 	met *routerMetrics
 	reg *registry
 
-	// wrap, when set, wraps every accepted connection and every dialed
-	// link (fault injection in tests).
+	// wrap, when set, wraps every accepted connection (fault injection
+	// in tests).
 	wrap func(net.Conn) net.Conn
 
 	connMu sync.Mutex
@@ -229,8 +230,9 @@ func (r *Router) untrack(nc net.Conn) {
 }
 
 // serveConn terminates one inbound connection: hello, codec
-// negotiation (the same rules as the worker's listener), then a role
-// switch into trunk serving or session relaying.
+// negotiation (the same rules as the worker's listener, except that a
+// node's link is always binary), then a role switch into serving a
+// node's link or relaying a client session.
 func (r *Router) serveConn(nc net.Conn) {
 	if r.cfg.HandshakeTimeout > 0 {
 		_ = nc.SetReadDeadline(time.Now().Add(r.cfg.HandshakeTimeout))
@@ -253,7 +255,11 @@ func (r *Router) serveConn(nc net.Conn) {
 		return
 	}
 	negotiated := hello.Version
-	if negotiated > r.cfg.MaxWireVersion {
+	switch {
+	case hello.Role == wire.RoleNode && negotiated != wire.ProtocolVersionBinary:
+		r.sendRawErr(nc, env.Seq, fmt.Errorf("cluster: a node link speaks protocol version %d", wire.ProtocolVersionBinary))
+		return
+	case hello.Role != wire.RoleNode && negotiated > r.cfg.MaxWireVersion:
 		negotiated = wire.ProtocolVersion
 	}
 	ack := wire.Ack{}
@@ -269,13 +275,17 @@ func (r *Router) serveConn(nc net.Conn) {
 		return
 	}
 	_ = nc.SetWriteDeadline(time.Time{})
+	if hello.Role == wire.RoleNode {
+		if br.Buffered() == 0 { // a node waits for the ack before its node_hello
+			r.serveNode(nc)
+		}
+		return
+	}
 	codec, _ := wire.CodecForVersion(negotiated)
 	sc := r.newSconn(nc, br, codec)
 	defer sc.co.Close()
 
 	switch hello.Role {
-	case wire.RoleNode:
-		r.serveTrunk(sc)
 	case wire.RoleDevice:
 		r.met.sessDevice.Add(1)
 		r.serveDeviceSession(sc)
@@ -299,51 +309,54 @@ func (r *Router) sendRawErr(nc net.Conn, seq uint64, err error) {
 	_ = wire.WriteFrame(nc, env)
 }
 
-// serveTrunk enrolls one node and serves its trunk until the
-// connection dies, then runs any promotions its death triggers.
-func (r *Router) serveTrunk(sc *sconn) {
-	env, err := sc.codec.ReadFrame(sc.br)
+// serveNode enrolls one node over the connection it dialled and serves
+// that connection as the node's link until it dies: every client on it
+// is then closed, the node is dropped and, if it was a primary with a
+// standby enrolled, the standby is promoted.
+func (r *Router) serveNode(nc net.Conn) {
+	l := r.newLink(nc, wire.NewReader(nc, linkReadBuf))
+	defer l.close()
+	_ = nc.SetReadDeadline(time.Now().Add(r.cfg.HandshakeTimeout))
+	env, err := wire.Link.ReadFrame(l.br)
 	if err != nil {
 		return
 	}
-	if env.Type != wire.TypeNodeHello {
-		sc.sendErr(env.Seq, fmt.Errorf("cluster: expected node_hello, got %s", env.Type))
-		return
-	}
+	_ = nc.SetReadDeadline(time.Time{})
 	var nh wire.NodeHello
-	if err := wire.Decode(env, &nh); err != nil {
-		sc.sendErr(env.Seq, err)
-		return
+	if env.Stream() != 0 || env.Type != wire.TypeNodeHello {
+		err = fmt.Errorf("cluster: expected node_hello on stream 0, got %s on stream %d", env.Type, env.Stream())
+	} else {
+		err = wire.Decode(env, &nh)
 	}
-	t := newTrunk(sc, nh)
-	n, replaced, err := r.reg.enroll(nh, t)
+	// The node reads the ack first: a client the registry routes here
+	// can open a stream only once the ack is written.
+	l.openMu.Lock()
+	var replaced *nodeEntry
+	if err == nil {
+		replaced, err = r.reg.enroll(nh, l)
+	}
 	if err != nil {
-		sc.sendErr(env.Seq, err)
+		_ = l.co.Send(mustEncode(wire.Link, wire.TypeError, env.Seq, wire.Error{Message: err.Error()}), true, nil)
+		l.openMu.Unlock()
 		return
 	}
+	_ = l.co.Send(mustEncode(wire.Link, wire.TypeAck, env.Seq, wire.Ack{Ref: nh.NodeID}), true, nil)
+	l.openMu.Unlock()
 	if replaced != nil {
-		replaced.retire(n)
+		replaced.link.shed()
 	}
 	r.met.nodes.Set(float64(r.reg.nodeCount()))
-	if err := sc.send(mustEncode(sc.codec, wire.TypeAck, env.Seq, wire.Ack{Ref: nh.NodeID}), true); err != nil {
-		return
-	}
-	r.log.Infof("node %s enrolled: region %s, role %s, addr %s",
-		nh.NodeID, nh.Region, nh.NodeRole, nh.Addr)
+	r.log.Infof("node %s enrolled from %s: region %s, role %s", nh.NodeID, nc.RemoteAddr(), nh.Region, nh.NodeRole)
 
 	pingDone := make(chan struct{})
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
-		r.pingTrunk(t, pingDone)
+		r.ping(l, nh.NodeID, pingDone)
 	}()
-
-	t.readLoop()
+	l.readLoop()
 	close(pingDone)
-	promotions, retired := r.reg.drop(t)
-	for _, n := range retired {
-		n.retire(nil)
-	}
+	promotions := r.reg.drop(l)
 	r.met.nodes.Set(float64(r.reg.nodeCount()))
 	r.log.Infof("node %s (region %s, role %s) lost", nh.NodeID, nh.Region, nh.NodeRole)
 	for _, p := range promotions {
@@ -351,10 +364,10 @@ func (r *Router) serveTrunk(sc *sconn) {
 	}
 }
 
-// pingTrunk health-checks one trunk until it dies. A failed or
-// timed-out ping closes the trunk's connection, which unblocks its
-// readLoop and triggers the same drop/promote path as an EOF.
-func (r *Router) pingTrunk(t *trunk, stop <-chan struct{}) {
+// ping health-checks one node's link until it dies. A failed or
+// timed-out ping closes the link, which ends its reader and triggers the
+// same drop/promote path as an EOF.
+func (r *Router) ping(l *link, nodeID string, stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:
@@ -363,15 +376,15 @@ func (r *Router) pingTrunk(t *trunk, stop <-chan struct{}) {
 			return
 		case <-time.After(r.cfg.PingInterval):
 		}
-		if _, err := t.call(wire.TypeNodePing, struct{}{}, r.cfg.PingTimeout); err != nil {
+		if _, err := l.ctrl.call(wire.TypeNodePing, struct{}{}, r.cfg.PingTimeout); err != nil {
 			select {
 			case <-stop:
 				return
 			default:
 			}
 			r.met.pingFailures.Inc()
-			r.log.Errorf("node %s failed health check: %v", t.hello.NodeID, err)
-			t.close()
+			r.log.Errorf("node %s failed health check: %v", nodeID, err)
+			l.close()
 			return
 		}
 	}
@@ -384,31 +397,9 @@ func (r *Router) pingTrunk(t *trunk, stop <-chan struct{}) {
 func (r *Router) promote(p promotion) {
 	r.met.promotions.Inc()
 	r.log.Infof("region %s: promoting standby %s", p.region, p.standby.id)
-	if _, err := p.standby.trunk.call(wire.TypePromote, wire.Promote{Region: p.region}, r.cfg.CallTimeout); err != nil {
+	if _, err := p.standby.link.ctrl.call(wire.TypePromote, wire.Promote{Region: p.region}, r.cfg.CallTimeout); err != nil {
 		r.log.Errorf("promote %s: %v", p.standby.id, err)
 	}
-}
-
-// openStream opens a stream for one client session on the node's link,
-// dialing the link on first use (or after the last one died) — once per
-// worker, not once per session.
-func (r *Router) openStream(n *nodeEntry, owner streamOwner, client *sconn, role wire.Role) (*stream, error) {
-	n.linkMu.Lock()
-	l := n.link
-	if l == nil || l.isDead() {
-		if n.retired {
-			n.linkMu.Unlock()
-			return nil, fmt.Errorf("cluster: node %s no longer serves its region", n.id)
-		}
-		var err error
-		if l, err = r.dialLink(n.addr); err != nil {
-			n.linkMu.Unlock()
-			return nil, err
-		}
-		n.link = l
-	}
-	n.linkMu.Unlock()
-	return l.open(owner, client, role)
 }
 
 // hangUp closes a client connection once what is queued for it has been

@@ -50,11 +50,9 @@ func startWorker(t *testing.T, r *Router, region core.Region, nodeID, stateDir s
 		t.Fatalf("netserver.Listen(%s): %v", region.Name, err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
-	trunk, err := s.Enroll(r.Addr(), nodeID, "")
-	if err != nil {
+	if err := s.Enroll(r.Addr(), nodeID); err != nil {
 		t.Fatalf("Enroll(%s): %v", nodeID, err)
 	}
-	t.Cleanup(func() { _ = trunk.Close() })
 	return s
 }
 
@@ -274,8 +272,7 @@ func TestRouterPromotesStandbyAndStateSurvives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trunk, err := primary.Enroll(r.Addr(), "west-1", "")
-	if err != nil {
+	if err := primary.Enroll(r.Addr(), "west-1"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -318,9 +315,7 @@ func TestRouterPromotesStandbyAndStateSurvives(t *testing.T) {
 		return false
 	})
 
-	// The primary dies (trunk first, as one process death would drop
-	// both at once).
-	_ = trunk.Close()
+	// The primary dies, and its link with it.
 	_ = primary.Close()
 
 	select {

@@ -80,7 +80,6 @@ var payloadProto = map[wire.MsgType]func() interface{}{
 	wire.TypeUpdateTask:   func() interface{} { return &wire.UpdateTask{} },
 	wire.TypeDeleteTask:   func() interface{} { return &wire.DeleteTask{} },
 	wire.TypeSensedData:   func() interface{} { return &wire.SensedData{} },
-	wire.TypeAttachDevice: func() interface{} { return &wire.AttachDevice{} },
 	wire.TypeSubscribeAgg: func() interface{} { return &wire.SubscribeAgg{} },
 	wire.TypeAggPush:      func() interface{} { return &wire.AggPush{} },
 }
@@ -140,6 +139,8 @@ func (r *Router) serveDeviceSession(client *sconn) {
 			if err := ds.handleStateReport(env); err != nil {
 				client.sendErr(env.Seq, err)
 			}
+		case wire.TypeExportDevice, wire.TypeImportDevice:
+			client.sendErr(env.Seq, fmt.Errorf("cluster: %s is the router's own request", env.Type))
 		default:
 			if err := ds.forward(env); err != nil {
 				client.sendErr(env.Seq, err)
@@ -169,7 +170,7 @@ func (ds *deviceSession) handleRegister(env wire.Envelope) error {
 		return ds.forward(env)
 	}
 	ds.mu.Unlock()
-	st, err := ds.r.openStream(node, ds, ds.client, wire.RoleDevice)
+	st, err := node.link.open(ds, ds.client, wire.RoleDevice)
 	if err != nil {
 		return err
 	}
@@ -182,7 +183,7 @@ func (ds *deviceSession) handleRegister(env wire.Envelope) error {
 	if old != nil {
 		old.close()
 	}
-	ds.r.log.Debugf("device %s routed to region %s (%s)", reg.DeviceID, region, node.addr)
+	ds.r.log.Debugf("device %s routed to region %s (%s)", reg.DeviceID, region, node.id)
 	return ds.forward(env)
 }
 
@@ -257,11 +258,13 @@ func (ds *deviceSession) streamLost(st *stream) {
 }
 
 // rehome moves the device's server-side state to the target region's
-// primary and swings the session over to a stream there. Ordering
-// (DESIGN.md §14): export (which also unbinds the device on the old
-// node) → import on the new node → swap the stream → attach_device to
-// bind the new node's session. If the import fails the exported record
-// is restored to the old node and the session stays put.
+// primary and swings the session over to a stream there (DESIGN.md
+// §14). The export rides the device's current stream, so the old node
+// runs it after every frame the device sent before it, and it unbinds
+// that stream. The import is the first request on a new stream at the
+// target, and binds that one. Then the session swaps streams. If the
+// import fails, the record is imported back on the old stream, which
+// binds it again, and the session stays put.
 //
 // The triggering report is folded into the record between export and
 // import, exactly as the in-process crossing does: the new node homes
@@ -276,15 +279,12 @@ func (ds *deviceSession) rehome(target string, sr wire.StateReport) error {
 	if deviceID == "" || oldUp == nil {
 		return fmt.Errorf("cluster: no registered device to re-home")
 	}
-	oldNode, err := ds.r.reg.primaryForRegion(source)
-	if err != nil {
-		return err
-	}
 	newNode, err := ds.r.reg.primaryForRegion(target)
 	if err != nil {
 		return err
 	}
-	resp, err := oldNode.trunk.call(wire.TypeExportDevice, wire.ExportDevice{DeviceID: deviceID}, ds.r.cfg.CallTimeout)
+	timeout := ds.r.cfg.CallTimeout
+	resp, err := oldUp.call(wire.TypeExportDevice, wire.ExportDevice{DeviceID: deviceID}, timeout)
 	if err != nil {
 		return fmt.Errorf("export from %s: %w", source, err)
 	}
@@ -303,20 +303,19 @@ func (ds *deviceSession) rehome(target string, sr wire.StateReport) error {
 	if err != nil {
 		return err
 	}
-	if _, err := newNode.trunk.call(wire.TypeImportDevice, wire.ImportDevice{Device: moved}, ds.r.cfg.CallTimeout); err != nil {
+	up, err := newNode.link.open(ds, ds.client, wire.RoleDevice)
+	if err == nil {
+		if _, err = up.call(wire.TypeImportDevice, wire.ImportDevice{Device: moved}, timeout); err != nil {
+			up.close()
+		}
+	}
+	if err != nil {
 		// Put the record back where it came from; the device keeps
 		// working in its old region.
-		if _, rbErr := oldNode.trunk.call(wire.TypeImportDevice, wire.ImportDevice{Device: ex.Device}, ds.r.cfg.CallTimeout); rbErr != nil {
+		if _, rbErr := oldUp.call(wire.TypeImportDevice, wire.ImportDevice{Device: ex.Device}, timeout); rbErr != nil {
 			ds.r.log.Errorf("re-home rollback for %s failed: %v", deviceID, rbErr)
 		}
 		return fmt.Errorf("import into %s: %w", target, err)
-	}
-	up, err := ds.r.openStream(newNode, ds, ds.client, wire.RoleDevice)
-	if err != nil {
-		// State has moved; the session cannot follow. Drop the client so
-		// its daemon redials and registers against the new region.
-		ds.r.hangUp(ds.client)
-		return fmt.Errorf("open a stream in %s: %w", target, err)
 	}
 	// Swap before closing the old stream, so frames the client sends from
 	// now on go to the new node (forward retries one that raced the swap).
@@ -325,9 +324,11 @@ func (ds *deviceSession) rehome(target string, sr wire.StateReport) error {
 	ds.region = target
 	ds.mu.Unlock()
 	oldUp.close()
-	if _, err := up.call(wire.TypeAttachDevice, wire.AttachDevice{DeviceID: deviceID}, ds.r.cfg.CallTimeout); err != nil {
+	select {
+	case <-up.gone:
+		// Lost before the swap, so streamLost took it for a stale stream.
 		ds.r.hangUp(ds.client)
-		return fmt.Errorf("attach on %s: %w", target, err)
+	default:
 	}
 	ds.r.met.rehomes.Inc()
 	ds.r.log.Infof("device %s re-homed %s → %s", deviceID, source, target)
@@ -491,9 +492,9 @@ func (cs *casSession) streamFor(region string, node *nodeEntry) (*stream, error)
 	if ok {
 		return up, nil
 	}
-	// Opened outside the lock: the first stream to a worker dials its
-	// link, and the link's reader takes this lock in streamLost.
-	up, err := cs.r.openStream(node, cs, cs.client, wire.RoleCAS)
+	// Opened outside the lock, which the link's reader takes in
+	// streamLost.
+	up, err := node.link.open(cs, cs.client, wire.RoleCAS)
 	if err != nil {
 		return nil, err
 	}

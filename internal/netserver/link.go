@@ -2,6 +2,7 @@ package netserver
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -15,14 +16,15 @@ import (
 // a burst while a handler waits for the RPC pool, at ~2 KiB per stream.
 const streamInbox = 32
 
-// link is this worker's end of a router's multiplexed connection
-// (DESIGN.md §14): every stream on it is one relayed device or CAS
-// session, run by the same serveDevice/serveCAS loop as a session on a
-// socket of its own, and every stream writes through the link's one
-// coalescer, so a tick's schedules to many devices, or a reading and
-// the ack that follows it, leave in one write.
+// link is this node's end of its enrollment connection to the router
+// (DESIGN.md §14). Stream 0 carries the router's control requests; every
+// other stream is one relayed device or CAS session, run by the same
+// serveDevice/serveCAS loop as a session on a socket of its own, and
+// every stream writes through the link's one coalescer, so a tick's
+// schedules to many devices, or a reading and the ack that follows it,
+// leave in one write.
 type link struct {
-	s *Server
+	e *enrollment
 	c *conn // the socket
 
 	mu      sync.Mutex
@@ -30,22 +32,32 @@ type link struct {
 	last    uint64 // the highest stream id opened; the router never reuses one
 }
 
-// serveLink reads a router link until it dies, handing each frame to
-// its stream. The reader never waits on a session: a stream whose inbox
-// is full has that one frame shed. A frame the link codec cannot parse
-// is a fault of the whole link; closing it ends every stream on it.
-func (s *Server) serveLink(c *conn) {
-	l := &link{s: s, c: c, streams: make(map[uint64]*conn)}
+// serveLink reads the router's link until it dies, handing each frame
+// to its stream. The reader never waits on a session: a stream whose
+// inbox is full has that one frame shed. A frame the link codec cannot
+// parse is a fault of the whole link; closing it ends every stream on
+// it.
+func (e *enrollment) serveLink(c *conn) {
+	if s := e.s; s != nil {
+		s.met.acceptedRouter.Inc()
+		s.met.connsRouter.Add(1)
+		defer s.met.connsRouter.Add(-1)
+	}
+	l := &link{e: e, c: c, streams: make(map[uint64]*conn)}
 	defer l.closeAll()
 	for {
 		env, err := c.codec.ReadFrame(c.br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				s.log.Errorf("router link from %s: %v; closing it", c.nc.RemoteAddr(), err)
+				e.log.Errorf("router link to %s: %v; closing it", c.nc.RemoteAddr(), err)
 			}
 			return
 		}
 		id := env.Stream()
+		if id == 0 {
+			l.control(env)
+			continue
+		}
 		l.mu.Lock()
 		st := l.streams[id]
 		fresh := st == nil && id > l.last
@@ -69,14 +81,38 @@ func (s *Server) serveLink(c *conn) {
 	}
 }
 
-// open starts the session a stream's hello names.
+// control answers one request on stream 0: a ping, or a standby's
+// promote. Anything else is answered with an error under its sequence
+// number; the link stays up.
+func (l *link) control(env wire.Envelope) {
+	var err error
+	switch {
+	case env.Type == wire.TypeNodePing:
+	case env.Type == wire.TypePromote && l.e.promote != nil:
+		var pr wire.Promote
+		if err = wire.Decode(env, &pr); err == nil {
+			err = l.e.promote(pr)
+		}
+	default:
+		err = fmt.Errorf("netserver: unexpected %s on the control stream", env.Type)
+	}
+	if err != nil {
+		l.c.sendErr(env.Seq, err)
+		return
+	}
+	_ = l.c.send(wire.TypeAck, env.Seq, wire.Ack{})
+}
+
+// open starts the session a stream's hello names. A standby's link
+// carries no sessions: it closes every stream the router opens.
 func (l *link) open(id uint64, env wire.Envelope) {
 	var hello wire.Hello
 	err := wire.Decode(env, &hello)
 	l.mu.Lock()
 	l.last = id
 	l.mu.Unlock()
-	if err != nil || (hello.Role != wire.RoleDevice && hello.Role != wire.RoleCAS) {
+	s := l.e.s
+	if err != nil || s == nil || (hello.Role != wire.RoleDevice && hello.Role != wire.RoleCAS) {
 		l.sendClose(id)
 		return
 	}
@@ -92,10 +128,10 @@ func (l *link) open(id uint64, env wire.Envelope) {
 	l.mu.Lock()
 	l.streams[id] = st
 	l.mu.Unlock()
-	l.s.wg.Add(1)
+	s.wg.Add(1)
 	go func() {
-		defer l.s.wg.Done()
-		l.s.serveSession(st, hello.Role)
+		defer s.wg.Done()
+		s.serveSession(st, hello.Role)
 		st.close()
 		// A session that ended on this side (idle, deregister, a failed
 		// delivery) tells the router, which closes its client.
@@ -117,7 +153,7 @@ func (l *link) deliver(st *conn, env wire.Envelope) {
 	select {
 	case st.inbox <- env:
 	default:
-		l.s.met.rpcShed.Inc()
+		l.e.s.met.rpcShed.Inc()
 		st.sendErr(env.Seq, errOverloaded)
 	}
 }

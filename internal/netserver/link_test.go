@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"senseaid/internal/core"
 	"senseaid/internal/geo"
 	"senseaid/internal/wire"
 )
@@ -18,32 +19,67 @@ type rawLink struct {
 	br *bufio.Reader
 }
 
-// dialRawLink opens a link to s the way the router does: a v1 hello in
-// the router role, answered with the binary codec.
-func dialRawLink(t *testing.T, s *Server) *rawLink {
+// enrollRawLink enrolls s with a hand-driven router: it accepts the
+// server's dial, grants the binary codec to its node hello, and acks its
+// node_hello on stream 0.
+func enrollRawLink(t *testing.T, s *Server) *rawLink {
 	t.Helper()
-	nc, err := net.Dial("tcp", s.Addr())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	enrolled := make(chan error, 1)
+	go func() {
+		err := s.Enroll(ln.Addr().String(), "node-1")
+		_ = ln.Close() // a failed enrollment ends the Accept below
+		enrolled <- err
+	}()
+	nc, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("Enroll: %v", <-enrolled)
 	}
 	t.Cleanup(func() { _ = nc.Close() })
-	hello, err := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: wire.RoleRouter, Version: wire.ProtocolVersionBinary})
+	l := &rawLink{t: t, nc: nc, br: bufio.NewReader(nc)}
+	env, err := wire.ReadFrame(l.br)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(nc, hello); err != nil {
-		t.Fatal(err)
+	var hello wire.Hello
+	if err := wire.Decode(env, &hello); err != nil || hello.Role != wire.RoleNode || hello.Version != wire.ProtocolVersionBinary {
+		t.Fatalf("enrollment opened with %s %+v (%v), want a binary hello in the node role", env.Type, hello, err)
 	}
-	br := bufio.NewReader(nc)
-	env, err := wire.ReadFrame(br)
+	ack, err := wire.Encode(wire.TypeAck, env.Seq, wire.Ack{Version: wire.ProtocolVersionBinary})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ack wire.Ack
-	if err := wire.Decode(env, &ack); err != nil || ack.Version != wire.ProtocolVersionBinary {
-		t.Fatalf("link hello answered %s %+v (%v), want an ack granting the binary codec", env.Type, ack, err)
+	if err := wire.WriteFrame(nc, ack); err != nil {
+		t.Fatal(err)
 	}
-	return &rawLink{t: t, nc: nc, br: br}
+	nh := l.next()
+	if nh.Stream() != 0 || nh.Type != wire.TypeNodeHello {
+		t.Fatalf("enrollment sent %s on stream %d, want node_hello on stream 0", nh.Type, nh.Stream())
+	}
+	l.send(l.frame(0, wire.TypeAck, nh.Seq, wire.Ack{}))
+	if err := <-enrolled; err != nil {
+		t.Fatalf("Enroll: %v", err)
+	}
+	return l
+}
+
+// startLinkServer starts a server for one region, which it may enroll
+// with a router.
+func startLinkServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	cfg.Addr = "127.0.0.1:0"
+	cfg.TickPeriod = 20 * time.Millisecond
+	cfg.Regions = []core.Region{{Name: "campus", Area: geo.Circle{Center: geo.CSDepartment, RadiusM: 5000}}}
+	s, err := Listen(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	return s
 }
 
 // frame encodes one link frame.
@@ -98,8 +134,8 @@ func (l *rawLink) register(stream, seq uint64, id string) []byte {
 // link keeps serving its other streams; so is a frame on a stream id
 // that was never opened.
 func TestLinkFrameOnClosedStreamGetsStreamClose(t *testing.T) {
-	s := startServer(t)
-	l := dialRawLink(t, s)
+	s := startLinkServer(t, Config{})
+	l := enrollRawLink(t, s)
 
 	l.send(l.hello(1, wire.RoleDevice), l.register(1, 1, "closing"))
 	if env := l.next(); env.Stream() != 1 || env.Type != wire.TypeAck || env.Seq != 1 {
@@ -122,7 +158,56 @@ func TestLinkFrameOnClosedStreamGetsStreamClose(t *testing.T) {
 	}
 	waitGauge(t, "device sessions", func() float64 { return s.met.connsDevice.Value() }, 1)
 	if n := s.met.acceptedRouter.Value(); n != 1 {
-		t.Fatalf("accepted %d router links, want 1", n)
+		t.Fatalf("opened %d router links, want 1", n)
+	}
+}
+
+// TestLinkControlStream: stream 0 answers the router's ping, and answers
+// anything else a worker does not serve there — an unknown control
+// type, a reply to a request it never made, a device hello, a promote
+// sent to a primary — with an error under the frame's sequence number.
+// None of them closes the link or opens a session on it.
+func TestLinkControlStream(t *testing.T) {
+	s := startLinkServer(t, Config{})
+	l := enrollRawLink(t, s)
+
+	const seq = uint64(1) << 62
+	l.send(l.frame(0, wire.TypeNodePing, seq, struct{}{}))
+	if env := l.next(); env.Stream() != 0 || env.Type != wire.TypeAck || env.Seq != seq {
+		t.Fatalf("ping answered %s seq %d on stream %d, want an ack on stream 0", env.Type, env.Seq, env.Stream())
+	}
+	for i, f := range [][]byte{
+		l.frame(0, wire.TypeSubmitTask, seq+1, wire.TaskSpec{}),
+		l.frame(0, wire.TypeAck, seq+2, wire.Ack{}),
+		l.hello(0, wire.RoleDevice),
+		l.frame(0, wire.TypePromote, seq+3, wire.Promote{Region: "campus"}),
+	} {
+		l.send(f)
+		if env := l.next(); env.Stream() != 0 || env.Type != wire.TypeError {
+			t.Fatalf("control frame %d answered %s on stream %d, want an error on stream 0", i, env.Type, env.Stream())
+		}
+	}
+	l.send(l.hello(1, wire.RoleDevice), l.register(1, 1, "after-control"))
+	if env := l.next(); env.Stream() != 1 || env.Type != wire.TypeAck {
+		t.Fatalf("register after the control frames answered %s on stream %d", env.Type, env.Stream())
+	}
+	if n := s.met.connsDevice.Value(); n != 1 {
+		t.Fatalf("%v device sessions, want the one on stream 1", n)
+	}
+}
+
+// TestRehomeRequestsOnlyOnALink: export_device and import_device move a
+// device's record between nodes, so a device's own socket may send
+// neither; only a router's stream may.
+func TestRehomeRequestsOnlyOnALink(t *testing.T) {
+	s := startServer(t)
+	rc := rpcDial(t, s.Addr(), wire.Binary)
+	registerOver(t, rc, "direct-1")
+	if _, err := rc.Call(wire.TypeExportDevice, wire.ExportDevice{DeviceID: "direct-1"}); err == nil {
+		t.Fatal("a device socket exported its own record")
+	}
+	if _, err := rc.Call(wire.TypeImportDevice, wire.ImportDevice{Device: []byte(`{"id":"other-1"}`)}); err == nil {
+		t.Fatal("a device socket imported a record")
 	}
 }
 
@@ -132,12 +217,8 @@ func TestLinkFrameOnClosedStreamGetsStreamClose(t *testing.T) {
 // it, so another stream on the same link is served, and the link
 // survives.
 func TestLinkShedsOnlyTheFullStream(t *testing.T) {
-	s, err := Listen(Config{Addr: "127.0.0.1:0", TickPeriod: 20 * time.Millisecond, RPCWorkers: 1, RPCQueue: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = s.Close() })
-	l := dialRawLink(t, s)
+	s := startLinkServer(t, Config{RPCWorkers: 1, RPCQueue: 1})
+	l := enrollRawLink(t, s)
 
 	// Hold the only RPC worker: stream 1's register waits in the pool's
 	// queue, so its session reads nothing more until release.

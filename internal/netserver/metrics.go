@@ -34,7 +34,7 @@ type netMetrics struct {
 	acceptedDevice *obs.Counter
 	acceptedCAS    *obs.Counter
 	acceptedNode   *obs.Counter
-	acceptedRouter *obs.Counter
+	acceptedRouter *obs.Counter // router links this worker opened (it dials them)
 	casDisconnects *obs.Counter
 
 	// dispatchRetries counts schedules re-sent on a device's fresh
@@ -236,9 +236,10 @@ var knownTypes = map[wire.MsgType]bool{
 	wire.TypeSenseData: true, wire.TypeSchedule: true,
 	wire.TypeSubmitTask: true, wire.TypeUpdateTask: true,
 	wire.TypeDeleteTask: true, wire.TypeSensedData: true,
-	wire.TypeAttachDevice: true, wire.TypeNodeHello: true,
-	wire.TypeNodePing: true, wire.TypeSubscribeAgg: true,
-	wire.TypeAggPush: true, wire.TypeStreamClose: true,
+	wire.TypeExportDevice: true, wire.TypeImportDevice: true,
+	wire.TypeNodeHello: true, wire.TypeNodePing: true,
+	wire.TypeSubscribeAgg: true, wire.TypeAggPush: true,
+	wire.TypeStreamClose: true,
 }
 
 // observeRPC records one handled message: latency into senseaid_rpc_seconds

@@ -7,6 +7,7 @@ package netserver
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -188,8 +189,11 @@ type Server struct {
 	// callback that later finds a *different* generation knows the device
 	// redialed mid-dispatch and retries on the live connection instead of
 	// reporting a healthy device as unresponsive.
-	devGen  map[string]uint64
-	taskCAS map[core.TaskID]*conn // task -> submitting CAS connection
+	devGen map[string]uint64
+	// enrolled is the server's router enrollment (Enroll), closed with
+	// the server; nil when it runs standalone.
+	enrolled *enrollment
+	taskCAS  map[core.TaskID]*conn // task -> submitting CAS connection
 	// taskTrace remembers each live task's trace context for the
 	// delivery path (the DataSink signature carries no context).
 	// Entries live and die with taskCAS entries.
@@ -570,7 +574,11 @@ func (s *Server) shutdown(graceful bool) error {
 		for c := range s.conns {
 			_ = c.nc.Close()
 		}
+		enrolled := s.enrolled
 		s.connMu.Unlock()
+		if enrolled != nil {
+			enrolled.close()
+		}
 		s.wg.Wait()
 		// Every connection goroutine has exited, so nothing can submit to
 		// the pool anymore; drain the workers before touching state.
@@ -856,14 +864,7 @@ func (s *Server) serveConn(c *conn) {
 		return
 	}
 	negotiated := hello.Version
-	if hello.Role == wire.RoleRouter {
-		// A router link carries binary frames whatever clients may
-		// negotiate: its streams relay every client's payloads verbatim.
-		if negotiated != wire.ProtocolVersionBinary {
-			c.sendErr(env.Seq, fmt.Errorf("netserver: a router link speaks protocol version %d", wire.ProtocolVersionBinary))
-			return
-		}
-	} else if negotiated > s.cfg.MaxWireVersion {
+	if negotiated > s.cfg.MaxWireVersion {
 		negotiated = wire.ProtocolVersion
 	}
 	ack := wire.Ack{}
@@ -878,9 +879,6 @@ func (s *Server) serveConn(c *conn) {
 	// The ack was the last v1-framed write; everything after speaks the
 	// negotiated codec, batched through the coalescer.
 	c.codec, _ = wire.CodecForVersion(negotiated)
-	if hello.Role == wire.RoleRouter {
-		c.codec = wire.Link
-	}
 	c.co = wire.NewCoalescer(c.nc, c.codec, wire.CoalescerConfig{WriteTimeout: s.cfg.WriteTimeout})
 	defer c.co.Close()
 
@@ -891,12 +889,6 @@ func (s *Server) serveConn(c *conn) {
 		s.log.Debugf("node connection from %s", c.nc.RemoteAddr())
 		s.serveNode(c)
 		s.met.connsNode.Add(-1)
-	case wire.RoleRouter:
-		s.met.acceptedRouter.Inc()
-		s.met.connsRouter.Add(1)
-		s.log.Infof("router link from %s", c.nc.RemoteAddr())
-		s.serveLink(c)
-		s.met.connsRouter.Add(-1)
 	default:
 		if !s.serveSession(c, hello.Role) {
 			c.sendErr(env.Seq, fmt.Errorf("netserver: unknown role %q", hello.Role))
@@ -1000,6 +992,10 @@ func (s *Server) runDeviceMsg(c *conn, deviceID *string, env wire.Envelope) (clo
 	return res.closed, res.err, false
 }
 
+// errRouterOnly refuses a re-home request on a device's own socket: only
+// a router moves a device between nodes.
+var errRouterOnly = errors.New("netserver: re-home requests come only from a router")
+
 // isTimeout reports whether a read failed by deadline expiry.
 func isTimeout(err error) bool {
 	var ne net.Error
@@ -1043,31 +1039,6 @@ func (s *Server) handleDeviceMsg(c *conn, deviceID *string, env wire.Envelope) (
 		*deviceID = reg.DeviceID
 		s.log.Infof("device %s registered", reg.DeviceID)
 		_ = c.send(wire.TypeAck, env.Seq, wire.Ack{Ref: reg.DeviceID})
-		return false, nil
-
-	case wire.TypeAttachDevice:
-		var at wire.AttachDevice
-		if err := wire.Decode(env, &at); err != nil {
-			return false, err
-		}
-		if at.DeviceID == "" {
-			return false, fmt.Errorf("netserver: attach_device without a device id")
-		}
-		if *deviceID != "" && *deviceID != at.DeviceID {
-			return false, fmt.Errorf("netserver: connection already registered as %s", *deviceID)
-		}
-		// Attach binds the connection to a device record that already
-		// lives in the core — the record a cross-node re-home just
-		// imported through RestoreDevice. A plain register here would
-		// clobber the imported fairness counters and liveness with
-		// registration defaults; attach touches only the transport map.
-		s.connMu.Lock()
-		s.devices[at.DeviceID] = c
-		s.devGen[at.DeviceID]++
-		s.connMu.Unlock()
-		*deviceID = at.DeviceID
-		s.log.Infof("device %s attached (cross-node re-home)", at.DeviceID)
-		_ = c.send(wire.TypeAck, env.Seq, wire.Ack{Ref: at.DeviceID})
 		return false, nil
 
 	case wire.TypeDeregister:
@@ -1127,6 +1098,71 @@ func (s *Server) handleDeviceMsg(c *conn, deviceID *string, env wire.Envelope) (
 		s.met.upload(sd.Path).Inc()
 		s.log.Debugf("upload from %s for %s (path=%s)", *deviceID, sd.RequestID, sd.Path)
 		_ = c.send(wire.TypeAck, env.Seq, wire.Ack{})
+		return false, nil
+
+	case wire.TypeExportDevice:
+		// A re-home's first half. It rides the device's own stream, so it
+		// runs after every frame the device sent before it: the record
+		// leaves the core with all of them applied, and the stream is
+		// unbound.
+		var ex wire.ExportDevice
+		if err := wire.Decode(env, &ex); err != nil {
+			return false, err
+		}
+		if c.stream == 0 {
+			return false, errRouterOnly
+		}
+		if *deviceID == "" || ex.DeviceID != *deviceID {
+			return false, fmt.Errorf("netserver: export_device of %q on a stream bound to %q", ex.DeviceID, *deviceID)
+		}
+		rec, err := s.core.ExportDevice(ex.DeviceID)
+		if err != nil {
+			return false, err
+		}
+		raw, err := json.Marshal(rec)
+		if err != nil {
+			return false, err
+		}
+		s.connMu.Lock()
+		if s.devices[ex.DeviceID] == c {
+			delete(s.devices, ex.DeviceID)
+		}
+		s.connMu.Unlock()
+		*deviceID = ""
+		s.log.Infof("device %s exported (cross-node re-home)", ex.DeviceID)
+		_ = c.send(wire.TypeExportDevice, env.Seq, wire.ExportDevice{DeviceID: ex.DeviceID, Device: raw})
+		return false, nil
+
+	case wire.TypeImportDevice:
+		// A re-home's second half, the first request on the device's
+		// stream at its new node (or, rolling a failed re-home back, on
+		// its old one): the exported record is restored verbatim — a
+		// register would reset its fairness and liveness state — and the
+		// stream is bound to it.
+		var im wire.ImportDevice
+		if err := wire.Decode(env, &im); err != nil {
+			return false, err
+		}
+		var rec core.DeviceState
+		if err := json.Unmarshal(im.Device, &rec); err != nil {
+			return false, fmt.Errorf("netserver: import_device: %w", err)
+		}
+		if c.stream == 0 {
+			return false, errRouterOnly
+		}
+		if rec.ID == "" || (*deviceID != "" && *deviceID != rec.ID) {
+			return false, fmt.Errorf("netserver: import_device of %q on a stream bound to %q", rec.ID, *deviceID)
+		}
+		if err := s.core.RestoreDevice(rec); err != nil {
+			return false, err
+		}
+		s.connMu.Lock()
+		s.devices[rec.ID] = c
+		s.devGen[rec.ID]++
+		s.connMu.Unlock()
+		*deviceID = rec.ID
+		s.log.Infof("device %s imported (cross-node re-home)", rec.ID)
+		_ = c.send(wire.TypeAck, env.Seq, wire.Ack{Ref: rec.ID})
 		return false, nil
 
 	default:

@@ -7,28 +7,26 @@ package netserver
 //     the persister, which tees every snapshot and journal write to the
 //     link (journal shipping).
 //
-//   - Outbound: a worker (or standby) dials the router and keeps a
-//     trunk — one long-lived RPCConn over which it enrolls with a
-//     NodeHello and then answers router-originated requests (ping,
-//     export_device, import_device, promote) that arrive as push frames
-//     carrying router-assigned sequence numbers.
+//   - Outbound: a worker (or standby) dials the router and enrolls. That
+//     one connection is its link (link.go): stream 0 carries the
+//     enrollment and the router's control requests (ping, promote), and
+//     every other stream is a client session the router relays.
 
 import (
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"senseaid/internal/core"
 	"senseaid/internal/obs"
 	"senseaid/internal/wire"
 )
 
 // serveNode handles one inbound node-to-node connection. The only node
 // role served by a worker's listener is a replica attaching for journal
-// shipping: worker and standby trunks run in the other direction (the
-// node dials the router), so anything else here is a misdirected peer.
+// shipping: enrollments run in the other direction (the node dials the
+// router), so anything else here is a misdirected peer.
 func (s *Server) serveNode(c *conn) {
 	env, err := c.codec.ReadFrame(c.br)
 	if err != nil {
@@ -74,246 +72,211 @@ func (s *Server) serveNode(c *conn) {
 	}
 }
 
-// TrunkHandler serves one router-originated request pushed down a trunk.
-// It returns the reply's type and payload; an error is sent to the
-// router as a wire.Error under the request's sequence number.
-type TrunkHandler func(env wire.Envelope) (wire.MsgType, interface{}, error)
+// Redial bounds of an enrollment whose link died: the first retry
+// waits redialMin, each failure doubles the wait up to redialMax.
+const (
+	redialMin = 250 * time.Millisecond
+	redialMax = 5 * time.Second
+)
 
-// TrunkConfig configures a node's control-plane connection to a router.
-type TrunkConfig struct {
-	// RouterAddr is the router's TCP address.
-	RouterAddr string
-	// Hello is this node's enrollment announcement, re-sent after every
-	// redial so the router's registry converges on the latest state.
-	Hello wire.NodeHello
-	// Handle serves router requests. TypeNodePing is answered internally;
-	// everything else is passed through. Nil rejects every request.
-	Handle TrunkHandler
-	// RedialMin/RedialMax bound the reconnect backoff. Defaults 250ms/5s.
-	RedialMin, RedialMax time.Duration
-	// Logger receives trunk lifecycle messages; nil discards.
-	Logger *obs.Logger
+// enrollment keeps one node enrolled with a router, over one connection
+// the node dials, and redials for as long as its owner runs. Losing the
+// router degrades the node to standalone operation; it must never take
+// the region down.
+type enrollment struct {
+	routerAddr string
+	hello      wire.NodeHello
+	// s serves the link's session streams; nil on a standby, whose link
+	// carries none until it is promoted (and enrolls again as a server).
+	s *Server
+	// promote answers the router's promote; nil refuses it.
+	promote      func(wire.Promote) error
+	writeTimeout time.Duration
+	log          *obs.Logger
+
+	mu     sync.Mutex
+	nc     net.Conn // the live link's socket
+	closed bool
+	done   chan struct{}
+	wg     sync.WaitGroup
 }
 
-// NodeTrunk maintains a node's enrollment with the router: dial, enroll,
-// serve requests, and redial with backoff for as long as the trunk is
-// open. Losing the router degrades the node to standalone operation —
-// it must never take the region down.
-type NodeTrunk struct {
-	cfg  TrunkConfig
-	log  *obs.Logger
-	done chan struct{}
-	wg   sync.WaitGroup
-
-	mu sync.Mutex
-	rc *wire.RPCConn
-
-	once sync.Once
-}
-
-// DialTrunk starts a trunk's maintain loop. The first enrollment is
-// attempted synchronously so a misconfigured address fails fast; after
-// that, redials happen in the background.
-func DialTrunk(cfg TrunkConfig) (*NodeTrunk, error) {
-	if cfg.RouterAddr == "" {
-		return nil, fmt.Errorf("netserver: trunk needs a router address")
+// start makes the first enrollment synchronously, so a misconfigured
+// address fails fast, then serves the link and redials in the
+// background.
+func (e *enrollment) start() error {
+	if e.routerAddr == "" {
+		return fmt.Errorf("netserver: enrollment needs a router address")
 	}
-	if cfg.RedialMin <= 0 {
-		cfg.RedialMin = 250 * time.Millisecond
-	}
-	if cfg.RedialMax <= 0 {
-		cfg.RedialMax = 5 * time.Second
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = obs.NewLogger(nil, obs.LevelError)
-	}
-	t := &NodeTrunk{cfg: cfg, log: cfg.Logger, done: make(chan struct{})}
-	rc, err := t.enroll()
+	e.wg.Add(1)
+	c, err := e.dial()
 	if err != nil {
-		return nil, err
+		e.wg.Done()
+		return err
 	}
-	t.mu.Lock()
-	t.rc = rc
-	t.mu.Unlock()
-	t.wg.Add(1)
-	go t.maintain(rc)
-	return t, nil
-}
-
-// enroll dials the router, negotiates the binary codec, and announces
-// this node with its NodeHello.
-func (t *NodeTrunk) enroll() (*wire.RPCConn, error) {
-	nc, err := net.DialTimeout("tcp", t.cfg.RouterAddr, 5*time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("netserver: dial router %s: %w", t.cfg.RouterAddr, err)
-	}
-	rc, err := wire.NewRPCConnCfg(nc, wire.RoleNode, t.serve, wire.ConnConfig{Codec: wire.Binary})
-	if err != nil {
-		_ = nc.Close()
-		return nil, err
-	}
-	if _, err := rc.Call(wire.TypeNodeHello, t.cfg.Hello); err != nil {
-		_ = rc.Close()
-		return nil, fmt.Errorf("netserver: enroll with router: %w", err)
-	}
-	t.log.Infof("node %s enrolled with router %s (region %s, role %s)",
-		t.cfg.Hello.NodeID, t.cfg.RouterAddr, t.cfg.Hello.Region, t.cfg.Hello.NodeRole)
-	return rc, nil
-}
-
-// serve answers one router request. Requests arrive as push frames (any
-// type other than a seq-matched Ack/Error is a push to an RPCConn), so
-// the reply echoes the router-assigned sequence number. Handlers run in
-// their own goroutine: an export_device takes a core lock, and the read
-// loop must keep draining while it does.
-func (t *NodeTrunk) serve(env wire.Envelope) {
-	t.mu.Lock()
-	rc := t.rc
-	t.mu.Unlock()
-	if rc == nil {
-		return
-	}
-	go func() {
-		if env.Type == wire.TypeNodePing {
-			_ = rc.Reply(wire.TypeAck, env.Seq, wire.Ack{})
-			return
-		}
-		if t.cfg.Handle == nil {
-			_ = rc.Reply(wire.TypeError, env.Seq, wire.Error{Message: "node: no handler"})
-			return
-		}
-		typ, payload, err := t.cfg.Handle(env)
-		if err != nil {
-			_ = rc.Reply(wire.TypeError, env.Seq, wire.Error{Message: err.Error()})
-			return
-		}
-		if typ == "" {
-			typ, payload = wire.TypeAck, wire.Ack{}
-		}
-		_ = rc.Reply(typ, env.Seq, payload)
-	}()
-}
-
-// maintain redials after every trunk death until Close.
-func (t *NodeTrunk) maintain(rc *wire.RPCConn) {
-	defer t.wg.Done()
-	backoff := t.cfg.RedialMin
-	for {
-		select {
-		case <-t.done:
-			return
-		case <-rc.Done():
-		}
-		for {
-			select {
-			case <-t.done:
-				return
-			case <-time.After(backoff):
-			}
-			next, err := t.enroll()
-			if err != nil {
-				t.log.Errorf("trunk redial: %v", err)
-				backoff *= 2
-				if backoff > t.cfg.RedialMax {
-					backoff = t.cfg.RedialMax
-				}
-				continue
-			}
-			backoff = t.cfg.RedialMin
-			t.mu.Lock()
-			t.rc = next
-			t.mu.Unlock()
-			rc = next
-			break
-		}
-	}
-}
-
-// Close stops the trunk and tears down its connection.
-func (t *NodeTrunk) Close() error {
-	t.once.Do(func() { close(t.done) })
-	t.mu.Lock()
-	rc := t.rc
-	t.mu.Unlock()
-	if rc != nil {
-		_ = rc.Close()
-	}
-	t.wg.Wait()
+	go e.run(c)
 	return nil
 }
 
-// Enroll connects this server to a router as a region worker. The
-// server must be running exactly one region (Config.Regions of length
-// one): the region's name is what prefixes its task IDs, which is the
-// grammar the router routes by. advertise is the address the router
-// dials its link to, which carries the region's client sessions — the
-// server's own listen address when empty.
-func (s *Server) Enroll(routerAddr, nodeID, advertise string) (*NodeTrunk, error) {
-	if len(s.cfg.Regions) != 1 {
-		return nil, fmt.Errorf("netserver: enrollment requires exactly one region, have %d", len(s.cfg.Regions))
+// dial opens a link to the router and enrolls over it: a v1 hello in the
+// node role, answered with the binary codec, then the NodeHello on
+// stream 0, answered with an ack.
+func (e *enrollment) dial() (*conn, error) {
+	nc, err := net.DialTimeout("tcp", e.routerAddr, 5*time.Second)
+	if err != nil {
+		return nil, fmt.Errorf("netserver: dial router %s: %w", e.routerAddr, err)
 	}
-	if advertise == "" {
-		advertise = s.Addr()
+	c := &conn{nc: nc, br: wire.NewReader(nc, 16<<10), codec: wire.Link, writeTimeout: e.writeTimeout}
+	if err := e.handshake(c); err != nil {
+		_ = nc.Close()
+		return nil, err
+	}
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		_ = nc.Close()
+		return nil, wire.ErrClosed
+	}
+	e.nc = nc
+	e.mu.Unlock()
+	c.co = wire.NewCoalescer(nc, wire.Link, wire.CoalescerConfig{WriteTimeout: e.writeTimeout})
+	e.log.Infof("node %s enrolled with router %s (region %s, role %s)",
+		e.hello.NodeID, e.routerAddr, e.hello.Region, e.hello.NodeRole)
+	return c, nil
+}
+
+func (e *enrollment) handshake(c *conn) error {
+	_ = c.nc.SetDeadline(time.Now().Add(5 * time.Second))
+	hello, err := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: wire.RoleNode, Version: wire.ProtocolVersionBinary})
+	if err != nil {
+		return err
+	}
+	if err := wire.WriteFrame(c.nc, hello); err != nil {
+		return err
+	}
+	env, err := wire.ReadFrame(c.br)
+	if err != nil {
+		return fmt.Errorf("netserver: router hello: %w", err)
+	}
+	var ack wire.Ack
+	if err := replyErr(env); err != nil {
+		return err
+	}
+	if err := wire.Decode(env, &ack); err != nil || ack.Version != wire.ProtocolVersionBinary {
+		return fmt.Errorf("netserver: router %s granted no binary link", e.routerAddr)
+	}
+	nh, err := wire.Link.Encode(wire.TypeNodeHello, 1, e.hello)
+	if err != nil {
+		return err
+	}
+	if err := wire.Link.WriteFrame(c.nc, nh); err != nil {
+		return err
+	}
+	if env, err = wire.Link.ReadFrame(c.br); err != nil {
+		return fmt.Errorf("netserver: enroll with router: %w", err)
+	}
+	if err := replyErr(env); err != nil {
+		return fmt.Errorf("netserver: enroll with router: %w", err)
+	}
+	if env.Stream() != 0 || env.Type != wire.TypeAck {
+		return fmt.Errorf("netserver: enroll with router: answered %s on stream %d", env.Type, env.Stream())
+	}
+	return c.nc.SetDeadline(time.Time{})
+}
+
+// replyErr turns an error reply into an error.
+func replyErr(env wire.Envelope) error {
+	if env.Type != wire.TypeError {
+		return nil
+	}
+	var e wire.Error
+	_ = wire.Decode(env, &e)
+	return fmt.Errorf("router: %s", e.Message)
+}
+
+// run serves each link until it dies, then redials, until close.
+func (e *enrollment) run(c *conn) {
+	defer e.wg.Done()
+	for {
+		e.serveLink(c)
+		_ = c.co.Close()
+		_ = c.nc.Close()
+		for backoff := redialMin; ; backoff = min(2*backoff, redialMax) {
+			select {
+			case <-e.done:
+				return
+			case <-time.After(backoff):
+			}
+			next, err := e.dial()
+			if err == nil {
+				c = next
+				break
+			}
+			if !errors.Is(err, wire.ErrClosed) {
+				e.log.Errorf("enrollment redial: %v", err)
+			}
+		}
+	}
+}
+
+// close ends the enrollment: its link closes, which ends every session
+// on it, and no redial follows.
+func (e *enrollment) close() {
+	e.mu.Lock()
+	if !e.closed {
+		e.closed = true
+		close(e.done)
+	}
+	nc := e.nc
+	e.mu.Unlock()
+	if nc != nil {
+		_ = nc.Close()
+	}
+	e.wg.Wait()
+}
+
+// Enroll joins this server to a router as its region's primary, for as
+// long as the server runs. The server must be running exactly one
+// region (Config.Regions of length one): the region's name is what
+// prefixes its task IDs, which is the grammar the router routes by.
+func (s *Server) Enroll(routerAddr, nodeID string) error {
+	if len(s.cfg.Regions) != 1 {
+		return fmt.Errorf("netserver: enrollment requires exactly one region, have %d", len(s.cfg.Regions))
 	}
 	r := s.cfg.Regions[0]
-	return DialTrunk(TrunkConfig{
-		RouterAddr: routerAddr,
-		Hello: wire.NodeHello{
+	e := &enrollment{
+		routerAddr: routerAddr,
+		hello: wire.NodeHello{
 			NodeID:   nodeID,
 			Region:   r.Name,
 			NodeRole: wire.NodeRolePrimary,
 			Lat:      r.Area.Center.Lat,
 			Lon:      r.Area.Center.Lon,
 			RadiusM:  r.Area.RadiusM,
-			Addr:     advertise,
 		},
-		Handle: s.handleNodeRequest,
-		Logger: s.log,
-	})
-}
-
-// handleNodeRequest serves the router's re-homing RPCs against this
-// worker's core.
-func (s *Server) handleNodeRequest(env wire.Envelope) (wire.MsgType, interface{}, error) {
-	switch env.Type {
-	case wire.TypeExportDevice:
-		var ex wire.ExportDevice
-		if err := wire.Decode(env, &ex); err != nil {
-			return "", nil, err
-		}
-		rec, err := s.core.ExportDevice(ex.DeviceID)
-		if err != nil {
-			return "", nil, err
-		}
-		// The exported record leaves this node's transport map too: its
-		// session is the router's to rebind, and a stale entry here would
-		// eat a dispatch meant for nobody.
-		s.connMu.Lock()
-		delete(s.devices, ex.DeviceID)
-		s.connMu.Unlock()
-		raw, err := json.Marshal(rec)
-		if err != nil {
-			return "", nil, err
-		}
-		s.log.Infof("device %s exported (cross-node re-home)", ex.DeviceID)
-		return wire.TypeExportDevice, wire.ExportDevice{DeviceID: ex.DeviceID, Device: raw}, nil
-
-	case wire.TypeImportDevice:
-		var im wire.ImportDevice
-		if err := wire.Decode(env, &im); err != nil {
-			return "", nil, err
-		}
-		var rec core.DeviceState
-		if err := json.Unmarshal(im.Device, &rec); err != nil {
-			return "", nil, fmt.Errorf("netserver: import_device: %w", err)
-		}
-		if err := s.core.RestoreDevice(rec); err != nil {
-			return "", nil, err
-		}
-		s.log.Infof("device %s imported (cross-node re-home)", rec.ID)
-		return wire.TypeAck, wire.Ack{Ref: rec.ID}, nil
-
-	default:
-		return "", nil, fmt.Errorf("netserver: unexpected %s on node trunk", env.Type)
+		s:            s,
+		writeTimeout: s.cfg.WriteTimeout,
+		log:          s.log,
+		done:         make(chan struct{}),
 	}
+	s.connMu.Lock()
+	select {
+	case <-s.done:
+		s.connMu.Unlock()
+		return wire.ErrClosed
+	default:
+	}
+	if s.enrolled != nil {
+		s.connMu.Unlock()
+		return fmt.Errorf("netserver: already enrolled with %s", s.enrolled.routerAddr)
+	}
+	s.enrolled = e
+	s.connMu.Unlock()
+	if err := e.start(); err != nil {
+		s.connMu.Lock()
+		s.enrolled = nil
+		s.connMu.Unlock()
+		return err
+	}
+	return nil
 }

@@ -8,8 +8,9 @@ package netserver
 //      bytes — into its own state directory, so at any moment that
 //      directory is something netserver.Listen can recover from.
 //
-//   2. Waits for promotion: enrolls with the router as NodeRoleStandby;
-//      when the router detects the primary's death it pushes a promote,
+//   2. Waits for promotion: enrolls with the router as NodeRoleStandby,
+//      over a link that carries no sessions; when the router detects the
+//      primary's death it sends a promote on the link's control stream,
 //      the standby closes its replication stores, and Promoted() fires.
 //      The caller (cmd/senseaidd) then boots a full Server on the
 //      replicated state directory — the ordinary crash-recovery path —
@@ -41,9 +42,6 @@ type StandbyConfig struct {
 	// primary's, since its task-ID prefix is baked into the replicated
 	// state.
 	Region core.Region
-	// Advertise is the address the promoted server will listen on; the
-	// router records it with the standby's enrollment.
-	Advertise string
 	// StateDir receives the replicated snapshot+journal files.
 	StateDir string
 	// RedialInterval paces replication redials while the primary is
@@ -62,7 +60,7 @@ type Standby struct {
 	stores map[string]*persist.Store
 	repl   *wire.RPCConn
 
-	trunk *NodeTrunk
+	enrolled *enrollment // nil without a router address
 
 	promoted  chan struct{}
 	promoting sync.Once
@@ -95,24 +93,25 @@ func RunStandby(cfg StandbyConfig) (*Standby, error) {
 		done:     make(chan struct{}),
 	}
 	if cfg.RouterAddr != "" {
-		trunk, err := DialTrunk(TrunkConfig{
-			RouterAddr: cfg.RouterAddr,
-			Hello: wire.NodeHello{
+		e := &enrollment{
+			routerAddr: cfg.RouterAddr,
+			hello: wire.NodeHello{
 				NodeID:   cfg.NodeID,
 				Region:   cfg.Region.Name,
 				NodeRole: wire.NodeRoleStandby,
 				Lat:      cfg.Region.Area.Center.Lat,
 				Lon:      cfg.Region.Area.Center.Lon,
 				RadiusM:  cfg.Region.Area.RadiusM,
-				Addr:     cfg.Advertise,
 			},
-			Handle: sb.handleRouterRequest,
-			Logger: cfg.Logger,
-		})
-		if err != nil {
+			promote:      sb.promote,
+			writeTimeout: wire.DefaultWriteTimeout,
+			log:          cfg.Logger,
+			done:         make(chan struct{}),
+		}
+		if err := e.start(); err != nil {
 			return nil, err
 		}
-		sb.trunk = trunk
+		sb.enrolled = e
 	}
 	sb.wg.Add(1)
 	go sb.replicate()
@@ -128,8 +127,8 @@ func (sb *Standby) Promoted() <-chan struct{} { return sb.promoted }
 // also called implicitly by promotion.
 func (sb *Standby) Close() error {
 	sb.shutdownRepl()
-	if sb.trunk != nil {
-		_ = sb.trunk.Close()
+	if sb.enrolled != nil {
+		sb.enrolled.close()
 	}
 	sb.wg.Wait()
 	return nil
@@ -156,30 +155,20 @@ func (sb *Standby) shutdownRepl() {
 	}
 }
 
-// handleRouterRequest serves the router's pushes on the standby trunk.
-// Promote is the only one with teeth: it fences the replication stores
-// and hands control to the caller through Promoted().
-func (sb *Standby) handleRouterRequest(env wire.Envelope) (wire.MsgType, interface{}, error) {
-	switch env.Type {
-	case wire.TypePromote:
-		var pr wire.Promote
-		if err := wire.Decode(env, &pr); err != nil {
-			return "", nil, err
-		}
-		if pr.Region != "" && pr.Region != sb.cfg.Region.Name {
-			return "", nil, fmt.Errorf("netserver: promote for region %q on a %q standby", pr.Region, sb.cfg.Region.Name)
-		}
-		sb.promoting.Do(func() {
-			sb.log.Infof("standby %s promoted for region %s", sb.cfg.NodeID, sb.cfg.Region.Name)
-			// Stop writing before signalling: Promoted's contract is that
-			// the state directory is closed and consistent.
-			sb.shutdownRepl()
-			close(sb.promoted)
-		})
-		return wire.TypeAck, wire.Ack{Ref: sb.cfg.NodeID}, nil
-	default:
-		return "", nil, fmt.Errorf("netserver: unexpected %s on standby trunk", env.Type)
+// promote serves the router's promote: it fences the replication
+// stores and hands control to the caller through Promoted().
+func (sb *Standby) promote(pr wire.Promote) error {
+	if pr.Region != "" && pr.Region != sb.cfg.Region.Name {
+		return fmt.Errorf("netserver: promote for region %q on a %q standby", pr.Region, sb.cfg.Region.Name)
 	}
+	sb.promoting.Do(func() {
+		sb.log.Infof("standby %s promoted for region %s", sb.cfg.NodeID, sb.cfg.Region.Name)
+		// Stop writing before signalling: Promoted's contract is that
+		// the state directory is closed and consistent.
+		sb.shutdownRepl()
+		close(sb.promoted)
+	})
+	return nil
 }
 
 // replicate dials the primary and applies its shipped writes until the

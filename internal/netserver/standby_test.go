@@ -122,11 +122,7 @@ func TestReplicationShipsOversizedSnapshot(t *testing.T) {
 
 	// Promotion: the standby fences its stores, and a server booted on
 	// them recovers the campaign.
-	promote, err := wire.Encode(wire.TypePromote, 1, wire.Promote{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sb.handleRouterRequest(promote); err != nil {
+	if err := sb.promote(wire.Promote{}); err != nil {
 		t.Fatal(err)
 	}
 	select {

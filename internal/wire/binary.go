@@ -54,7 +54,7 @@ const (
 	binNodePing
 	binExportDevice
 	binImportDevice
-	binAttachDevice
+	_ // attach_device, retired: its code stays taken
 	binPromote
 	binSnapshotShip
 	binJournalShip
@@ -84,7 +84,6 @@ var typeToCode = map[MsgType]byte{
 	TypeNodePing:     binNodePing,
 	TypeExportDevice: binExportDevice,
 	TypeImportDevice: binImportDevice,
-	TypeAttachDevice: binAttachDevice,
 	TypePromote:      binPromote,
 	TypeSnapshotShip: binSnapshotShip,
 	TypeJournalShip:  binJournalShip,

@@ -12,44 +12,44 @@ import "encoding/json"
 //
 // Topology (DESIGN.md §14):
 //
-//	worker  --enroll-->  router   one trunk per worker; the router issues
-//	                              node RPCs (ping, export/import, promote)
-//	                              down it and the worker replies.
-//	router  --link-->    worker   one link per enrolled primary, carrying
-//	                              every relayed device and CAS session as
-//	                              a numbered stream (see Link).
+//	worker  --link-->    router   one connection per enrolled node, dialled
+//	                              by the node. Stream 0 is control: the
+//	                              node_hello, then the router's ping and
+//	                              promote. Every other stream is a relayed
+//	                              device or CAS session (see Link); a
+//	                              re-home's export and import ride the
+//	                              device's own streams.
 //	standby --attach-->  primary  the primary ships its snapshot, then
 //	                              streams journal records as they append.
 
-// RoleNode identifies a cluster peer (a worker trunk enrolling with the
-// router, or a standby attaching to a primary for replication) in the
-// Hello exchange.
+// RoleNode identifies a cluster peer in the Hello exchange: a node
+// enrolling with the router, whose connection then speaks the binary
+// codec with Link framing, or a standby attaching to a primary for
+// replication.
 const RoleNode Role = "node"
-
-// RoleRouter identifies a router's link to a worker in the Hello
-// exchange. A link always speaks the binary codec and frames with Link.
-const RoleRouter Role = "router"
 
 // Node-to-node message types.
 const (
 	// TypeNodeHello identifies a node link right after the Hello
 	// exchange: who the node is, which region it serves, and in which
-	// role. Router trunks and replication links both start with it.
+	// role. Router links (on stream 0) and replication links both start
+	// with it.
 	TypeNodeHello MsgType = "node_hello"
-	// TypeNodePing is the router's trunk health probe; the worker
-	// replies with a plain Ack.
+	// TypeNodePing is the router's link health probe, on stream 0; the
+	// node replies with a plain Ack.
 	TypeNodePing MsgType = "node_ping"
 	// TypeExportDevice asks a worker to remove a device from its core
 	// and return the record — the sending half of cross-node re-homing.
-	// The reply echoes the type with Device filled in.
+	// The router sends it on the device's stream, after every frame the
+	// device sent before it, and it unbinds that stream. The reply echoes
+	// the type with Device filled in.
 	TypeExportDevice MsgType = "export_device"
 	// TypeImportDevice hands a worker an exported device record to
-	// restore — the receiving half of cross-node re-homing.
+	// restore — the receiving half of cross-node re-homing. It is the
+	// first request on the device's stream at the new worker and binds
+	// that stream to the device, without the registration defaults a
+	// register would write over the record's fairness and liveness.
 	TypeImportDevice MsgType = "import_device"
-	// TypeAttachDevice binds an already-imported device to a session
-	// connection without re-registering it (a register would clobber the
-	// fairness and liveness state the import just preserved).
-	TypeAttachDevice MsgType = "attach_device"
 	// TypePromote tells a standby to take over its region: finish
 	// replication, recover the shipped state, and enroll as primary.
 	TypePromote MsgType = "promote"
@@ -77,7 +77,7 @@ const (
 	NodeRoleReplica = "replica"
 )
 
-// NodeHello identifies a node link. On a router trunk it enrolls the
+// NodeHello identifies a node link. On a router link it enrolls the
 // node into the region registry; on a primary's listener it requests
 // replication.
 type NodeHello struct {
@@ -92,9 +92,6 @@ type NodeHello struct {
 	Lat     float64 `json:"lat,omitempty"`
 	Lon     float64 `json:"lon,omitempty"`
 	RadiusM float64 `json:"radius_m,omitempty"`
-	// Addr is the node's client-facing listen address — where the router
-	// dials forwarded sessions. Standbys and replicas leave it empty.
-	Addr string `json:"addr,omitempty"`
 }
 
 // ExportDevice is both the request (DeviceID set) and the reply (Device
@@ -109,12 +106,6 @@ type ExportDevice struct {
 // ImportDevice hands an exported record to the destination worker.
 type ImportDevice struct {
 	Device json.RawMessage `json:"device"`
-}
-
-// AttachDevice binds a device identity to the sending connection after
-// an import, without touching the core's device record.
-type AttachDevice struct {
-	DeviceID string `json:"device_id"`
 }
 
 // Promote orders a standby to take over a region.

@@ -13,14 +13,17 @@ import (
 //
 //	uvarint streamID | v2 binary frame (uvarint bodyLen | type | seq | enc | payload)
 //
-// Stream 0 is invalid. A binary hello on a stream id the worker has not
+// The worker dials the link and enrolls on it. Stream 0 is control: the
+// worker's node_hello, then the router's requests (node_ping, promote)
+// and their replies. A binary hello on a stream id the worker has not
 // seen opens that stream with the hello's role; stream_close ends a
 // stream from either side. The router assigns ids in increasing order
-// and never reuses one. Anything a link frame cannot parse is a fault of
-// the whole link, which is then closed.
+// from 1 and never reuses one. Anything a link frame cannot parse is a
+// fault of the whole link, which is then closed.
 
 // Link is the codec of a router↔worker link: binary payloads, link
-// framing. Envelopes carry their stream id (Envelope.Stream, OnStream).
+// framing. Envelopes carry their stream id (Envelope.Stream, OnStream);
+// an envelope bound to no stream travels on stream 0.
 var Link Codec = linkCodec{}
 
 type linkCodec struct{}
@@ -37,10 +40,6 @@ func (linkCodec) Decode(env Envelope, out interface{}) error {
 }
 
 func (linkCodec) AppendFrame(dst []byte, env Envelope) ([]byte, error) {
-	if env.stream == 0 {
-		met.errEncode.Inc()
-		return dst, fmt.Errorf("wire: link frame without a stream id")
-	}
 	out, err := Binary.AppendFrame(binary.AppendUvarint(dst, env.stream), env)
 	if err != nil {
 		return dst, err
@@ -65,10 +64,6 @@ func (linkCodec) ReadFrame(r io.Reader) (Envelope, error) {
 	id, n, err := readUvarintBounded(r)
 	if err != nil {
 		return Envelope{}, err // io.EOF passes through for clean shutdown
-	}
-	if id == 0 {
-		met.errFrame.Inc()
-		return Envelope{}, fmt.Errorf("wire: link frame on stream 0")
 	}
 	env, err := Binary.ReadFrame(r)
 	if err != nil {
