@@ -43,10 +43,11 @@ rm -f "$race_log"
 go test -race -count=50 -run '^TestEndToEndTrace$' ./internal/netserver
 # The device-homing net, five times over: the seeded model test (every
 # device operation against a plain map and the parent commit's journal
-# bytes) and the two concurrent storms, whose interleavings differ run to
-# run.
+# bytes), the topology net (one seeded sequence of every operation,
+# region-less and in three regions, held to the same results) and the two
+# concurrent storms, whose interleavings differ run to run.
 go test -race -shuffle=on -count=5 \
-    -run '^(TestHomingAgainstModelAndParentJournal|TestStripedRoutingStorm|TestOrchestratorConcurrentUse)$' \
+    -run '^(TestHomingAgainstModelAndParentJournal|TestTopologiesAgree|TestStripedRoutingStorm|TestOrchestratorConcurrentUse)$' \
     ./internal/core
 # Journal codec fuzz smoke: ten seconds of holding JournalRecord's hand
 # encoder and parser to encoding/json (byte-identical output, identical

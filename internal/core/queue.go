@@ -1,28 +1,43 @@
 package core
 
-import "container/heap"
+import (
+	"container/heap"
+	"strings"
+)
 
 // requestQueue is a min-heap of requests ordered by deadline (the paper's
 // run and wait queues are "both sorted by the deadline of the task"), with
-// due time and sequence as tie-breakers for determinism.
+// due time and sequence as tie-breakers for determinism. The run queue is
+// keyed by due time first instead: ProcessDue takes everything due out of
+// it at once and schedules that in deadline order (see processDueLocked).
 type requestQueue struct {
 	items []Request
+	byDue bool
 }
 
 func (q *requestQueue) Len() int { return len(q.items) }
 
 func (q *requestQueue) Less(i, j int) bool {
 	a, b := q.items[i], q.items[j]
-	if !a.Deadline.Equal(b.Deadline) {
-		return a.Deadline.Before(b.Deadline)
-	}
-	if !a.Due.Equal(b.Due) {
+	if q.byDue && !a.Due.Equal(b.Due) {
 		return a.Due.Before(b.Due)
 	}
-	if a.Task.ID != b.Task.ID {
-		return a.Task.ID < b.Task.ID
+	return cmpDeadline(a, b) < 0
+}
+
+// cmpDeadline orders requests by deadline, then due time, task and
+// sequence.
+func cmpDeadline(a, b Request) int {
+	if c := a.Deadline.Compare(b.Deadline); c != 0 {
+		return c
 	}
-	return a.Seq < b.Seq
+	if c := a.Due.Compare(b.Due); c != 0 {
+		return c
+	}
+	if c := strings.Compare(string(a.Task.ID), string(b.Task.ID)); c != 0 {
+		return c
+	}
+	return a.Seq - b.Seq
 }
 
 func (q *requestQueue) Swap(i, j int) { q.items[i], q.items[j] = q.items[j], q.items[i] }

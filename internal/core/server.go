@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -181,11 +182,13 @@ type Server struct {
 
 	// mu guards the scheduling state below: task store, queues, pending
 	// dispatches, the round buffers, and the fairness window anchor.
-	mu      sync.Mutex
-	tasks   map[TaskID]*Task
-	sinks   map[TaskID]DataSink
-	run     requestQueue
-	wait    requestQueue
+	mu    sync.Mutex
+	tasks map[TaskID]*Task
+	sinks map[TaskID]DataSink
+	run   requestQueue
+	wait  requestQueue
+	// due is processDueLocked's reused batch of requests leaving run.
+	due     []Request
 	pending map[string][]pendingDispatch // request ID -> outstanding
 	// collected buffers one round's values per request for the
 	// truth-discovery outlier check.
@@ -254,6 +257,7 @@ func NewServer(cfg ServerConfig, d Dispatcher) (*Server, error) {
 		devices:    NewDeviceStore(),
 		tasks:      make(map[TaskID]*Task),
 		sinks:      make(map[TaskID]DataSink),
+		run:        requestQueue{byDue: true},
 		pending:    make(map[string][]pendingDispatch),
 		collected:  make(map[string]map[string]float64),
 		byClientID: make(map[string]TaskID),
@@ -632,12 +636,21 @@ func (s *Server) processDueLocked(now time.Time, out *[]outbound) {
 	}
 	s.expireDispatches(now)
 	s.checkWaitQueue(now, out)
+	// Everything due leaves the run queue at once and is scheduled in
+	// deadline order. Popping a deadline-sorted queue only while its head
+	// is due would hold a due request behind a later one with an earlier
+	// deadline, for as long as depended on which other tasks shared the
+	// queue — and so on how the deployment is sharded.
+	due := s.due[:0]
 	for {
 		r, ok := s.run.peek()
 		if !ok || r.Due.After(now) {
-			return
+			break
 		}
-		s.run.pop()
+		due = append(due, s.run.pop())
+	}
+	slices.SortFunc(due, cmpDeadline)
+	for _, r := range due {
 		if r.Deadline.Before(now) {
 			s.bump(s.met.reqExpired, func(st *Stats) { st.RequestsExpired++ })
 			ref := refOf(r)
@@ -646,6 +659,8 @@ func (s *Server) processDueLocked(now time.Time, out *[]outbound) {
 		}
 		s.schedule(r, now, out)
 	}
+	clear(due)
+	s.due = due[:0]
 }
 
 // schedule runs the device selector for one request and queues dispatches
