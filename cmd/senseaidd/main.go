@@ -51,10 +51,12 @@
 // fraction of tasks retained in /traces (errors and slow operations are
 // always kept); -trace-slow sets the slow-operation threshold.
 //
-// Repeating -regions boots a sharded deployment: one scheduling core per
-// region (the paper's per-edge physical instantiation), devices homed to
-// the shard covering their position, tasks routed to the shard covering
-// their area, and per-shard series (shard="name") on /metrics.
+// The scheduling core has one shard per -regions flag (the paper's
+// per-edge physical instantiation), or without it one unnamed shard
+// covering every point. Devices are homed to the shard covering their
+// position, tasks to the shard covering their area and named after its
+// region ("west/task-1"; later calls route by that name), and each
+// region's shard has its own state store and shard="name" series.
 //
 // With -enroll (and exactly one -regions), the server joins a
 // senseaid-router as that region's primary: it dials the router, and

@@ -55,13 +55,13 @@ func run() error {
 	}
 
 	var (
-		server     *core.Server
+		server     *core.ShardedServer
 		controller *adaptive.Controller
 		periodLog  []string
 	)
 	fw := sim.SenseAid{
 		Variant: sim.Complete,
-		OnServer: func(s *core.Server) {
+		OnServer: func(s *core.ShardedServer) {
 			server = s
 			controller, err = adaptive.NewController(adaptive.Config{
 				InitialPeriod:     task.SamplingPeriod,

@@ -327,7 +327,6 @@ func (c *campaign) crashAndRecover() {
 			return
 		}
 	}
-	ss.RebuildRouting()
 	c.ss = ss
 	c.report.Recoveries++
 }
@@ -712,7 +711,6 @@ func (c *campaign) verifyReplay() {
 			return
 		}
 	}
-	standby.RebuildRouting()
 	if got, want := standby.DeviceCount(), c.ss.DeviceCount(); got != want {
 		rep.violate("replay: standby has %d devices, live has %d (seed %d)", got, want, seed)
 	}

@@ -159,8 +159,8 @@ func TestClusterBoundaryFlapSoak(t *testing.T) {
 			t.Fatalf("parking ReportState: %v", err)
 		}
 	}
-	westCore := westSrv.Orchestrator().(*core.ShardedServer)
-	eastCore := eastSrv.Orchestrator().(*core.ShardedServer)
+	westCore := westSrv.Orchestrator()
+	eastCore := eastSrv.Orchestrator()
 	waitFor(t, 10*time.Second, "every flapper homed exactly once, in west", func() bool {
 		westHomes := westCore.DeviceHomes()
 		eastHomes := eastCore.DeviceHomes()

@@ -403,15 +403,14 @@ func (cs *casSession) route(env wire.Envelope) error {
 			}
 			taskID = dt.TaskID
 		}
-		i := strings.IndexByte(taskID, '/')
-		if i <= 0 {
+		if region = core.TaskID(taskID).Region(); region == "" {
 			return fmt.Errorf("cluster: task id %q carries no region prefix", taskID)
 		}
-		n, err := cs.r.reg.primaryForRegion(taskID[:i])
+		n, err := cs.r.reg.primaryForRegion(region)
 		if err != nil {
 			return err
 		}
-		region, node = taskID[:i], n
+		node = n
 	case wire.TypeSubscribeAgg:
 		var sa wire.SubscribeAgg
 		if err := wire.Decode(env, &sa); err != nil {
@@ -440,9 +439,7 @@ func (cs *casSession) route(env wire.Envelope) error {
 func (cs *casSession) routeSubscribeAgg(env wire.Envelope, sa wire.SubscribeAgg) error {
 	region := sa.Region
 	if region == "" {
-		if i := strings.IndexByte(sa.Task, '/'); i > 0 {
-			region = sa.Task[:i]
-		}
+		region = core.TaskID(sa.Task).Region()
 	}
 	if region != "" {
 		node, err := cs.r.reg.primaryForRegion(region)

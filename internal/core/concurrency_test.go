@@ -100,8 +100,9 @@ func TestSameNumberedTasksAcrossShards(t *testing.T) {
 	}
 }
 
-// Regression: DeleteTask must drop the task's routing entry, or task
-// churn grows the index without bound.
+// Regression: task churn must not leave anything behind. Tasks route by
+// the region their ID names, so there is no routing entry to drop: a
+// deleted task is gone from its shard and answers to nothing.
 func TestDeleteTaskDropsRoutingEntry(t *testing.T) {
 	s, _ := newSharded(t)
 	for i := 0; i < 3; i++ {
@@ -114,12 +115,15 @@ func TestDeleteTaskDropsRoutingEntry(t *testing.T) {
 		if err := s.DeleteTask(id); err != nil {
 			t.Fatal(err)
 		}
+		if err := s.DeleteTask(id); err == nil {
+			t.Fatalf("deleted task %s deleted again", id)
+		}
 	}
-	s.taskMu.RLock()
-	n := len(s.taskHome)
-	s.taskMu.RUnlock()
-	if n != 0 {
-		t.Fatalf("taskHome holds %d entries after delete, want 0", n)
+	if n := s.TaskCount(); n != 0 {
+		t.Fatalf("%d tasks stored after delete, want 0", n)
+	}
+	if v := s.CheckTaskRoutingInvariants(); len(v) > 0 {
+		t.Fatalf("routing invariants violated: %v", v)
 	}
 }
 
@@ -168,13 +172,16 @@ func TestUpdateBudgetPreservesLiveness(t *testing.T) {
 	}
 }
 
-// The same invariant through the Orchestrator face of both topologies.
+// The same invariant through a lone shard and a sharded deployment.
 func TestUpdateDevicePrefsPreservesLiveness(t *testing.T) {
 	single, _ := newTestServer(t)
 	sharded, _ := newSharded(t)
 	cases := []struct {
-		name  string
-		orch  Orchestrator
+		name string
+		orch interface {
+			RegisterDevice(DeviceState) error
+			UpdateDevicePrefs(string, power.Budget) error
+		}
 		store func() *DeviceStore
 		pos   geo.Point
 	}{
@@ -239,36 +246,49 @@ func TestRehomePreservesUnresponsiveness(t *testing.T) {
 	}
 }
 
-// Hammer every Orchestrator method concurrently against both topologies.
-// The assertions during the run are weak on purpose — the test exists
-// for the race detector, which turns any locking mistake into a failure;
-// the sharded topology is held to its homing guarantees once it stops.
+// orchestrator is the method set TestOrchestratorConcurrentUse hammers:
+// every operation a frontend drives.
+type orchestrator interface {
+	RegisterDevice(d DeviceState) error
+	DeregisterDevice(id string)
+	UpdateDeviceState(id string, pos geo.Point, batteryPct float64, at time.Time) error
+	UpdateDevicePrefs(id string, b power.Budget) error
+	NoteDeviceEnergy(id string, joules float64)
+	SubmitTask(t Task, now time.Time, sink DataSink) (TaskID, error)
+	UpdateTaskParams(id TaskID, now time.Time, mutate func(*Task)) error
+	DeleteTask(id TaskID) error
+	ReceiveData(reqID, deviceID string, reading sensors.Reading, now time.Time) error
+	ProcessDue(now time.Time)
+	NextWake() (time.Time, bool)
+	Stats() Stats
+	Selections() []Selection
+	SelectionsDropped() uint64
+	TaskCount() int
+}
+
+// Hammer every orchestrator method concurrently against a deployment
+// without regions (one unnamed shard) and one with two. The assertions
+// during the run are weak on purpose — the test exists for the race
+// detector, which turns any locking mistake into a failure; both are held
+// to their homing guarantees once they stop.
 func TestOrchestratorConcurrentUse(t *testing.T) {
 	regions := campusRegions()
 	positions := []geo.Point{regions[0].Area.Center, regions[1].Area.Center}
-	journals := make(map[string]*memJournal)
-	for _, r := range regions {
-		journals[r.Name] = &memJournal{}
-	}
 
-	build := map[string]func(t *testing.T) Orchestrator{
-		"single": func(t *testing.T) Orchestrator {
-			s, _ := newTestServer(t)
-			return s
-		},
-		"sharded": func(t *testing.T) Orchestrator {
+	build := map[string][]Region{"single": nil, "sharded": regions}
+	for name, regions := range build {
+		t.Run(name, func(t *testing.T) {
+			journals := map[string]*memJournal{"": {}}
+			for _, r := range regions {
+				journals[r.Name] = &memJournal{}
+			}
 			cfg := DefaultServerConfig()
 			cfg.ShardJournal = func(region string) JournalSink { return journals[region] }
-			s, err := NewShardedServer(cfg, &recordingDispatcher{}, regions)
+			ss, err := NewShardedServer(cfg, &recordingDispatcher{}, regions)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return s
-		},
-	}
-	for name, mk := range build {
-		t.Run(name, func(t *testing.T) {
-			o := mk(t)
+			var o orchestrator = ss
 			var wg sync.WaitGroup    // finite mutator workers
 			var loops sync.WaitGroup // scheduler/reader loops, stopped after mutators drain
 
@@ -374,12 +394,13 @@ func TestOrchestratorConcurrentUse(t *testing.T) {
 
 			// Whatever interleaving the run took, every device ended in
 			// exactly one shard, and each shard's journal tells its story.
-			if ss, ok := o.(*ShardedServer); ok {
-				if v := ss.CheckHomingInvariants(); len(v) > 0 {
-					t.Errorf("homing invariants violated: %v", v)
-				}
-				checkHomesAndJournals(t, ss, journals, 0)
+			if v := ss.CheckHomingInvariants(); len(v) > 0 {
+				t.Errorf("homing invariants violated: %v", v)
 			}
+			if v := ss.CheckTaskRoutingInvariants(); len(v) > 0 {
+				t.Errorf("routing invariants violated: %v", v)
+			}
+			checkHomesAndJournals(t, ss, journals, 0)
 		})
 	}
 }

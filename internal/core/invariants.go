@@ -87,12 +87,11 @@ func (s *ShardedServer) CheckHomingInvariants() []string {
 	return violations
 }
 
-// CheckTaskRoutingInvariants verifies every routed task exists on the
-// shard the index names, and every stored task is routed. Same contract
-// as CheckHomingInvariants: empty means healthy.
+// CheckTaskRoutingInvariants verifies that tasks route by their IDs: each
+// stored task's ID names the shard that stores it (TaskID.Region), and no
+// ID is stored in two shards. Same contract as CheckHomingInvariants:
+// empty means healthy.
 func (s *ShardedServer) CheckTaskRoutingInvariants() []string {
-	s.taskMu.RLock()
-	defer s.taskMu.RUnlock()
 	var violations []string
 	stored := make(map[TaskID]int)
 	for i, sh := range s.shards {
@@ -102,22 +101,10 @@ func (s *ShardedServer) CheckTaskRoutingInvariants() []string {
 					fmt.Sprintf("task %s stored in shards %d and %d", id, prev, i))
 			}
 			stored[id] = i
-		}
-	}
-	for id, i := range stored {
-		idx, ok := s.taskHome[id]
-		if !ok {
-			violations = append(violations,
-				fmt.Sprintf("task %s stored in shard %d but missing from routing index", id, i))
-		} else if idx != i {
-			violations = append(violations,
-				fmt.Sprintf("task %s stored in shard %d but routed to shard %d", id, i, idx))
-		}
-	}
-	for id, idx := range s.taskHome {
-		if _, ok := stored[id]; !ok {
-			violations = append(violations,
-				fmt.Sprintf("task %s routed to shard %d but stored nowhere", id, idx))
+			if name := id.Region(); name != sh.region.Name {
+				violations = append(violations,
+					fmt.Sprintf("task %s stored in shard %d (%q) but names region %q", id, i, sh.region.Name, name))
+			}
 		}
 	}
 	sort.Strings(violations)

@@ -94,21 +94,14 @@ type ServerConfig struct {
 	// Metrics receives the server's operational counters, gauges, and
 	// latency histograms (see internal/obs). Nil uses a fresh private
 	// registry, so counters always work; frontends pass their own so the
-	// core's series appear on the shared /metrics endpoint.
+	// core's series appear on the shared /metrics endpoint. A region's
+	// shard labels its series {shard="<region>"}, so the shards' gauges
+	// and counters stay separate on a shared registry.
 	Metrics *obs.Registry
-	// MetricsLabels is attached to every series this server registers.
-	// Sharded deployments set a distinct shard label per region so the
-	// shards' gauges and counters stay separate on a shared registry.
-	MetricsLabels obs.Labels
 	// SelectionLogSize bounds the in-memory selection log (a ring buffer;
 	// overwrites are counted by senseaid_selections_dropped_total). Zero
 	// means DefaultSelectionLogSize.
 	SelectionLogSize int
-	// TaskIDPrefix namespaces generated task IDs ("<prefix>task-<n>").
-	// A sharded deployment gives each regional instance its region name
-	// as prefix so task (and therefore request) IDs are globally unique
-	// and route unambiguously. Empty for a single-region server.
-	TaskIDPrefix string
 	// Journal, when set, receives a record of every persistent mutation
 	// (the internal/persist subsystem appends them to the on-disk
 	// journal). Appends run after the scheduling lock is released — the
@@ -116,9 +109,11 @@ type ServerConfig struct {
 	// implementation may do file I/O; it must be safe for concurrent use.
 	// Nil disables journaling with no overhead on the scheduling path.
 	Journal JournalSink
-	// ShardJournal supplies a per-region journal sink for sharded
-	// deployments: each shard persists to its own state files, keyed by
-	// region name. Ignored by NewServer; see NewShardedServer.
+	// ShardJournal supplies each shard of a ShardedServer its journal
+	// sink, keyed by region name ("" for the unnamed shard of a
+	// deployment without regions): each shard persists to its own state
+	// files. NewShardedServer uses it in place of Journal; NewServer
+	// ignores it.
 	ShardJournal func(region string) JournalSink
 	// Tracer, when set, records schedule/select/upload spans for tasks
 	// that carry a trace context and feeds the senseaid_stage_seconds
@@ -129,16 +124,13 @@ type ServerConfig struct {
 	// (submitted/scheduled/selected/uploaded) for the admin /tasks
 	// endpoint. Nil disables timelines.
 	Timeline *obs.TimelineStore
-	// TraceRegion tags this server's spans (a shard's region name);
-	// empty for a single-region server. Set by NewShardedServer.
-	TraceRegion string
 	// AggTap, when set, receives every validated reading right after the
 	// scheduling lock is released — the live-aggregation tier's feed
 	// (internal/agg). It runs on the delivery path of every accepted
 	// upload, so it must be fast and allocation-free in steady state; it
-	// may call back into the server. Sharded deployments inherit the tap
-	// on every shard, with TraceRegion naming the shard's region. Nil
-	// disables the tap with no overhead beyond a nil check.
+	// may call back into the server. Every shard of a ShardedServer calls
+	// the tap, naming its region ("" for the unnamed shard). Nil disables
+	// the tap with no overhead beyond a nil check.
 	AggTap func(task TaskID, region string, deviceID string, reading sensors.Reading)
 }
 
@@ -175,7 +167,13 @@ type pendingDispatch struct {
 //
 //	Server.mu -> DeviceStore.mu -> Server.statsMu
 type Server struct {
-	cfg      ServerConfig
+	cfg ServerConfig
+	// region is the name of the region this server is the shard of: it
+	// prefixes minted task IDs ("west/task-1"), labels the server's own
+	// series {shard="west"} and tags its spans — a tag, not a label, so
+	// senseaid_stage_seconds keeps one label set. Empty for the unnamed
+	// shard and for a lone Server.
+	region   string
 	selector *Selector
 	devices  *DeviceStore
 	dispatch Dispatcher
@@ -232,8 +230,14 @@ type Server struct {
 	sellog  selectionLog
 }
 
-// NewServer builds a server around a dispatcher.
+// NewServer builds a lone server around a dispatcher: the shard type on
+// its own, with no region. Frontends drive a ShardedServer instead.
 func NewServer(cfg ServerConfig, d Dispatcher) (*Server, error) {
+	return newServer(cfg, d, "")
+}
+
+// newServer builds the shard for a region ("" for none).
+func newServer(cfg ServerConfig, d Dispatcher, region string) (*Server, error) {
 	if d == nil {
 		return nil, fmt.Errorf("core: nil dispatcher")
 	}
@@ -251,8 +255,13 @@ func NewServer(cfg ServerConfig, d Dispatcher) (*Server, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	var labels obs.Labels
+	if region != "" {
+		labels = obs.Labels{"shard": region}
+	}
 	return &Server{
 		cfg:        cfg,
+		region:     region,
 		selector:   sel,
 		devices:    NewDeviceStore(),
 		tasks:      make(map[TaskID]*Task),
@@ -263,7 +272,7 @@ func NewServer(cfg ServerConfig, d Dispatcher) (*Server, error) {
 		byClientID: make(map[string]TaskID),
 		dispatch:   d,
 		registry:   reg,
-		met:        newServerMetrics(reg, cfg.MetricsLabels),
+		met:        newServerMetrics(reg, labels),
 		sellog:     newSelectionLog(cfg.SelectionLogSize),
 		tracer:     cfg.Tracer,
 		timeline:   cfg.Timeline,
@@ -305,13 +314,9 @@ func (s *Server) RegisterDevice(d DeviceState) error {
 	return nil
 }
 
-// DeregisterDevice removes a device. An ID the store does not hold is
-// journaled all the same, as it always was; replay ignores it.
-func (s *Server) DeregisterDevice(id string) {
-	if _, ok := s.takeDevice(id); !ok {
-		s.jdirect(JournalRecord{Op: opDeregister, DeviceID: id})
-	}
-}
+// DeregisterDevice removes a device; an ID the store does not hold
+// journals nothing.
+func (s *Server) DeregisterDevice(id string) { s.takeDevice(id) }
 
 // takeDevice removes a device, journaling a deregister, and hands over its
 // record (DeviceStore.take); an ID the store does not hold journals nothing.
@@ -360,15 +365,12 @@ func (s *Server) updatePrefs(id string, b power.Budget) (found bool, err error) 
 }
 
 // NoteDeviceEnergy adds crowdsensing energy spent by a device (the
-// selector's E_i fairness term). Energy for an ID the store does not hold
-// is journaled all the same, as it always was; replay ignores it.
-func (s *Server) NoteDeviceEnergy(id string, joules float64) {
-	if !s.noteEnergy(id, joules) && joules > 0 {
-		s.jdirect(JournalRecord{Op: opEnergy, DeviceID: id, Joules: joules})
-	}
-}
+// selector's E_i fairness term); energy for an ID the store does not hold
+// journals nothing.
+func (s *Server) NoteDeviceEnergy(id string, joules float64) { s.noteEnergy(id, joules) }
 
-// noteEnergy is NoteDeviceEnergy journaling nothing for an ID not held.
+// noteEnergy is NoteDeviceEnergy reporting whether the store holds the
+// device.
 func (s *Server) noteEnergy(id string, joules float64) bool {
 	found := s.devices.NoteEnergy(id, joules)
 	if found && joules > 0 {
@@ -465,7 +467,10 @@ func (s *Server) SubmitTask(t Task, now time.Time, sink DataSink) (TaskID, error
 		}
 	}
 	s.nextTask++
-	t.ID = TaskID(fmt.Sprintf("%stask-%d", s.cfg.TaskIDPrefix, s.nextTask))
+	t.ID = TaskID(fmt.Sprintf("task-%d", s.nextTask))
+	if s.region != "" {
+		t.ID = TaskID(s.region) + "/" + t.ID
+	}
 	t.SpecSig = sig
 	if err := t.Normalize(now); err != nil {
 		return "", err
@@ -670,11 +675,11 @@ func (s *Server) schedule(r Request, now time.Time, out *[]outbound) {
 	// Spans join the trace the task was submitted under (inert for
 	// untraced tasks); select is a child of schedule so the trace tree
 	// shows the selector's share of the pass.
-	span := s.tracer.StartSpan(r.Task.TraceContext(), obs.StageSchedule, s.cfg.TraceRegion)
+	span := s.tracer.StartSpan(r.Task.TraceContext(), obs.StageSchedule, s.region)
 	defer span.Finish()
 	id := r.ID() // formatted once: the ID keys the pending map, the log and the timeline
 	s.timeline.Note(string(r.Task.ID), "scheduled", id, now)
-	selSpan := s.tracer.StartSpan(span.Context(), obs.StageSelect, s.cfg.TraceRegion)
+	selSpan := s.tracer.StartSpan(span.Context(), obs.StageSelect, s.region)
 	selStart := time.Now()
 	// One pass over the datastore's spatial index, in place: the scan is
 	// O(devices near the task area), copies only the winners, and the
@@ -762,7 +767,20 @@ func (s *Server) checkWaitQueue(now time.Time, out *[]outbound) {
 // unresponsive so the selector avoids them until they deliver again.
 // Called with s.mu held.
 func (s *Server) expireDispatches(now time.Time) {
+	// Requests are visited in ID order, not the map's, so a pass journals
+	// the same records in the same order every time.
+	var expired []string
 	for id, list := range s.pending {
+		for _, p := range list {
+			if p.req.Deadline.Before(now) {
+				expired = append(expired, id)
+				break
+			}
+		}
+	}
+	slices.Sort(expired)
+	for _, id := range expired {
+		list := s.pending[id]
 		var live []pendingDispatch
 		for _, p := range list {
 			if p.req.Deadline.Before(now) {
@@ -796,7 +814,13 @@ func (s *Server) finishRound(reqID string) {
 		return
 	}
 	flagged := reputation.FlagOutliers(values, s.cfg.OutlierKMAD, s.cfg.OutlierToleranceAbs)
+	// Outcomes are journaled in device order, not the map's.
+	devs := make([]string, 0, len(values))
 	for dev := range values {
+		devs = append(devs, dev)
+	}
+	slices.Sort(devs)
+	for _, dev := range devs {
 		if flagged[dev] {
 			s.noteOutcome(dev, reputation.OutcomeOutlier)
 		} else {
@@ -822,7 +846,7 @@ func (s *Server) ReceiveData(reqID string, deviceID string, reading sensors.Read
 		return err
 	}
 	if s.cfg.AggTap != nil {
-		s.cfg.AggTap(taskID, s.cfg.TraceRegion, deviceID, reading)
+		s.cfg.AggTap(taskID, s.region, deviceID, reading)
 	}
 	if sink != nil {
 		sink(taskID, deviceID, reading)
@@ -872,7 +896,7 @@ func (s *Server) receiveDataLocked(reqID string, deviceID string, reading sensor
 	// journal recovery have no dispatch time — their duration would be
 	// garbage, so they are not measured.
 	if !p.at.IsZero() {
-		s.tracer.RecordSpan(p.req.Task.TraceContext(), obs.StageUpload, s.cfg.TraceRegion, p.at, now, "")
+		s.tracer.RecordSpan(p.req.Task.TraceContext(), obs.StageUpload, s.region, p.at, now, "")
 	}
 	s.timeline.Note(string(p.req.Task.ID), "uploaded", deviceID, now)
 

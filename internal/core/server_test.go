@@ -229,7 +229,6 @@ func TestAggTapSeesAcceptedReadings(t *testing.T) {
 	var taps []tapped
 	var sinkSeen int
 	cfg := DefaultServerConfig()
-	cfg.TraceRegion = "west"
 	cfg.AggTap = func(task TaskID, region string, deviceID string, r sensors.Reading) {
 		if sinkSeen != 0 {
 			t.Error("sink ran before the agg tap")
@@ -237,9 +236,9 @@ func TestAggTapSeesAcceptedReadings(t *testing.T) {
 		taps = append(taps, tapped{task, region, deviceID, r.Value})
 	}
 	d := &recordingDispatcher{}
-	s, err := NewServer(cfg, d)
+	s, err := newServer(cfg, d, "west") // region west's shard
 	if err != nil {
-		t.Fatalf("NewServer: %v", err)
+		t.Fatalf("newServer: %v", err)
 	}
 	registerFresh(t, s, "a", "b")
 	id := submitValid(t, s, 1, func(TaskID, string, sensors.Reading) { sinkSeen++ })

@@ -9,7 +9,6 @@ import (
 	"unicode"
 
 	"senseaid/internal/geo"
-	"senseaid/internal/obs"
 	"senseaid/internal/power"
 	"senseaid/internal/sensors"
 )
@@ -22,7 +21,8 @@ import (
 // ongoing work. ShardedServer is that instantiation: one Server instance
 // per geographic region, with tasks routed to the shard covering their
 // area and devices homed (and re-homed as they move) to the shard
-// covering their position.
+// covering their position. A deployment without regions is the same
+// orchestrator with one unnamed shard that covers every point.
 
 // Region is one edge shard's coverage area.
 type Region struct {
@@ -30,20 +30,22 @@ type Region struct {
 	Area geo.Circle
 }
 
-// ShardedServer fronts a set of per-region Server instances behind the
-// Orchestrator interface. Each shard owns its concurrency (see Server);
-// the sharded layer adds the task-routing index and the device stripes.
+// ShardedServer is the Sense-Aid orchestrator: every frontend (the
+// networked server, the simulation framework) drives one, and only this
+// package knows how many regions it has. Each shard is a Server and owns
+// its concurrency; the sharded layer adds the device stripes. Every
+// method is safe for concurrent use, and Dispatcher and DataSink
+// callbacks run outside the scheduling locks, so they may call back in.
 // ProcessDue and NextWake fan out across shards concurrently, so the
 // shared Dispatcher must tolerate concurrent calls.
 //
-// A device's home is the shard whose store holds its record; there is no
-// device index to fall out of step with the stores. An operation asks the
-// shard covering the position it carries, then (rarely) the few others.
+// A device's home is the shard whose store holds its record, and a
+// task's is the shard its ID names (TaskID.Region); there is no index to
+// fall out of step with the shards. A device operation asks the shard
+// covering the position it carries, then (rarely) the few others.
 //
-// Lock hierarchy: deviceStripe.mu -> (per-shard) Server locks, and
-// ShardedServer.taskMu as a leaf (nothing is called with it held). The
-// stripes and the task lock are independent — an upload resolving its
-// task never queues behind a device report — and only storedIn holds more
+// Lock hierarchy: deviceStripe.mu -> (per-shard) Server locks. Task
+// operations take no lock of this layer, and only storedIn holds more
 // than one stripe. No shard ever calls back up into the sharded layer.
 type ShardedServer struct {
 	shards []shardEntry // immutable after construction
@@ -55,12 +57,6 @@ type ShardedServer struct {
 	// journaled in the order they happened, while operations on devices of
 	// other stripes — a re-home included — proceed side by side.
 	devices [deviceStripes]deviceStripe
-
-	// taskMu guards taskHome.
-	taskMu sync.RWMutex
-	// taskHome maps a (shard-prefixed, globally unique) task ID to the
-	// shard that owns it.
-	taskHome map[TaskID]int
 }
 
 // deviceStripes is how many device locks there are. A re-home holds one
@@ -88,21 +84,30 @@ func (s *ShardedServer) stripe(id string) *deviceStripe {
 type shardEntry struct {
 	region Region
 	// area is region.Area prepared once: every registration, state report
-	// and task submission asks which region holds a point.
+	// and task submission asks which region holds a point. The unnamed
+	// shard has no area and covers every point.
 	area   geo.PreparedCircle
 	server *Server
 }
 
 // NewShardedServer builds one Server per region, all sharing a dispatcher
-// and configuration. Each shard generates task IDs under its region name
-// ("west/task-1"), so task and request IDs are globally unique and two
-// shards can never mint colliding IDs.
+// and configuration, each journaling to cfg.ShardJournal(region name).
+// Each shard generates task IDs under its region name ("west/task-1"),
+// so task and request IDs are globally unique and name their shard.
+//
+// Without regions it builds one unnamed shard covering every point: its
+// task IDs carry no prefix ("task-1"), its spans no region tag and its
+// metrics no shard label, and it journals to cfg.ShardJournal("") — a
+// region-less deployment exactly as a lone Server would run it.
 func NewShardedServer(cfg ServerConfig, d Dispatcher, regions []Region) (*ShardedServer, error) {
+	s := &ShardedServer{}
 	if len(regions) == 0 {
-		return nil, fmt.Errorf("core: sharded server needs at least one region")
+		if err := s.addShard(cfg, d, Region{}); err != nil {
+			return nil, err
+		}
+		return s, nil
 	}
 	seen := make(map[string]bool, len(regions))
-	s := &ShardedServer{taskHome: make(map[TaskID]int)}
 	for _, r := range regions {
 		if r.Name == "" {
 			return nil, fmt.Errorf("core: region with empty name")
@@ -123,36 +128,27 @@ func NewShardedServer(cfg ServerConfig, d Dispatcher, regions []Region) (*Sharde
 			return nil, fmt.Errorf("core: region %q has invalid area", r.Name)
 		}
 		seen[r.Name] = true
-		shardCfg := cfg
-		shardCfg.TaskIDPrefix = r.Name + "/"
-		// Spans carry the region tag instead of a metric label: the
-		// shared senseaid_stage_seconds family keeps one label set
-		// ({stage}) while the trace tree still shows which shard ran
-		// each stage.
-		shardCfg.TraceRegion = r.Name
-		// Each shard journals to its own per-region sink (its own state
-		// files); a plain Journal would interleave shards in one file.
-		shardCfg.Journal = nil
-		if cfg.ShardJournal != nil {
-			shardCfg.Journal = cfg.ShardJournal(r.Name)
-		}
-		if cfg.Metrics != nil {
-			// Distinct shard labels keep per-shard gauges (queue depths,
-			// device counts) from overwriting each other on the shared
-			// registry.
-			labels := obs.Labels{"shard": r.Name}
-			for k, v := range cfg.MetricsLabels {
-				labels[k] = v
-			}
-			shardCfg.MetricsLabels = labels
-		}
-		srv, err := NewServer(shardCfg, d)
-		if err != nil {
+		if err := s.addShard(cfg, d, r); err != nil {
 			return nil, err
 		}
-		s.shards = append(s.shards, shardEntry{region: r, area: r.Area.Prepare(), server: srv})
 	}
 	return s, nil
+}
+
+// addShard builds the shard for one region. Each journals to its own
+// per-region sink (its own state files); a plain Journal would interleave
+// shards in one file.
+func (s *ShardedServer) addShard(cfg ServerConfig, d Dispatcher, r Region) error {
+	cfg.Journal = nil
+	if cfg.ShardJournal != nil {
+		cfg.Journal = cfg.ShardJournal(r.Name)
+	}
+	srv, err := newServer(cfg, d, r.Name)
+	if err != nil {
+		return err
+	}
+	s.shards = append(s.shards, shardEntry{region: r, area: r.Area.Prepare(), server: srv})
+	return nil
 }
 
 // Shards returns the number of shards.
@@ -162,7 +158,7 @@ func (s *ShardedServer) Shards() int { return len(s.shards) }
 // -1 when the point is outside every region.
 func (s *ShardedServer) ShardFor(p geo.Point) int {
 	for i := range s.shards {
-		if s.shards[i].area.Contains(p) {
+		if sh := &s.shards[i]; sh.region.Name == "" || sh.area.Contains(p) {
 			return i
 		}
 	}
@@ -262,7 +258,7 @@ func (s *ShardedServer) UpdateDeviceState(id string, pos geo.Point, batteryPct f
 		}
 	}
 	if err == nil && !found {
-		err = fmt.Errorf("core: update for unregistered device %s", id)
+		err = fmt.Errorf("core: update: unknown device %s", id)
 	}
 	return err
 }
@@ -338,90 +334,56 @@ func (s *ShardedServer) SubmitTask(t Task, now time.Time, sink DataSink) (TaskID
 	if i < 0 {
 		return "", fmt.Errorf("core: task area %s is outside every region", t.Area)
 	}
-	// The routing entry is in place before anyone can look the task up:
-	// the shard may dispatch the task's first request as soon as its own
-	// lock drops, and the upload answering it must find its shard. The
-	// shard's SubmitTask never calls back into this layer.
-	s.taskMu.Lock()
-	defer s.taskMu.Unlock()
-	id, err := s.shards[i].server.SubmitTask(t, now, sink)
-	if err != nil {
-		return "", err
-	}
-	s.taskHome[id] = i
-	return id, nil
+	return s.shards[i].server.SubmitTask(t, now, sink)
 }
 
-// shardForTask resolves a shard-prefixed task ID to its owning shard.
-func (s *ShardedServer) shardForTask(id TaskID) (int, error) {
-	s.taskMu.RLock()
-	i, ok := s.taskHome[id]
-	s.taskMu.RUnlock()
-	if !ok {
-		return 0, fmt.Errorf("core: unknown task %s", id)
+// shardOf returns the shard a task or request ID names (TaskID.Region),
+// or nil when no shard has that name.
+func (s *ShardedServer) shardOf(id string) *Server {
+	name := TaskID(id).Region()
+	for i := range s.shards {
+		if s.shards[i].region.Name == name {
+			return s.shards[i].server
+		}
 	}
-	return i, nil
-}
-
-// DeleteTask removes a task from its owning shard and drops its routing
-// entry (task churn must not grow the index without bound).
-func (s *ShardedServer) DeleteTask(id TaskID) error {
-	i, err := s.shardForTask(id)
-	if err != nil {
-		return err
-	}
-	if err := s.shards[i].server.DeleteTask(id); err != nil {
-		return err
-	}
-	s.taskMu.Lock()
-	delete(s.taskHome, id)
-	s.taskMu.Unlock()
 	return nil
 }
 
-// UpdateTaskParams mutates a task on its owning shard.
+// DeleteTask removes a task from the shard its ID names.
+func (s *ShardedServer) DeleteTask(id TaskID) error {
+	sh := s.shardOf(string(id))
+	if sh == nil {
+		return fmt.Errorf("core: unknown task %s", id)
+	}
+	return sh.DeleteTask(id)
+}
+
+// UpdateTaskParams mutates a task on the shard its ID names.
 func (s *ShardedServer) UpdateTaskParams(id TaskID, now time.Time, mutate func(*Task)) error {
-	i, err := s.shardForTask(id)
-	if err != nil {
-		return err
+	sh := s.shardOf(string(id))
+	if sh == nil {
+		return fmt.Errorf("core: unknown task %s", id)
 	}
-	return s.shards[i].server.UpdateTaskParams(id, now, mutate)
+	return sh.UpdateTaskParams(id, now, mutate)
 }
 
-// shardForRequest resolves a request ID ("<taskID>#<seq>") to the shard
-// owning its task; task IDs carry their region prefix, so the route is
-// unambiguous.
-func (s *ShardedServer) shardForRequest(reqID string) (int, error) {
-	taskPart := reqID
-	for i := 0; i < len(reqID); i++ {
-		if reqID[i] == '#' {
-			taskPart = reqID[:i]
-			break
-		}
-	}
-	return s.shardForTask(TaskID(taskPart))
-}
-
-// ReceiveData routes a device's reading to the shard owning the request's
-// task.
+// ReceiveData hands a device's reading to the shard the request's task
+// ID names.
 func (s *ShardedServer) ReceiveData(reqID, deviceID string, reading sensors.Reading, now time.Time) error {
-	i, err := s.shardForRequest(reqID)
-	if err != nil {
-		return err
+	sh := s.shardOf(reqID)
+	if sh == nil {
+		return fmt.Errorf("core: unknown task for request %s", reqID)
 	}
-	return s.shards[i].server.ReceiveData(reqID, deviceID, reading, now)
+	return sh.ReceiveData(reqID, deviceID, reading, now)
 }
 
-// NoteDispatchFailure routes a delivery failure to the shard owning the
-// request's task; the shard clears the pending entry and marks the
-// device unresponsive. Unknown requests are ignored — the task may have
-// been deleted between the dispatch and the failure report.
+// NoteDispatchFailure hands a delivery failure to the shard the request's
+// task ID names; the shard clears the pending entry and marks the device
+// unresponsive.
 func (s *ShardedServer) NoteDispatchFailure(reqID, deviceID string) {
-	i, err := s.shardForRequest(reqID)
-	if err != nil {
-		return
+	if sh := s.shardOf(reqID); sh != nil {
+		sh.NoteDispatchFailure(reqID, deviceID)
 	}
-	s.shards[i].server.NoteDispatchFailure(reqID, deviceID)
 }
 
 // ProcessDue drives every shard's scheduling loop concurrently: regions
@@ -429,42 +391,38 @@ func (s *ShardedServer) NoteDispatchFailure(reqID, deviceID string) {
 // shard, a task to exactly one shard), so the per-edge instances schedule
 // in parallel exactly as the paper's physical deployment would.
 func (s *ShardedServer) ProcessDue(now time.Time) {
-	var wg sync.WaitGroup
-	for _, sh := range s.shards {
-		wg.Add(1)
-		go func(srv *Server) {
-			defer wg.Done()
-			srv.ProcessDue(now)
-		}(sh.server)
-	}
-	wg.Wait()
+	s.each(func(srv *Server) { srv.ProcessDue(now) })
 }
 
 // NextWake returns the earliest wake instant across shards, polling the
 // shards concurrently.
-func (s *ShardedServer) NextWake() (time.Time, bool) {
-	type wake struct {
-		t  time.Time
-		ok bool
-	}
-	wakes := make([]wake, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, srv *Server) {
-			defer wg.Done()
-			wakes[i].t, wakes[i].ok = srv.NextWake()
-		}(i, sh.server)
-	}
-	wg.Wait()
-	var best time.Time
-	ok := false
-	for _, w := range wakes {
-		if w.ok && (!ok || w.t.Before(best)) {
-			best, ok = w.t, true
+func (s *ShardedServer) NextWake() (best time.Time, ok bool) {
+	var mu sync.Mutex
+	s.each(func(srv *Server) {
+		t, has := srv.NextWake()
+		mu.Lock()
+		if has && (!ok || t.Before(best)) {
+			best, ok = t, true
 		}
-	}
+		mu.Unlock()
+	})
 	return best, ok
+}
+
+// each runs f on every shard at once: the last on the caller's goroutine,
+// the rest on one goroutine each, so a one-shard deployment spawns none.
+func (s *ShardedServer) each(f func(*Server)) {
+	last := len(s.shards) - 1
+	var wg sync.WaitGroup
+	wg.Add(last)
+	for _, sh := range s.shards[:last] {
+		go func(srv *Server) {
+			defer wg.Done()
+			f(srv)
+		}(sh.server)
+	}
+	f(s.shards[last].server)
+	wg.Wait()
 }
 
 // Stats aggregates counters across shards.
@@ -513,21 +471,11 @@ func (s *ShardedServer) TaskCount() int {
 	return total
 }
 
-// RebuildRouting reconstructs the task-routing index from the shards'
-// current state. It is the recovery path's last step: after each shard's
-// Server has restored its snapshot and journal, the sharded layer
-// re-learns which shard owns which task (devices are found in the stores
-// the recovery filled). Call it before the sharded server takes traffic.
-func (s *ShardedServer) RebuildRouting() {
-	s.taskMu.Lock()
-	defer s.taskMu.Unlock()
-	s.taskHome = make(map[TaskID]int)
-	for i, sh := range s.shards {
-		for _, id := range sh.server.TaskIDs() {
-			s.taskHome[id] = i
-		}
-	}
-}
+// RebuildRouting is a no-op, kept for callers written when the sharded
+// layer kept a task-routing index that recovery had to rebuild. Tasks now
+// route by the region their ID names and devices live in the stores the
+// recovery filled, so there is nothing left to rebuild.
+func (s *ShardedServer) RebuildRouting() {}
 
 // Shard exposes one shard's Server for inspection and tests.
 func (s *ShardedServer) Shard(i int) (*Server, Region, error) {

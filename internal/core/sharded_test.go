@@ -29,8 +29,13 @@ func newSharded(t *testing.T) (*ShardedServer, *recordingDispatcher) {
 
 func TestNewShardedValidation(t *testing.T) {
 	d := &recordingDispatcher{}
-	if _, err := NewShardedServer(DefaultServerConfig(), d, nil); err == nil {
-		t.Fatal("no regions accepted")
+	// No regions is one unnamed shard covering every point.
+	s, err := NewShardedServer(DefaultServerConfig(), d, nil)
+	if err != nil {
+		t.Fatalf("no regions: %v", err)
+	}
+	if s.Shards() != 1 || s.RegionName(0) != "" || s.ShardFor(geo.Point{Lat: -80, Lon: 170}) != 0 {
+		t.Fatalf("no regions built %d shards, first named %q", s.Shards(), s.RegionName(0))
 	}
 	bad := campusRegions()
 	bad[1].Name = bad[0].Name

@@ -24,6 +24,22 @@ import (
 // TaskID identifies a crowdsensing task.
 type TaskID string
 
+// Region is the name of the region whose shard minted the ID: everything
+// before its first '/', or "" (the unnamed shard of a deployment without
+// regions) when it has none. A request ID ("<task>#<seq>") names its
+// task's region the same way; region names hold neither '/' nor '#'.
+func (id TaskID) Region() string {
+	for i := 0; i < len(id); i++ {
+		switch id[i] {
+		case '/':
+			return string(id[:i])
+		case '#':
+			return ""
+		}
+	}
+	return ""
+}
+
 // Task is a crowdsensing task as specified by a crowdsensing application
 // server — the exact parameter set of the paper's Table 1.
 type Task struct {

@@ -23,6 +23,9 @@ import (
 // virtual times:
 //
 //   - "server": a bare Server, the shard type every topology is made of;
+//   - "one shard": NewShardedServer without regions, the orchestrator a
+//     region-less deployment runs — one unnamed shard covering every
+//     point, which must be indistinguishable from the bare Server;
 //   - "regions": three regions that do not overlap. Every task area lies
 //     inside one region and every device moves only inside its own, so
 //     no device crosses a boundary (crossings are homing_model_test's
@@ -153,9 +156,14 @@ func newTopoServerArm(t *testing.T) *topoArm {
 	return a
 }
 
-func newTopoRegionsArm(t *testing.T, regions []Region) *topoArm {
-	a := &topoArm{name: "regions", index: make(map[TaskID]int)}
-	byName := make(map[string]*memJournal)
+// newTopoShardedArm builds a ShardedServer arm; without regions it is the
+// one-shard orchestrator, held to the bare Server call for call.
+func newTopoShardedArm(t *testing.T, name string, regions []Region) *topoArm {
+	a := &topoArm{name: name, exact: len(regions) == 0, index: make(map[TaskID]int)}
+	byName := map[string]*memJournal{"": {}}
+	if len(regions) == 0 {
+		a.journals = append(a.journals, byName[""])
+	}
 	for _, r := range regions {
 		j := &memJournal{}
 		byName[r.Name] = j
@@ -178,7 +186,7 @@ func TestTopologiesAgree(t *testing.T) {
 		{Name: "mid", Area: geo.Circle{Center: geo.Offset(base, 0, 20000), RadiusM: 4000}},
 		{Name: "east", Area: geo.Circle{Center: geo.Offset(base, 0, 40000), RadiusM: 4000}},
 	}
-	arms := []*topoArm{newTopoServerArm(t), newTopoRegionsArm(t, regions)}
+	arms := []*topoArm{newTopoServerArm(t), newTopoShardedArm(t, "one shard", nil), newTopoShardedArm(t, "regions", regions)}
 	ref := arms[0]
 
 	rng := rand.New(rand.NewSource(topoSeed))
@@ -485,16 +493,12 @@ func firstDiff(got, want []string) string {
 
 // topoSnapshot is a region-less arm's one store's snapshot.
 func topoSnapshot(t *testing.T, o topoOrchestrator) SnapshotState {
-	switch c := o.(type) {
-	case *Server:
-		return c.Snapshot()
-	case *ShardedServer:
-		sh, _, err := c.Shard(0)
+	if ss, ok := o.(*ShardedServer); ok {
+		sh, _, err := ss.Shard(0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sh.Snapshot()
 	}
-	t.Fatalf("no snapshot for %T", o)
-	return SnapshotState{}
+	return o.(*Server).Snapshot()
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"senseaid/internal/cas"
+	"senseaid/internal/simclock"
 	"senseaid/internal/wire"
 )
 
@@ -97,9 +98,11 @@ func TestAggSubscriptionEndToEnd(t *testing.T) {
 	if s.met.aggWindows.Value() == 0 {
 		t.Fatal("senseaid_agg_windows_total never incremented")
 	}
-	if s.met.aggPushLag.Count() == 0 {
-		t.Fatal("push lag histogram never observed")
-	}
+	// The lag is observed once the push's write completes, which the
+	// subscriber can beat to reading the window.
+	waitFor(t, 5*time.Second, "the push lag histogram to observe the push", func() bool {
+		return s.met.aggPushLag.Count() > 0
+	})
 
 	// The subscriber disconnecting releases its tier subscription.
 	_ = app.Close()
@@ -193,6 +196,14 @@ func TestAggMixedCodecSubscribersSeeIdenticalWindows(t *testing.T) {
 // campaign restored from the state dir keeps collecting while its CAS is
 // away, and the buffered readings replay when the CAS reclaims the task
 // by resubmitting its ClientTaskID.
+//
+// The restarted server runs on a virtual clock the test moves one
+// sampling period at a time, once the previous reading has been
+// buffered. Each request's deadline is one period (150 ms) after it is
+// due; on wall time, a loaded -race host that took longer than that to
+// carry the first schedule to the device and its upload back after the
+// restart marked the only device unresponsive, and nothing was selected
+// again.
 func TestUnroutableDeliveriesReplayOnReclaim(t *testing.T) {
 	dir := t.TempDir()
 	s1, err := Listen(Config{Addr: "127.0.0.1:0", TickPeriod: 20 * time.Millisecond, StateDir: dir})
@@ -218,18 +229,31 @@ func TestUnroutableDeliveriesReplayOnReclaim(t *testing.T) {
 	if err := s1.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	s2, err := Listen(Config{Addr: "127.0.0.1:0", TickPeriod: 20 * time.Millisecond, StateDir: dir})
+	clock := simclock.NewFakeClock(time.Now())
+	s2, err := Listen(Config{
+		Addr: "127.0.0.1:0", TickPeriod: 20 * time.Millisecond, StateDir: dir,
+		Clock:     clock,
+		AggWindow: -1, // the tick loop is then the clock's only sleeper
+	})
 	if err != nil {
 		t.Fatalf("relisten: %v", err)
 	}
 	t.Cleanup(func() { _ = s2.Close() })
 
 	// A device keeps sensing for the recovered campaign; with no CAS
-	// connected the deliveries are unroutable — and now buffered.
+	// connected the deliveries are unroutable — and now buffered. Each
+	// period the tick dispatches the request that fell due, and the
+	// device's upload of it is buffered before the clock moves on.
 	autoDevice(t, s2.Addr(), "device-1")
-	waitFor(t, 5*time.Second, "unroutable deliveries to be buffered", func() bool {
-		return s2.met.deliveriesUnroutable.Value() >= 2
-	})
+	for n := 1; n <= 2; n++ {
+		waitFor(t, 5*time.Second, "the tick loop to sleep on the clock", func() bool {
+			return clock.Waiters() > 0
+		})
+		clock.Advance(spec.SamplingPeriod)
+		waitFor(t, 5*time.Second, "an unroutable delivery to be buffered", func() bool {
+			return s2.met.deliveriesUnroutable.Value() >= uint64(n)
+		})
+	}
 
 	// The CAS returns and reclaims its campaign: the same ClientTaskID
 	// resubmit maps onto the stored task, and the buffered readings

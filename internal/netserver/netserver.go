@@ -38,7 +38,9 @@ type Config struct {
 	// instantiation), with devices homed to the shard covering their
 	// position and tasks routed to the shard covering their area. Task
 	// IDs returned to application servers carry the owning region
-	// ("west/task-1"). Empty runs a single-region core.
+	// ("west/task-1") and route by it. Empty runs one unnamed shard that
+	// covers every point, with bare task IDs ("task-1") and one state
+	// store named "core".
 	Regions []core.Region
 	// Clock supplies time (tests inject a simulated clock for
 	// deterministic scheduling assertions; production uses real time).
@@ -135,7 +137,7 @@ type Config struct {
 }
 
 // Server is a running networked Sense-Aid server. The scheduling core
-// owns its own concurrency (see core.Orchestrator), so the transport
+// owns its own concurrency (see core.ShardedServer), so the transport
 // layer holds no lock across core calls: RPCs on different connections
 // and the scheduler tick proceed in parallel, serialising only inside
 // the core where they actually conflict.
@@ -146,7 +148,7 @@ type Server struct {
 	log     *obs.Logger
 	met     *netMetrics
 	started time.Time
-	core    core.Orchestrator
+	core    *core.ShardedServer
 	pseudo  *privacy.Pseudonymizer
 
 	// pers manages the state stores when Config.StateDir is set; nil
@@ -377,7 +379,7 @@ func Listen(cfg Config) (*Server, error) {
 		cfg.Timeline = obs.NewTimelineStore(0, 0)
 	}
 	// The core shares the frontend's tracer and timeline, so one trace
-	// spans both layers (sharded constructors add per-region tags).
+	// spans both layers (a region's shard tags its spans with the region).
 	cfg.Core.Tracer = cfg.Tracer
 	cfg.Core.Timeline = cfg.Timeline
 
@@ -420,21 +422,13 @@ func Listen(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.StateDir != "" {
-		// Stores open before the core exists: the sharded constructor
-		// captures its per-shard journal sinks at construction time.
+		// Routed before the core exists: the core captures its
+		// per-shard journal sinks at construction time.
 		if err := s.initPersistence(); err != nil {
 			return nil, err
 		}
 	}
-	var (
-		c   core.Orchestrator
-		err error
-	)
-	if len(cfg.Regions) > 0 {
-		c, err = core.NewShardedServer(s.cfg.Core, core.DispatcherFunc(s.dispatch), cfg.Regions)
-	} else {
-		c, err = core.NewServer(s.cfg.Core, core.DispatcherFunc(s.dispatch))
-	}
+	c, err := core.NewShardedServer(s.cfg.Core, core.DispatcherFunc(s.dispatch), cfg.Regions)
 	if err != nil {
 		return nil, err
 	}
@@ -493,9 +487,9 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // concurrency-safe).
 func (s *Server) Stats() core.Stats { return s.core.Stats() }
 
-// Orchestrator exposes the scheduling core the server fronts — a single
-// region's *core.Server or a *core.ShardedServer, per Config.Regions.
-func (s *Server) Orchestrator() core.Orchestrator { return s.core }
+// Orchestrator exposes the scheduling core the server fronts: one shard
+// per region of Config.Regions, or one unnamed shard without regions.
+func (s *Server) Orchestrator() *core.ShardedServer { return s.core }
 
 // Metrics returns the registry carrying this server's series.
 func (s *Server) Metrics() *obs.Registry { return s.met.reg }
@@ -673,7 +667,7 @@ func (s *Server) tickLoop() {
 }
 
 // dispatch pushes a schedule to the selected device's connection. The
-// core invokes it outside its scheduling lock (and, sharded, from
+// core invokes it outside its scheduling lock (and, with regions, from
 // concurrent per-shard goroutines); the conn lookup takes connMu only
 // for the map read, and the write serialises on the conn's own lock.
 func (s *Server) dispatch(req core.Request, dev core.DeviceState) {

@@ -2,8 +2,9 @@ package netserver
 
 // This file wires the core's durability contract (core.SnapshotState,
 // core.JournalRecord, Recover) to the persist package's files. The
-// netserver owns the policy: one store per scheduling core ("core" for a
-// single-region deployment, the region name per shard), recovery before
+// netserver owns the policy: one store per shard (named after its region,
+// or "core" for the one unnamed shard of a deployment without regions),
+// recovery before
 // the listener accepts a single connection, a periodic snapshot loop,
 // and a final snapshot on graceful shutdown. DESIGN.md §11 carries the
 // crash-consistency argument.
@@ -22,7 +23,8 @@ import (
 	"senseaid/internal/wire"
 )
 
-// storeNameSingle names the single-region deployment's state files.
+// storeNameSingle names the state files of a deployment without regions
+// (its one shard is unnamed).
 const storeNameSingle = "core"
 
 // storeNameAgg names the live-aggregation tier's spill store. The tier's
@@ -92,7 +94,7 @@ func (g *journalGate) Append(rec core.JournalRecord) {
 	g.srv.met.journalAppends.Inc()
 }
 
-// persistedCore pairs one scheduling core with its on-disk store.
+// persistedCore pairs one shard with its on-disk store.
 type persistedCore struct {
 	name  string
 	store *persist.Store
@@ -103,7 +105,9 @@ type persistedCore struct {
 // persister manages every store of one Server.
 type persister struct {
 	srv    *Server
-	stores []*persistedCore
+	stores []*persistedCore // in shard order
+	// openErr is set when a store failed to open as the core was built.
+	openErr error
 
 	// aggStore spills the live-aggregation tier's retained windows; nil
 	// when the tier is disabled. It ships to replicas like every other
@@ -204,42 +208,30 @@ type RecoveryInfo struct {
 	Outcome string `json:"outcome,omitempty"`
 }
 
-// initPersistence opens the state stores and routes the core's journal
-// into them. Called before the core is constructed (the sharded core
-// captures its per-shard sinks at construction); recovery itself runs
-// after, in recover().
+// initPersistence routes each shard's journal into a state store of its
+// own, opened as the core builds the shard (the core captures its
+// per-shard sinks at construction, so this runs before it exists; a
+// failed open is reported by bindCores). Recovery itself runs after, in
+// recover().
 func (s *Server) initPersistence() error {
 	p := &persister{srv: s}
-	names := []string{storeNameSingle}
-	if len(s.cfg.Regions) > 0 {
-		names = names[:0]
-		for _, r := range s.cfg.Regions {
-			names = append(names, r.Name)
+	s.cfg.Core.ShardJournal = func(region string) core.JournalSink {
+		name := region
+		if name == "" {
+			name = storeNameSingle
 		}
-	}
-	gates := make(map[string]*journalGate, len(names))
-	for _, name := range names {
 		st, err := persist.Open(s.cfg.StateDir, name)
 		if err != nil {
-			return fmt.Errorf("netserver: %w", err)
-		}
-		g := &journalGate{srv: s, store: st}
-		gates[name] = g
-		p.stores = append(p.stores, &persistedCore{name: name, store: st, gate: g})
-	}
-	if len(s.cfg.Regions) > 0 {
-		s.cfg.Core.ShardJournal = func(region string) core.JournalSink {
-			if g, ok := gates[region]; ok {
-				return g
-			}
+			p.openErr = fmt.Errorf("netserver: %w", err)
 			return nil
 		}
-	} else {
-		s.cfg.Core.Journal = gates[storeNameSingle]
+		g := &journalGate{srv: s, store: st}
+		p.stores = append(p.stores, &persistedCore{name: name, store: st, gate: g})
+		return g
 	}
 	if s.agg != nil {
-		for _, name := range names {
-			if name == storeNameAgg {
+		for _, r := range s.cfg.Regions {
+			if r.Name == storeNameAgg {
 				return fmt.Errorf("netserver: region name %q collides with the aggregation spill store", storeNameAgg)
 			}
 		}
@@ -296,30 +288,14 @@ func (p *persister) commitAgg() {
 	p.shipSnapshot(storeNameAgg, raw)
 }
 
-// bindCores attaches each store to its scheduling core once the
-// orchestrator exists.
+// bindCores attaches each store to its shard once the core exists; the
+// stores were opened in shard order.
 func (p *persister) bindCores() error {
-	switch c := p.srv.core.(type) {
-	case *core.Server:
-		p.stores[0].core = c
-	case *core.ShardedServer:
-		byName := make(map[string]*core.Server, c.Shards())
-		for i := 0; i < c.Shards(); i++ {
-			srv, reg, err := c.Shard(i)
-			if err != nil {
-				return err
-			}
-			byName[reg.Name] = srv
-		}
-		for _, ps := range p.stores {
-			srv, ok := byName[ps.name]
-			if !ok {
-				return fmt.Errorf("netserver: no shard for state store %q", ps.name)
-			}
-			ps.core = srv
-		}
-	default:
-		return fmt.Errorf("netserver: unpersistable orchestrator %T", c)
+	if p.openErr != nil {
+		return p.openErr
+	}
+	for i, ps := range p.stores {
+		ps.core, _, _ = p.srv.core.Shard(i)
 	}
 	return nil
 }
@@ -404,12 +380,6 @@ func (p *persister) recover() (RecoveryInfo, error) {
 			info.Outcome = "restored"
 		}
 		info.Restarts = prevRestarts + 1
-	}
-	if ss, ok := p.srv.core.(*core.ShardedServer); ok {
-		// Each shard restored its own devices and tasks; the routing layer
-		// re-learns who owns what before any traffic arrives.
-		ss.RebuildRouting()
-		lap(phaseReplay)
 	}
 	// Commit the post-recovery snapshot: it folds the replayed journal
 	// into a fresh consistent cut and opens the journal epoch the armed

@@ -25,7 +25,9 @@ import (
 	"senseaid/internal/obs"
 	"senseaid/internal/persist"
 	"senseaid/internal/power"
+	"senseaid/internal/reputation"
 	"senseaid/internal/sensors"
+	"senseaid/internal/simclock"
 	"senseaid/internal/wire"
 )
 
@@ -101,6 +103,64 @@ func collectingCAS(t *testing.T, addr string, spec wire.TaskSpec) (*cas.CAS, str
 // their deadlines, device records, reputation, and stats. The successor
 // gets an hour-long tick so nothing reschedules between recovery and
 // the comparison.
+// shardSnapshot is one shard's persistent state: the whole core of a
+// server without regions at shard 0.
+func shardSnapshot(t *testing.T, s *Server, i int) core.SnapshotState {
+	t.Helper()
+	sh, _, err := s.Orchestrator().Shard(i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sh.Snapshot()
+}
+
+// A state directory written before a deployment without regions became a
+// one-shard orchestrator must still boot: its one store is named "core".
+// The fixture is the core package's golden store (a snapshot and both
+// journal epochs, written by an old commit); its snapshot is the bare
+// core state rather than this package's wrapper, so recovery replays the
+// whole journal history — which must land on the live server's final
+// state all the same.
+func TestRegionlessBootsGoldenStateDir(t *testing.T) {
+	dir := t.TempDir()
+	names, err := filepath.Glob("../core/testdata/golden/core.*")
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no golden store (%v)", err)
+	}
+	for _, name := range names {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(name)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile("../core/testdata/golden/final.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := startDurable(t, dir, func(c *Config) {
+		// The golden scenario's configuration; a clock nobody advances
+		// keeps the scheduler from touching the recovered state.
+		c.Core = core.DefaultServerConfig()
+		c.Core.Reputation = reputation.NewTracker(reputation.Config{})
+		c.Core.FairnessWindow = 30 * time.Minute
+		c.Clock = simclock.NewFakeClock(time.Time{})
+		c.AggWindow = -1
+	})
+	if rec := s.Recovery(); rec.Outcome != "restored" || rec.Replayed == 0 {
+		t.Fatalf("recovery = %+v, want restored with records replayed", rec)
+	}
+	got, err := json.Marshal(shardSnapshot(t, s, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != strings.TrimSpace(string(want)) {
+		t.Fatalf("golden state dir recovers differently\nwant: %s\ngot:  %s", want, got)
+	}
+}
+
 func TestCrashRecoveryStateFidelity(t *testing.T) {
 	dir := t.TempDir()
 	s1 := startDurable(t, dir, nil)
@@ -116,7 +176,7 @@ func TestCrashRecoveryStateFidelity(t *testing.T) {
 	// The core outlives its transport; this is the exact state the dead
 	// process held (every journal record was emitted before closeAbrupt
 	// returned).
-	want := s1.Orchestrator().(*core.Server).Snapshot()
+	want := shardSnapshot(t, s1, 0)
 
 	s2 := startDurable(t, dir, func(c *Config) { c.TickPeriod = time.Hour })
 	rec := s2.Recovery()
@@ -126,7 +186,7 @@ func TestCrashRecoveryStateFidelity(t *testing.T) {
 	if rec.Replayed == 0 {
 		t.Fatalf("recovery replayed no journal records: %+v", rec)
 	}
-	got := s2.Orchestrator().(*core.Server).Snapshot()
+	got := shardSnapshot(t, s2, 0)
 
 	// Compare the persisted forms: marshaling strips the monotonic clock
 	// readings live time.Time values carry and disk round-trips lose.

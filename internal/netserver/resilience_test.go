@@ -1,7 +1,11 @@
 package netserver
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +15,7 @@ import (
 	"senseaid/internal/faultconn"
 	"senseaid/internal/geo"
 	"senseaid/internal/sensors"
+	"senseaid/internal/simclock"
 	"senseaid/internal/wire"
 )
 
@@ -244,20 +249,31 @@ func TestDispatchWriteFailureMarksDeviceUnresponsive(t *testing.T) {
 // fails, the server closes that connection, which tears down the CAS's
 // tasks — so no further dispatches burn device energy and the reading is
 // never delivered twice.
+//
+// The server runs on a virtual clock the test moves one sampling period
+// at a time: each request's deadline is one period (150 ms) after it
+// falls due, and on wall time a loaded host that took longer than that
+// to carry the schedule to the device and its upload back marked the
+// only device unresponsive, so no reading ever reached the fault.
 func TestCASDeliveryFailureCleansTask(t *testing.T) {
 	var accepted atomic.Int64
+	var fault atomic.Pointer[deliveryFault]
+	clock := simclock.NewFakeClock(time.Now())
 	s, err := Listen(Config{
 		Addr:         "127.0.0.1:0",
 		TickPeriod:   20 * time.Millisecond,
 		WriteTimeout: 150 * time.Millisecond,
+		Clock:        clock,
+		AggWindow:    -1, // the tick loop is then the clock's only sleeper
 		WrapConn: func(nc net.Conn) net.Conn {
 			if accepted.Add(1) != 2 {
 				return nc // only the CAS conn (second) is faulty
 			}
-			// Server writes to the CAS: hello ack (raw framing) = writes
-			// 1-2, task ack (one coalesced flush) = 3, delivery flush =
-			// write 4, which fails.
-			return faultconn.Wrap(nc, faultconn.Policy{Seed: 1, FailAfterWrites: 4})
+			// The first delivery framed after the task's ack fails,
+			// whichever write the coalescer puts either in.
+			f := &deliveryFault{Conn: nc}
+			fault.Store(f)
+			return f
 		},
 	})
 	if err != nil {
@@ -278,20 +294,122 @@ func TestCASDeliveryFailureCleansTask(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// period moves the clock on once the tick loop sleeps on it.
+	period := func() {
+		waitFor(t, 5*time.Second, "the tick loop to sleep on the clock", func() bool {
+			return clock.Waiters() > 0
+		})
+		clock.Advance(spec.SamplingPeriod)
+	}
+
 	// The reading is accepted by the core, the delivery write fails, and
 	// the orphaned task is deleted via the CAS disconnect path.
+	period()
 	waitFor(t, 5*time.Second, "reading ingested", func() bool {
 		return s.Stats().RequestsSatisfied >= 1
 	})
 	waitFor(t, 3*time.Second, "task cleaned up after delivery failure", func() bool {
 		return s.Status().LiveTasks == 0
 	})
+	if f := fault.Load(); f == nil || !f.fired() {
+		t.Fatal("the task went away without its delivery failing")
+	}
 	// With the task gone, nothing keeps dispatching to the device.
 	before := s.Stats().RequestsSatisfied
-	time.Sleep(400 * time.Millisecond)
+	for i := 0; i < 3; i++ {
+		period()
+	}
+	time.Sleep(100 * time.Millisecond)
 	if after := s.Stats().RequestsSatisfied; after != before {
 		t.Fatalf("task still dispatching after delivery failure: %d -> %d", before, after)
 	}
+}
+
+// deliveryFault is a CAS connection, seen from the server, whose first
+// delivery (receive_sensed_data) framed after the task's ack fails to
+// write: the bytes ahead of that frame go out, the ack among them even
+// when it shares the write, and the rest of the write and every later
+// one fail. It frames what the server writes: the hello ack in v1
+// framing, then the codec that ack granted.
+type deliveryFault struct {
+	net.Conn
+	mu     sync.Mutex
+	out    []byte     // written bytes not yet framed
+	codec  wire.Codec // nil until the hello ack is framed
+	acks   int        // acks framed, the hello's included
+	failed bool
+}
+
+var errDeliveryFault = errors.New("injected delivery write failure")
+
+func (c *deliveryFault) fired() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.failed
+}
+
+func (c *deliveryFault) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.failed {
+		return 0, errDeliveryFault
+	}
+	c.out = append(c.out, b...)
+	for {
+		t, n := c.frame()
+		if n == 0 {
+			break // an incomplete frame waits for the next write
+		}
+		if t == wire.TypeSensedData && c.acks >= 2 {
+			c.failed = true
+			keep := max(0, len(b)-len(c.out)) // b's bytes ahead of this frame
+			if _, err := c.Conn.Write(b[:keep]); err != nil {
+				return 0, err
+			}
+			return keep, errDeliveryFault
+		}
+		if t == wire.TypeAck {
+			c.acks++
+		}
+		c.out = c.out[n:]
+	}
+	return c.Conn.Write(b)
+}
+
+// frame returns the type and length of the first whole frame in c.out,
+// or a zero length when it is not all there yet.
+func (c *deliveryFault) frame() (wire.MsgType, int) {
+	if c.codec == nil || c.codec == wire.JSON {
+		if len(c.out) < 4 || len(c.out) < 4+int(binary.BigEndian.Uint32(c.out)) {
+			return "", 0
+		}
+		n := 4 + int(binary.BigEndian.Uint32(c.out))
+		var env struct {
+			Type    wire.MsgType `json:"type"`
+			Payload struct {
+				Version int `json:"version"`
+			} `json:"payload"`
+		}
+		_ = json.Unmarshal(c.out[4:n], &env)
+		if c.codec == nil {
+			c.codec = wire.JSON
+			if cd, ok := wire.CodecForVersion(env.Payload.Version); ok {
+				c.codec = cd
+			}
+		}
+		return env.Type, n
+	}
+	body, k := binary.Uvarint(c.out)
+	if k <= 0 || len(c.out) < k+int(body) {
+		return "", 0
+	}
+	for _, t := range []wire.MsgType{wire.TypeAck, wire.TypeSensedData} {
+		env, _ := wire.Binary.Encode(t, 0, nil)
+		if f, _ := wire.Binary.AppendFrame(nil, env); c.out[k] == f[1] {
+			return t, k + int(body)
+		}
+	}
+	return "", k + int(body)
 }
 
 // TestDaemonSurvivesServerRestart is the acceptance e2e: a daemon loses

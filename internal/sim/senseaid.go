@@ -55,10 +55,10 @@ type SenseAid struct {
 	CountControl bool
 	// Regions, when non-empty, runs the middleware sharded: one core
 	// instance per geographic region (the paper's per-edge physical
-	// instantiation), driven through the same core.Orchestrator interface
-	// a live sharded daemon serves. Devices are homed by position and
-	// re-homed as they move; tasks route to the shard covering their
-	// area. Empty runs the single-region core.
+	// instantiation). Devices are homed by position and re-homed as they
+	// move; tasks route to the shard covering their area. Empty runs one
+	// shard covering every point. Either way the run drives the same
+	// core.ShardedServer a live daemon serves.
 	Regions []core.Region
 	// OnReading, if set, observes every validated reading as it reaches
 	// the application-server sink (task, device, reading). Adaptive
@@ -66,10 +66,8 @@ type SenseAid struct {
 	OnReading func(core.TaskID, string, sensors.Reading)
 	// OnServer, if set, receives the in-simulation server right after
 	// task submission, so callers can drive task mutations mid-run
-	// (update_task_param) from simulation events. Only invoked for
-	// single-region runs (Regions empty); sharded runs drive mutations
-	// through the Orchestrator interface instead.
-	OnServer func(*core.Server)
+	// (update_task_param) from simulation events.
+	OnServer func(*core.ShardedServer)
 	// Metrics, when set, receives the run's series — both the core
 	// scheduler's (via the embedded server) and senseaid_uploads_total,
 	// under the same names a live deployment exposes. Nil keeps them on
@@ -113,13 +111,11 @@ type saPendingUpload struct {
 const tailFlushDelay = 500 * time.Millisecond
 
 // saClient is the Sense-Aid client middleware on one phone: it watches
-// for tail windows, reports state, and uploads pending readings. It
-// drives the server through the Orchestrator interface, so the same
-// client logic exercises the single-region and sharded cores.
+// for tail windows, reports state, and uploads pending readings.
 type saClient struct {
 	ph           *phone.Phone
 	world        *World
-	server       core.Orchestrator
+	server       *core.ShardedServer
 	resetTail    bool
 	pending      []*saPendingUpload
 	lastControl  time.Time
@@ -269,11 +265,12 @@ func (s SenseAid) Run(w *World, tasks []core.Task) (*RunResult, error) {
 	resetTail := s.variant() == Basic
 
 	clients := make(map[string]*saClient, len(w.Phones))
-	// A sharded server invokes the Dispatcher from one goroutine per shard,
-	// but the sim world (scheduler, radios, phones) is single-threaded by
-	// design. Sharded runs therefore buffer dispatches under a lock and the
-	// pump replays them on its own thread, sorted by (request, device) so
-	// the run stays deterministic regardless of shard interleaving.
+	// The server invokes the Dispatcher from one goroutine per shard, but
+	// the sim world (scheduler, radios, phones) is single-threaded by
+	// design. Dispatches therefore buffer under a lock and the pump
+	// replays them on its own thread, shard by shard in region-name order,
+	// each shard's in the order it made them — the run stays deterministic
+	// however the shards interleave.
 	type bufferedDispatch struct {
 		req core.Request
 		dev string
@@ -281,32 +278,19 @@ func (s SenseAid) Run(w *World, tasks []core.Task) (*RunResult, error) {
 	var (
 		dispatchMu sync.Mutex
 		dispatched []bufferedDispatch
-		shardedRun = len(s.Regions) > 0
 	)
 	dispatcher := core.DispatcherFunc(func(req core.Request, dev core.DeviceState) {
-		if !shardedRun {
-			if c, ok := clients[dev.ID]; ok {
-				c.handleDispatch(req)
-			}
-			return
-		}
 		dispatchMu.Lock()
 		dispatched = append(dispatched, bufferedDispatch{req: req, dev: dev.ID})
 		dispatchMu.Unlock()
 	})
 	replayDispatches := func() {
-		if !shardedRun {
-			return
-		}
 		dispatchMu.Lock()
 		buf := dispatched
 		dispatched = nil
 		dispatchMu.Unlock()
-		sort.Slice(buf, func(i, j int) bool {
-			if buf[i].req.ID() != buf[j].req.ID() {
-				return buf[i].req.ID() < buf[j].req.ID()
-			}
-			return buf[i].dev < buf[j].dev
+		sort.SliceStable(buf, func(i, j int) bool {
+			return buf[i].req.Task.ID.Region() < buf[j].req.Task.ID.Region()
 		})
 		for _, d := range buf {
 			if c, ok := clients[d.dev]; ok {
@@ -314,23 +298,9 @@ func (s SenseAid) Run(w *World, tasks []core.Task) (*RunResult, error) {
 			}
 		}
 	}
-	var (
-		server core.Orchestrator
-		single *core.Server
-	)
-	if shardedRun {
-		sharded, err := core.NewShardedServer(cfg, dispatcher, s.Regions)
-		if err != nil {
-			return nil, fmt.Errorf("sim: sense-aid: %w", err)
-		}
-		server = sharded
-	} else {
-		var err error
-		single, err = core.NewServer(cfg, dispatcher)
-		if err != nil {
-			return nil, fmt.Errorf("sim: sense-aid: %w", err)
-		}
-		server = single
+	server, err := core.NewShardedServer(cfg, dispatcher, s.Regions)
+	if err != nil {
+		return nil, fmt.Errorf("sim: sense-aid: %w", err)
 	}
 
 	// Bootstrap: every cohort member signs up for the campaign.
@@ -429,8 +399,8 @@ func (s SenseAid) Run(w *World, tasks []core.Task) (*RunResult, error) {
 			pumpAt(next)
 		})
 	}
-	if s.OnServer != nil && single != nil {
-		s.OnServer(single)
+	if s.OnServer != nil {
+		s.OnServer(server)
 	}
 	if first, ok := server.NextWake(); ok {
 		pumpAt(first)
