@@ -58,6 +58,10 @@ go test -run '^$' -fuzz='^FuzzJournalRecordCodec$' -fuzztime=10s ./internal/core
 # JSON validator persist.Load checks every record with to
 # encoding/json.Valid (the same verdict on every input).
 go test -run '^$' -fuzz='^FuzzValidJSON$' -fuzztime=10s ./internal/persist
+# Aggregation estimator fuzz smoke: ten seconds of holding the tier, a
+# tier restored halfway and agg.Batch bit for bit to the dense-histogram
+# fold on arbitrary sample sequences.
+go test -run '^$' -fuzz='^FuzzTierMatchesDenseFold$' -fuzztime=10s ./internal/agg
 # Fault-injection smoke: the resilience suites (stalled peers, flaky
 # links, server restart) in short mode, so a quick pre-push run still
 # exercises the failure paths end to end.
@@ -140,9 +144,10 @@ bench_diff BENCH_cluster.json
 
 # Aggregation benchmark record: drives the streaming tier through the
 # core's delivery tap, writes BENCH_agg.json, and FAILS below 1M
-# uploads/min, on any per-upload allocation on the hot tap, on
-# unbounded series memory, or when push lag p99 reaches one window
-# (see TestRecordAggBench).
+# uploads/min, on any per-upload allocation on the hot tap (windows
+# inline or overflowing), on unbounded series memory, when a series
+# costs 1.5 KiB or more, or when push lag p99 reaches one window (see
+# TestRecordAggBench).
 SENSEAID_BENCH_OUT="$PWD/BENCH_agg.json" \
     go test -run '^TestRecordAggBench$' -count=1 -v ./internal/agg
 bench_diff BENCH_agg.json

@@ -32,6 +32,7 @@ import (
 	"senseaid/internal/cluster"
 	"senseaid/internal/core"
 	"senseaid/internal/geo"
+	"senseaid/internal/gitstamp"
 	"senseaid/internal/netserver"
 	"senseaid/internal/sensors"
 	"senseaid/internal/wire"
@@ -416,7 +417,7 @@ func TestRecordClusterBench(t *testing.T) {
 	}
 	routedLat := measureDeliveryPath(t, r.Addr(), window)
 
-	commit, tree := gitStamp()
+	commit, tree := gitstamp.Stamp()
 	rec := clusterBenchRecord{
 		Schema:            "senseaid-bench-cluster/1",
 		Commit:            commit,
@@ -447,44 +448,4 @@ func TestRecordClusterBench(t *testing.T) {
 		t.Fatalf("router tier costs %.2fx the direct dispatch p99 (%.4fs vs %.4fs), budget %.1fx",
 			rec.OverheadRatio, rec.ClusterP99Seconds, rec.SingleP99Seconds, maxRatio)
 	}
-}
-
-// gitStamp names what a record measured: HEAD's short hash, and the git
-// tree of the working tree as `git add -A` would stage it — written
-// through a copy of the index, so nothing is staged — cut to 12
-// characters as record_e2e.sh does. "unknown" outside a git checkout.
-func gitStamp() (commit, tree string) {
-	commit, tree = "unknown", "unknown"
-	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
-		commit = strings.TrimSpace(string(out))
-	}
-	gitDir, err := exec.Command("git", "rev-parse", "--git-dir").Output()
-	if err != nil {
-		return commit, tree
-	}
-	index, err := os.ReadFile(filepath.Join(strings.TrimSpace(string(gitDir)), "index"))
-	if err != nil {
-		return commit, tree
-	}
-	tmp, err := os.CreateTemp("", "senseaid-index-")
-	if err != nil {
-		return commit, tree
-	}
-	defer os.Remove(tmp.Name())
-	_, werr := tmp.Write(index)
-	if cerr := tmp.Close(); werr != nil || cerr != nil {
-		return commit, tree
-	}
-	env := append(os.Environ(), "GIT_INDEX_FILE="+tmp.Name())
-	add := exec.Command("git", "add", "-A")
-	add.Env = env
-	if err := add.Run(); err != nil {
-		return commit, tree
-	}
-	write := exec.Command("git", "write-tree")
-	write.Env = env
-	if out, err := write.Output(); err == nil && len(strings.TrimSpace(string(out))) >= 12 {
-		tree = strings.TrimSpace(string(out))[:12]
-	}
-	return commit, tree
 }

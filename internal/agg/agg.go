@@ -10,11 +10,15 @@
 // consecutive base windows (a subscription's Span) emitted on a cadence
 // (its Every), so one retained ring per series serves every
 // subscription shape. The ingest path is allocation-free in steady
-// state: series storage is preallocated per key on first sight, and a
-// sample lands as an array increment plus a handful of scalar updates.
+// state: series storage is allocated per key on first sight, and a
+// sample lands as a histogram increment plus a handful of scalar
+// updates. A window's histogram is sparse until it outgrows a few
+// inline buckets; the dense block it then needs is recycled from the
+// ring slot the series' previous close overwrote.
 package agg
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -103,7 +107,8 @@ func (c *Config) fill() {
 // win is one base window's accumulator: the scalar summary plus the
 // quantile histogram. The same struct serves as the live accumulator
 // (series.cur) and as a retained closed window (series.ring slots) —
-// closing a window is a single array-of-structs copy.
+// closing a window is a single struct copy, which hands the window's
+// dense block, if it has one, to the ring slot.
 type win struct {
 	idx    int64 // window index: start = idx * Window
 	count  uint64
@@ -111,12 +116,15 @@ type win struct {
 	min    float64
 	max    float64
 	lastAt int64 // UnixNano of the newest sample
-	hist   [histSize]uint32
+	hist   hist
 }
 
 // series is one key's state: the open window plus a circular retention
-// ring of closed ones (newest at (head-1+len)%len). All storage is
-// allocated once at series creation; the steady state never grows.
+// ring of closed ones (newest at (head-1+len)%len). The ring is
+// allocated once at series creation; a dense block a window outgrows
+// its inline buckets into is taken from spare, which holds the block
+// of the last ring slot a close overwrote, so the steady state never
+// grows.
 type series struct {
 	key    Key
 	active bool // cur holds samples
@@ -124,13 +132,20 @@ type series struct {
 	ring   []win // fixed capacity = retention; filled slots = n
 	head   int   // next ring slot to overwrite
 	n      int
-	lastAt int64 // newest sample ever (idle expiry, eviction order)
+	lastAt int64  // newest sample ever (idle expiry, eviction order)
+	spare  *block // a dense block no window holds, for the next overflow
 }
 
 type sub struct {
 	id uint64
 	f  Filter
 	fn func(Push)
+}
+
+// dispatch is one push Advance delivers after releasing the tier lock.
+type dispatch struct {
+	fn func(Push)
+	p  Push
 }
 
 // Stats is a Tier's cumulative health snapshot.
@@ -153,6 +168,12 @@ type Tier struct {
 	nextSub  uint64
 	lastEmit int64 // newest window index already offered to subscribers
 	stats    Stats
+	// openFloor and idleFloor let Advance skip the series walks on the
+	// ticks that have nothing to do. openFloor is at most every open
+	// window's index, idleFloor at most every series' lastAt; Ingest
+	// lowers them, and the walk that reads one recomputes it exactly.
+	openFloor int64
+	idleFloor int64
 }
 
 // New builds a Tier. The zero Config is usable (1-minute windows,
@@ -160,11 +181,13 @@ type Tier struct {
 func New(cfg Config) *Tier {
 	cfg.fill()
 	return &Tier{
-		cfg:      cfg,
-		grid:     geo.Grid{SizeM: cfg.CellSizeM},
-		series:   make(map[Key]*series),
-		subs:     make(map[uint64]*sub),
-		lastEmit: -1 << 62,
+		cfg:       cfg,
+		grid:      geo.Grid{SizeM: cfg.CellSizeM},
+		series:    make(map[Key]*series),
+		subs:      make(map[uint64]*sub),
+		lastEmit:  -1 << 62,
+		openFloor: math.MaxInt64,
+		idleFloor: math.MaxInt64,
 	}
 }
 
@@ -188,12 +211,20 @@ func (t *Tier) Ingest(task, region string, r sensors.Reading) {
 	if s == nil {
 		s = t.newSeriesLocked(k)
 	}
+	t.foldLocked(s, w, r.Value, nanos)
+	if s.lastAt < t.idleFloor {
+		t.idleFloor = s.lastAt // a new series, or one whose sample was late
+	}
+	t.mu.Unlock()
+}
+
+// foldLocked lands one sample of window w in its series.
+func (t *Tier) foldLocked(s *series, w int64, v float64, nanos int64) {
 	if s.active && w != s.cur.idx {
 		if w < s.cur.idx {
 			// Older than the open window. Closed windows are immutable —
 			// they may already have been emitted — so count and drop.
 			t.stats.LateSamples++
-			t.mu.Unlock()
 			return
 		}
 		t.closeLocked(s)
@@ -203,24 +234,23 @@ func (t *Tier) Ingest(task, region string, r sensors.Reading) {
 			// The sample's window was already offered to subscribers;
 			// reopening it would put a duplicate index in the ring.
 			t.stats.LateSamples++
-			t.mu.Unlock()
 			return
 		}
 		s.active = true
-		s.cur.reset(w)
+		s.cur = win{idx: w}
+		if w < t.openFloor {
+			t.openFloor = w
+		}
 	}
-	s.cur.observe(r.Value, nanos)
+	s.cur.observe(v, nanos, &s.spare)
 	if nanos > s.lastAt {
 		s.lastAt = nanos
 	}
-	t.mu.Unlock()
 }
 
-func (w *win) reset(idx int64) {
-	*w = win{idx: idx}
-}
-
-func (w *win) observe(v float64, nanos int64) {
+// observe folds one sample in. spare is a dense block to recycle should
+// the histogram overflow its inline buckets (nil: allocate one).
+func (w *win) observe(v float64, nanos int64, spare **block) {
 	if w.count == 0 || v < w.min {
 		w.min = v
 	}
@@ -232,7 +262,7 @@ func (w *win) observe(v float64, nanos int64) {
 	if nanos > w.lastAt {
 		w.lastAt = nanos
 	}
-	w.hist[bucketOf(v)]++
+	*w.hist.slot(bucketOf(v), spare)++
 }
 
 // newSeriesLocked admits a key, evicting the stalest series when the
@@ -255,8 +285,12 @@ func (t *Tier) newSeriesLocked(k Key) *series {
 	return s
 }
 
-// closeLocked retires the open window into the retention ring.
+// closeLocked retires the open window into the retention ring. The
+// dense block of the window it overwrites becomes the series' spare.
 func (t *Tier) closeLocked(s *series) {
+	if d := s.ring[s.head].hist.dense; d != nil {
+		s.spare = d
+	}
 	s.ring[s.head] = s.cur
 	s.head = (s.head + 1) % len(s.ring)
 	if s.n < len(s.ring) {
@@ -314,18 +348,54 @@ func (t *Tier) Stats() Stats {
 // window that has fully elapsed, emits matching rollups to
 // subscribers, and expires idle series. The owner calls it on its tick
 // cadence; subscriber callbacks run after the tier lock is released.
+//
+// Each of the two series walks runs only when it has work: the close
+// and emit walk when a window is due (a base window closes once per
+// Window, while the owner ticks many times per window), the expiry walk
+// when the oldest series may have gone idle.
 func (t *Tier) Advance(now time.Time) {
 	due := windowIndex(now.UnixNano(), int64(t.cfg.Window)) - 1 // newest fully-elapsed window
-	type dispatch struct {
-		fn func(Push)
-		p  Push
-	}
+	// Idle expiry: a series whose newest sample predates the whole
+	// retention horizon can never emit again; let it go.
+	horizon := now.Add(-time.Duration(t.cfg.Retention+1) * t.cfg.Window).UnixNano()
 	var pushes []dispatch
 
 	t.mu.Lock()
+	if due > t.lastEmit || t.openFloor <= due {
+		pushes = t.closeAndEmitLocked(due)
+	}
+	t.lastEmit = due
+	if t.idleFloor < horizon {
+		t.idleFloor = math.MaxInt64
+		for k, s := range t.series {
+			if s.lastAt < horizon {
+				delete(t.series, k)
+				t.stats.Evicted++
+			} else if s.lastAt < t.idleFloor {
+				t.idleFloor = s.lastAt
+			}
+		}
+	}
+	t.mu.Unlock()
+
+	for _, d := range pushes {
+		d.fn(d.p)
+	}
+}
+
+// closeAndEmitLocked closes every open window up to due and returns,
+// per subscription, the rollups for each window index not yet offered.
+func (t *Tier) closeAndEmitLocked(due int64) []dispatch {
+	var pushes []dispatch
+	t.openFloor = math.MaxInt64
 	for _, s := range t.series {
-		if s.active && s.cur.idx <= due {
+		if !s.active {
+			continue
+		}
+		if s.cur.idx <= due {
 			t.closeLocked(s)
+		} else if s.cur.idx < t.openFloor {
+			t.openFloor = s.cur.idx
 		}
 	}
 	if t.lastEmit < due-int64(t.cfg.Retention) {
@@ -355,21 +425,7 @@ func (t *Tier) Advance(now time.Time) {
 			}
 		}
 	}
-	t.lastEmit = due
-	// Idle expiry: a series whose newest sample predates the whole
-	// retention horizon can never emit again; let it go.
-	horizon := now.Add(-time.Duration(t.cfg.Retention+1) * t.cfg.Window).UnixNano()
-	for k, s := range t.series {
-		if s.lastAt < horizon {
-			delete(t.series, k)
-			t.stats.Evicted++
-		}
-	}
-	t.mu.Unlock()
-
-	for _, d := range pushes {
-		d.fn(d.p)
-	}
+	return pushes
 }
 
 // merged builds the rollup for base windows (endIdx-span, endIdx] of
@@ -377,7 +433,7 @@ func (t *Tier) Advance(now time.Time) {
 // no samples.
 func (s *series) merged(endIdx int64, span int, window time.Duration) (Window, bool) {
 	var m win
-	var scratch [histSize]uint32
+	var counts block
 	first := true
 	lo := endIdx - int64(span) + 1
 	for i := 0; i < s.n; i++ {
@@ -401,17 +457,21 @@ func (s *series) merged(endIdx int64, span int, window time.Duration) (Window, b
 		if w.lastAt > m.lastAt {
 			m.lastAt = w.lastAt
 		}
-		for b := range w.hist {
-			scratch[b] += w.hist[b]
-		}
+		w.hist.each(func(b int, c uint32) { counts[b] += c })
 	}
 	if m.count == 0 {
 		return Window{}, false
 	}
+	return m.rollup(s.key, lo, endIdx, window, &counts), true
+}
+
+// rollup reports m's summary, with the bucket counts in counts, as the
+// Window spanning base windows [lo, hi].
+func (m *win) rollup(key Key, lo, hi int64, window time.Duration, counts *block) Window {
 	start := time.Unix(0, lo*int64(window)).UTC()
-	end := time.Unix(0, (endIdx+1)*int64(window)).UTC()
+	end := time.Unix(0, (hi+1)*int64(window)).UTC()
 	return Window{
-		Key:       s.key,
+		Key:       key,
 		Start:     start,
 		End:       end,
 		Count:     m.count,
@@ -419,10 +479,10 @@ func (s *series) merged(endIdx int64, span int, window time.Duration) (Window, b
 		Mean:      m.sum / float64(m.count),
 		Min:       m.min,
 		Max:       m.max,
-		P50:       histQuantile(&scratch, m.count, 0.50, m.min, m.max),
-		P99:       histQuantile(&scratch, m.count, 0.99, m.min, m.max),
+		P50:       histQuantile(counts, m.count, 0.50, m.min, m.max),
+		P99:       histQuantile(counts, m.count, 0.99, m.min, m.max),
 		Freshness: end.Sub(time.Unix(0, m.lastAt)),
-	}, true
+	}
 }
 
 // windowIndex floors a timestamp into its window, correctly for

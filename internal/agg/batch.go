@@ -2,7 +2,6 @@ package agg
 
 import (
 	"sort"
-	"time"
 
 	"senseaid/internal/geo"
 	"senseaid/internal/sensors"
@@ -46,25 +45,13 @@ func Batch(samples []Sample, cfg Config) []Window {
 			w = &win{idx: sl.idx}
 			acc[sl] = w
 		}
-		w.observe(s.Reading.Value, nanos)
+		w.observe(s.Reading.Value, nanos, nil)
 	}
 	out := make([]Window, 0, len(acc))
 	for sl, w := range acc {
-		start := time.Unix(0, sl.idx*int64(cfg.Window)).UTC()
-		end := time.Unix(0, (sl.idx+1)*int64(cfg.Window)).UTC()
-		out = append(out, Window{
-			Key:       sl.key,
-			Start:     start,
-			End:       end,
-			Count:     w.count,
-			Sum:       w.sum,
-			Mean:      w.sum / float64(w.count),
-			Min:       w.min,
-			Max:       w.max,
-			P50:       histQuantile(&w.hist, w.count, 0.50, w.min, w.max),
-			P99:       histQuantile(&w.hist, w.count, 0.99, w.min, w.max),
-			Freshness: end.Sub(time.Unix(0, w.lastAt)),
-		})
+		var counts block
+		w.hist.each(func(b int, c uint32) { counts[b] = c })
+		out = append(out, w.rollup(sl.key, sl.idx, sl.idx, cfg.Window, &counts))
 	}
 	SortWindows(out)
 	return out

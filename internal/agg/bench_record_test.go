@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"senseaid/internal/geo"
+	"senseaid/internal/gitstamp"
 	"senseaid/internal/sensors"
 	"senseaid/internal/simclock"
 )
@@ -22,9 +23,12 @@ import (
 //  1. The ingest tap keeps up at 1M uploads/min with ZERO allocations
 //     per upload in steady state — the tap sits on the core's delivery
 //     path for every accepted reading, so a per-upload allocation is a
-//     GC tax on the whole server.
+//     GC tax on the whole server. Both window shapes are held to it:
+//     series whose windows stay in their inline buckets, and series
+//     whose every window outgrows them into a dense block.
 //  2. Series memory is bounded under retention: windows roll through
-//     the ring forever without growing the heap.
+//     the ring forever without growing the heap, and a series whose
+//     windows hold a few distinct values costs under 1.5 KiB.
 //  3. Subscription push lag p99 stays under one base window on a live
 //     tick cadence — a "1-minute mean" subscriber sees each window
 //     well before the next one closes.
@@ -80,17 +84,55 @@ func TestRecordAggBench(t *testing.T) {
 	if uploadsPerMin < 1_000_000 {
 		t.Errorf("ingest tap sustains %.0f uploads/min, need >= 1,000,000", uploadsPerMin)
 	}
+	// The same tap on series whose every window sees more distinct
+	// buckets than it keeps inline: each window moves to a dense block,
+	// which must be the one recycled from the ring, not a new one.
+	const nWide = 16
+	wideTier := New(Config{Window: time.Second, Retention: 5, CellSizeM: 500, Clock: clk})
+	wide := make([]feed, nWide)
+	for i := range wide {
+		wide[i] = feeds[i]
+		wide[i].r.Value = 0
+	}
+	ingestWide := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		at := simclock.Epoch
+		for i := 0; i < b.N; i++ {
+			f := &wide[i%nWide]
+			if i%nWide == 0 {
+				at = at.Add(100 * time.Millisecond) // ten rounds per window
+			}
+			f.r.At = at
+			// Values across 20 binades: every round a new bucket.
+			f.r.Value = float64(int64(1) << ((i / nWide) % 20))
+			wideTier.Ingest(f.task, f.region, f.r)
+		}
+	})
+	if a := ingestWide.AllocsPerOp(); a != 0 {
+		t.Errorf("ingest tap allocates on overflowing windows: %d allocs/op (budget 0)", a)
+	}
+	if st := wideTier.Stats(); st.WindowsClosed > 0 {
+		// Every window those series closed overflowed its inline buckets.
+		wideTier.mu.Lock()
+		for _, s := range wideTier.series {
+			if s.n > 0 && s.ring[(s.head-1+len(s.ring))%len(s.ring)].hist.dense == nil {
+				t.Errorf("the wide ingest run closed a window that stayed inline")
+			}
+		}
+		wideTier.mu.Unlock()
+	}
 
 	// --- Gate 2: bounded series memory under retention ----------------
-	clk2 := simclock.NewFakeClock(simclock.Epoch)
-	tier2 := New(Config{Window: time.Second, Retention: 5, CellSizeM: 500, Clock: clk2})
-	tier2.Subscribe(Filter{}, func(Push) {}) // emission path exercised too
 	heapAfter := func() uint64 {
 		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
+	base := heapAfter()
+	clk2 := simclock.NewFakeClock(simclock.Epoch)
+	tier2 := New(Config{Window: time.Second, Retention: 5, CellSizeM: 500, Clock: clk2})
+	tier2.Subscribe(Filter{}, func(Push) {}) // emission path exercised too
 	runWindows := func(n int) {
 		for w := 0; w < n; w++ {
 			for i := range feeds {
@@ -106,12 +148,24 @@ func TestRecordAggBench(t *testing.T) {
 	warm := heapAfter()
 	runWindows(400)
 	settled := heapAfter()
+	liveSeries := tier2.Stats().Series
+	runtime.KeepAlive(tier2) // the heap readings above must include it
 	growth := int64(settled) - int64(warm)
 	// 400 further windows through a full ring must not grow the heap
 	// beyond noise (GC bookkeeping, test machinery).
 	const growthBudget = 1 << 20
 	if growth > growthBudget {
 		t.Errorf("series memory grew %d bytes over 400 windows (budget %d): retention is not bounding the ring", growth, growthBudget)
+	}
+	// What one series costs: the settled heap the tier added, over its
+	// live series. Each of these series sees one value, so its windows
+	// stay inline — the common case, where a window holds a handful of
+	// samples.
+	bytesPerSeries := (float64(settled) - float64(base)) / float64(liveSeries)
+	const seriesBudget = 1536
+	if liveSeries != nKeys || bytesPerSeries >= seriesBudget {
+		t.Errorf("%d live series cost %.0f bytes each (budget < %d, want %d series)",
+			liveSeries, bytesPerSeries, seriesBudget, nKeys)
 	}
 
 	// --- Gate 3: push lag p99 under one window (live clock) -----------
@@ -179,23 +233,33 @@ func TestRecordAggBench(t *testing.T) {
 		t.Errorf("push lag p99 = %v, must stay under one window (%v)", lagP99, lagWindow)
 	}
 
+	commit, tree := gitstamp.Stamp()
 	doc := map[string]interface{}{
 		"schema":      "senseaid-bench-agg/1",
+		"commit":      commit,
+		"tree":        tree,
 		"go":          runtime.Version(),
 		"recorded_at": time.Now().UTC().Format(time.RFC3339),
 		"ingest": map[string]interface{}{
-			"ns_per_upload":   nsPerUpload,
-			"allocs_per_op":   ingest.AllocsPerOp(),
-			"uploads_per_min": uploadsPerMin,
-			"series":          nKeys,
-			"ops":             ingest.N,
+			"ns_per_upload":          nsPerUpload,
+			"allocs_per_op":          ingest.AllocsPerOp(),
+			"uploads_per_min":        uploadsPerMin,
+			"series":                 nKeys,
+			"ops":                    ingest.N,
+			"overflow_allocs_per_op": ingestWide.AllocsPerOp(),
+			"overflow_ns_per_upload": float64(ingestWide.T.Nanoseconds()) / float64(ingestWide.N),
+			"overflow_series":        nWide,
 		},
 		"memory": map[string]interface{}{
-			"warm_heap_bytes":    warm,
-			"settled_heap_bytes": settled,
-			"growth_bytes":       growth,
-			"growth_budget":      growthBudget,
-			"windows_run":        450,
+			"base_heap_bytes":     base,
+			"warm_heap_bytes":     warm,
+			"settled_heap_bytes":  settled,
+			"growth_bytes":        growth,
+			"growth_budget":       growthBudget,
+			"windows_run":         450,
+			"live_series":         liveSeries,
+			"bytes_per_series":    bytesPerSeries,
+			"series_bytes_budget": seriesBudget,
 		},
 		"push_lag": map[string]interface{}{
 			"window_ms": lagWindow.Milliseconds(),
@@ -204,9 +268,10 @@ func TestRecordAggBench(t *testing.T) {
 			"emissions": nLags,
 		},
 		"gates": []string{
-			"ingest allocs/op == 0",
+			"ingest allocs/op == 0, inline and overflowing windows",
 			"uploads/min >= 1e6",
 			fmt.Sprintf("heap growth over 400 windows <= %d bytes", growthBudget),
+			fmt.Sprintf("bytes per series < %d", seriesBudget),
 			"push lag p99 < 1 window",
 		},
 	}
@@ -217,6 +282,6 @@ func TestRecordAggBench(t *testing.T) {
 	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("ingest: %.0f ns/upload (%.1fM uploads/min, %d allocs/op); heap growth %d bytes / 400 windows; push lag p50 %v p99 %v",
-		nsPerUpload, uploadsPerMin/1e6, ingest.AllocsPerOp(), growth, lagP50, lagP99)
+	t.Logf("ingest: %.0f ns/upload (%.1fM uploads/min, %d allocs/op; %d allocs/op overflowing); %.0f bytes/series; heap growth %d bytes / 400 windows; push lag p50 %v p99 %v",
+		nsPerUpload, uploadsPerMin/1e6, ingest.AllocsPerOp(), ingestWide.AllocsPerOp(), bytesPerSeries, growth, lagP50, lagP99)
 }

@@ -3,6 +3,7 @@ package agg
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"senseaid/internal/geo"
@@ -42,19 +43,15 @@ type savedTier struct {
 
 func saveWin(w *win) savedWin {
 	sw := savedWin{Idx: w.idx, Count: w.count, Sum: w.sum, Min: w.min, Max: w.max, LastAt: w.lastAt}
-	for b, c := range w.hist {
-		if c != 0 {
-			sw.Hist = append(sw.Hist, [2]uint32{uint32(b), c})
-		}
-	}
+	w.hist.each(func(b int, c uint32) { sw.Hist = append(sw.Hist, [2]uint32{uint32(b), c}) })
 	return sw
 }
 
 func loadWin(sw savedWin) win {
 	w := win{idx: sw.Idx, count: sw.Count, sum: sw.Sum, min: sw.Min, max: sw.Max, lastAt: sw.LastAt}
 	for _, bc := range sw.Hist {
-		if int(bc[0]) < histSize {
-			w.hist[bc[0]] = bc[1]
+		if int(bc[0]) < histSize { // a bucket listed twice keeps its last count
+			*w.hist.slot(int(bc[0]), nil) = bc[1]
 		}
 	}
 	return w
@@ -103,6 +100,7 @@ func (t *Tier) Restore(data []byte) error {
 	defer t.mu.Unlock()
 	t.series = make(map[Key]*series, len(st.Series))
 	t.lastEmit = st.LastEmit
+	t.openFloor, t.idleFloor = math.MaxInt64, math.MaxInt64
 	for _, ss := range st.Series {
 		k := Key{Task: ss.Task, Region: ss.Region, Cell: geo.Cell{Lat: ss.Lat, Lon: ss.Lon}}
 		s := &series{key: k, ring: make([]win, t.cfg.Retention), lastAt: ss.LastAt}
@@ -120,7 +118,9 @@ func (t *Tier) Restore(data []byte) error {
 		if ss.Cur != nil {
 			s.cur = loadWin(*ss.Cur)
 			s.active = true
+			t.openFloor = min(t.openFloor, s.cur.idx)
 		}
+		t.idleFloor = min(t.idleFloor, s.lastAt)
 		t.series[k] = s
 	}
 	return nil

@@ -20,6 +20,7 @@ import (
 	"senseaid/internal/geo"
 	"senseaid/internal/netserver"
 	"senseaid/internal/sensors"
+	"senseaid/internal/simclock"
 	"senseaid/internal/wire"
 )
 
@@ -105,16 +106,26 @@ type tapEvent struct {
 type tapConn struct {
 	net.Conn
 	tap *wireTap
-	// link is settled by the connection's first read, its hello: a node
-	// dialled it. The router writes nothing before that read.
+	// link is settled once the connection's first frame, its hello, is
+	// read whole: a node dialled it. The hello's length prefix and body
+	// may arrive in separate reads; head holds them until then. The
+	// router writes nothing before the hello is in.
+	head       []byte
 	read, link bool
 }
 
 func (c *tapConn) Read(b []byte) (int, error) {
 	n, err := c.Conn.Read(b)
 	if n > 0 && !c.read {
-		c.read = true
-		c.link = bytes.Contains(b[:n], []byte(`"role":"node"`))
+		c.head = append(c.head, b[:n]...)
+		if _, ferr := wire.JSON.ReadFrame(bytes.NewReader(c.head)); ferr == nil {
+			c.read = true
+			c.link = bytes.Contains(c.head, []byte(`"role":"node"`))
+			if c.link {
+				c.tap.record(c, c.head)
+			}
+		}
+		return n, err
 	}
 	if n > 0 && c.link {
 		c.tap.record(c, b[:n])
@@ -198,19 +209,32 @@ func (tp *wireTap) frames(t *testing.T) []tapFrame {
 // edge core: with more, an idle processor may run the reading's flusher
 // before the handler sends the ack, splitting the write (which the
 // deferral contract allows).
+//
+// The worker runs on a virtual clock the test moves one sampling period
+// at a time, after the upload it waits for: each request's deadline is
+// one period after it falls due, and on wall time a loaded host that
+// took longer than that to carry the schedule to the device and its
+// upload back marked the only device unresponsive, so the next upload
+// never came.
 func TestLinkOrdersReadingAndAck(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	tp := &wireTap{}
 	r := startRouterWrapped(t, tp.wrap)
-	startWorker(t, r, westRegion, "west-1", "")
+	clock := simclock.NewFakeClock(time.Now())
+	startWorkerCfg(t, r, netserver.Config{
+		Regions:   []core.Region{westRegion},
+		Clock:     clock,
+		AggWindow: -1, // the tick loop is then the clock's only sleeper
+	}, "west-1")
 
 	app, err := cas.DialCodec(r.Addr(), "binary")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = app.Close() })
-	if err := app.ReceiveSensedData(func(wire.SensedData) {}); err != nil {
+	var delivered atomic.Int64
+	if err := app.ReceiveSensedData(func(wire.SensedData) { delivered.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
 	dev := binaryDevice(t, r.Addr(), "ordered-1", westCenter)
@@ -224,10 +248,20 @@ func TestLinkOrdersReadingAndAck(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Task(regionSpec(westCenter, 1, time.Hour)); err != nil {
+	spec := regionSpec(westCenter, 1, time.Hour)
+	// The first request falls due within the first period, whatever wall
+	// time the setup took.
+	spec.Start = clock.Now().Add(time.Millisecond)
+	if _, err := app.Task(spec); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
+		// One period, once the tick loop sleeps on the clock: the next
+		// request falls due, and none expires before its upload is in.
+		waitFor(t, 5*time.Second, "the tick loop to sleep on the clock", func() bool {
+			return clock.Waiters() > 0
+		})
+		clock.Advance(spec.SamplingPeriod)
 		select {
 		case err := <-uploads:
 			if err != nil {
@@ -237,7 +271,9 @@ func TestLinkOrdersReadingAndAck(t *testing.T) {
 			t.Fatalf("upload %d never acked", i+1)
 		}
 	}
-	time.Sleep(100 * time.Millisecond) // the last reading reaches the CAS
+	waitFor(t, 5*time.Second, "the three readings to reach the CAS", func() bool {
+		return delivered.Load() >= 3
+	})
 
 	frames := tp.frames(t)
 	var casConn, devConn *tapConn

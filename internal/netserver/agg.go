@@ -125,7 +125,7 @@ func (s *Server) aggLoop() {
 	if tick < time.Millisecond {
 		tick = time.Millisecond
 	}
-	var closed uint64
+	var closed, evicted uint64
 	for {
 		select {
 		case <-s.done:
@@ -137,6 +137,11 @@ func (s *Server) aggLoop() {
 				s.met.aggWindows.Add(st.WindowsClosed - closed)
 				closed = st.WindowsClosed
 			}
+			if st.Evicted > evicted {
+				s.met.aggEvicted.Add(st.Evicted - evicted)
+				evicted = st.Evicted
+			}
+			s.met.aggSeries.Set(float64(st.Series))
 		}
 	}
 }

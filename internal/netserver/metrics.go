@@ -75,6 +75,8 @@ type netMetrics struct {
 
 	// Live-aggregation tier series (DESIGN.md §15).
 	aggWindows     *obs.Counter
+	aggSeries      *obs.Gauge
+	aggEvicted     *obs.Counter
 	aggSubscribers *obs.Gauge
 	aggPushLag     *obs.Histogram
 
@@ -158,6 +160,10 @@ func newNetMetrics(reg *obs.Registry) *netMetrics {
 			"Crowdsensing uploads by radio path.", path("unknown")),
 		aggWindows: reg.Counter("senseaid_agg_windows_total",
 			"Base aggregation windows closed by the live-aggregation tier.", nil),
+		aggSeries: reg.Gauge("senseaid_agg_series",
+			"Live aggregation series (task, region, grid cell) the tier holds.", nil),
+		aggEvicted: reg.Counter("senseaid_agg_evicted_total",
+			"Aggregation series dropped by the tier: gone idle past retention, or evicted at the series cap.", nil),
 		aggSubscribers: reg.Gauge("senseaid_agg_subscribers",
 			"Live agg_push subscriptions.", nil),
 		aggPushLag: reg.Histogram("senseaid_agg_push_lag_seconds",

@@ -41,14 +41,18 @@ func metricValue(reg *obs.Registry, name string, labels obs.Labels) float64 {
 
 // TestMetricsEndToEnd drives a client/CAS round trip through a server
 // wired to an injected registry and asserts the full serving path shows
-// up: connections, per-RPC latency series, upload paths, and that the
-// exposition output stays parseable while traffic flows.
+// up: connections, per-RPC latency series, upload paths, the
+// aggregation tier's footprint, and that the exposition output stays
+// parseable while traffic flows.
 func TestMetricsEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := Listen(Config{
 		Addr:       "127.0.0.1:0",
 		TickPeriod: 20 * time.Millisecond,
 		Metrics:    reg,
+		// A series idle for (retention+1) windows, one second, expires.
+		AggWindow:    500 * time.Millisecond,
+		AggRetention: 1,
 	})
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -135,6 +139,20 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if st.UptimeSeconds <= 0 {
 		t.Errorf("UptimeSeconds = %v, want > 0", st.UptimeSeconds)
+	}
+
+	// The aggregation tier shows what it holds: the campaign's one series
+	// while readings arrive, then none, and one eviction, once the
+	// campaign has ended and the series has been idle past retention.
+	waitFor(t, 5*time.Second, "senseaid_agg_series to count the campaign's series", func() bool {
+		return metricValue(reg, "senseaid_agg_series", nil) >= 1
+	})
+	waitFor(t, 10*time.Second, "the idle series to be evicted", func() bool {
+		return metricValue(reg, "senseaid_agg_series", nil) == 0 &&
+			metricValue(reg, "senseaid_agg_evicted_total", nil) >= 1
+	})
+	if v := metricValue(reg, "senseaid_agg_evicted_total", nil); v != float64(s.agg.Stats().Evicted) {
+		t.Errorf("senseaid_agg_evicted_total = %v, tier evicted %d", v, s.agg.Stats().Evicted)
 	}
 }
 
