@@ -105,7 +105,8 @@ go test -count=1 -run '^TestCrashRestartBinaryEndToEnd$' .
 # Tracing benchmark record: measures span start/finish on the sampled
 # and unsampled paths, writes BENCH_obs.json, and FAILS when the
 # unsampled fast path allocates (the tracing tax on untraced requests
-# must stay zero-alloc; see TestRecordObsBench).
+# must stay zero-alloc) or when a full /tasks timeline store holds more
+# than 40 bytes per event (see TestRecordObsBench).
 SENSEAID_BENCH_OUT="$PWD/BENCH_obs.json" \
     go test -run '^TestRecordObsBench$' -count=1 -v ./internal/obs
 bench_diff BENCH_obs.json
@@ -114,8 +115,9 @@ bench_diff BENCH_obs.json
 # schedule/upload shapes under the JSON and binary codecs plus the write
 # coalescer's syscall batching, writes BENCH_wire.json, and FAILS when
 # binary loses its 2x frame-size edge, stops allocating less than JSON,
-# or a notify burst issued without yielding stops taking at most half a
-# write per frame (see TestRecordWireBench).
+# a notify burst issued without yielding stops taking at most half a
+# write per frame, or reading a binary or link frame from a buffered
+# reader allocates anything but its body (see TestRecordWireBench).
 SENSEAID_BENCH_OUT="$PWD/BENCH_wire.json" \
     go test -run '^TestRecordWireBench$' -count=1 -v ./internal/wire
 bench_diff BENCH_wire.json

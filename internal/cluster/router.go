@@ -237,7 +237,7 @@ func (r *Router) serveConn(nc net.Conn) {
 	if r.cfg.HandshakeTimeout > 0 {
 		_ = nc.SetReadDeadline(time.Now().Add(r.cfg.HandshakeTimeout))
 	}
-	br := wire.NewReader(nc, 16<<10)
+	br := wire.NewReader(nc, wire.SessionReadBuf)
 	env, err := wire.ReadFrame(br)
 	if err != nil {
 		return

@@ -125,7 +125,7 @@ func (s *Server) aggLoop() {
 	if tick < time.Millisecond {
 		tick = time.Millisecond
 	}
-	var closed, evicted uint64
+	var closed, evicted, dropped uint64
 	for {
 		select {
 		case <-s.done:
@@ -142,6 +142,12 @@ func (s *Server) aggLoop() {
 				evicted = st.Evicted
 			}
 			s.met.aggSeries.Set(float64(st.Series))
+			ts := s.timeline.Stats()
+			if ts.Dropped > dropped {
+				s.met.timelineDropped.Add(ts.Dropped - dropped)
+				dropped = ts.Dropped
+			}
+			s.met.timelineEvents.Set(float64(ts.Events))
 		}
 	}
 }

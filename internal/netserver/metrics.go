@@ -80,6 +80,11 @@ type netMetrics struct {
 	aggSubscribers *obs.Gauge
 	aggPushLag     *obs.Histogram
 
+	// The /tasks timeline store's bound (DESIGN.md §7), sampled with the
+	// aggregation tier's gauges.
+	timelineEvents  *obs.Gauge
+	timelineDropped *obs.Counter
+
 	mu      sync.Mutex
 	rpcHist map[string]*obs.Histogram
 	rpcErrs map[string]*obs.Counter
@@ -169,6 +174,10 @@ func newNetMetrics(reg *obs.Registry) *netMetrics {
 		aggPushLag: reg.Histogram("senseaid_agg_push_lag_seconds",
 			"Window end to agg_push flush completion, per push.",
 			aggPushLagBuckets, nil),
+		timelineEvents: reg.Gauge("senseaid_timeline_events",
+			"Task lifecycle events the /tasks timeline store holds.", nil),
+		timelineDropped: reg.Counter("senseaid_timeline_dropped_events_total",
+			"Task lifecycle events discarded at the timeline store's per-task cap.", nil),
 		rpcHist: make(map[string]*obs.Histogram),
 		rpcErrs: make(map[string]*obs.Counter),
 	}

@@ -53,6 +53,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 		// A series idle for (retention+1) windows, one second, expires.
 		AggWindow:    500 * time.Millisecond,
 		AggRetention: 1,
+		// Four events per task: the campaign's timeline fills at once
+		// and the rest of its events are dropped at the cap.
+		Timeline: obs.NewTimelineStore(0, 4),
 	})
 	if err != nil {
 		t.Fatalf("Listen: %v", err)
@@ -153,6 +156,16 @@ func TestMetricsEndToEnd(t *testing.T) {
 	})
 	if v := metricValue(reg, "senseaid_agg_evicted_total", nil); v != float64(s.agg.Stats().Evicted) {
 		t.Errorf("senseaid_agg_evicted_total = %v, tier evicted %d", v, s.agg.Stats().Evicted)
+	}
+
+	// The timeline store shows its bound: the one task's four events
+	// held, and what its cap discarded counted.
+	waitFor(t, 5*time.Second, "the timeline gauges to show the full timeline", func() bool {
+		return metricValue(reg, "senseaid_timeline_events", nil) == 4 &&
+			metricValue(reg, "senseaid_timeline_dropped_events_total", nil) >= 1
+	})
+	if v, st := metricValue(reg, "senseaid_timeline_dropped_events_total", nil), s.Timeline().Stats(); v > float64(st.Dropped) || st.Events != 4 {
+		t.Errorf("senseaid_timeline_dropped_events_total = %v, store stats %+v", v, st)
 	}
 }
 

@@ -616,7 +616,7 @@ func (s *Server) acceptLoop() {
 		}
 		c := &conn{
 			nc:           nc,
-			br:           wire.NewReader(nc, 16<<10),
+			br:           wire.NewReader(nc, wire.SessionReadBuf),
 			codec:        wire.JSON,
 			writeTimeout: s.cfg.WriteTimeout,
 		}

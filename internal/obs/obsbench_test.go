@@ -2,9 +2,13 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
+	"time"
+
+	"senseaid/internal/gitstamp"
 )
 
 // benchTracer builds a tracer with metrics attached (the production
@@ -58,6 +62,40 @@ func BenchmarkStartTraceUnsampled(b *testing.B) {
 	}
 }
 
+// timelineStore is what the held-bytes measurement fills: a
+// TimelineStore, or the slice store it replaced.
+type timelineStore interface {
+	Bind(task, traceID string)
+	Note(task, stage, detail string, at time.Time)
+}
+
+// heldBytesPerEvent fills every timeline of a default-sized store to its
+// event cap and returns the heap the events added, per event. The
+// timelines exist before the measurement starts and the details are
+// shared strings, so what is counted is the events' own storage.
+func heldBytesPerEvent(ts timelineStore) float64 {
+	const tasks, events = 256, 512
+	ids := make([]string, tasks)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("task-%d", i)
+		ts.Bind(ids[i], "00112233445566778899aabbccddeeff")
+	}
+	base := time.Date(2026, 10, 17, 12, 0, 0, 0, time.Local)
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	for e := 0; e < events; e++ {
+		for i, id := range ids {
+			ts.Note(id, timelineStages[(i+e)%len(timelineStages)], "dev-1", base.Add(time.Duration(e)*time.Millisecond))
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(ts)
+	return float64(int64(ms.HeapAlloc)-int64(before)) / (tasks * events)
+}
+
 // obsBenchRecord is one measured case in BENCH_obs.json.
 type obsBenchRecord struct {
 	Name        string  `json:"name"`
@@ -71,7 +109,8 @@ type obsBenchRecord struct {
 // Gated on SENSEAID_BENCH_OUT (ci.sh sets it); besides recording, it
 // FAILS when the unsampled span start/finish path allocates at all —
 // that path runs on every request at production sample rates, so any
-// allocation there is a regression.
+// allocation there is a regression — or when a full timeline store
+// holds more than 40 bytes per event (DESIGN.md §7).
 func TestRecordObsBench(t *testing.T) {
 	out := os.Getenv("SENSEAID_BENCH_OUT")
 	if out == "" {
@@ -108,16 +147,40 @@ func TestRecordObsBench(t *testing.T) {
 		}
 	}
 
+	// Gate: the timeline store's memory bound is 40 bytes per event.
+	held := heldBytesPerEvent(NewTimelineStore(0, 0))
+	sliceHeld := heldBytesPerEvent(newRefTimelineStore(0, 0))
+	t.Logf("timeline: %.1f B held per event (the []TimelineEvent store held %.1f)", held, sliceHeld)
+	if held > 40 {
+		t.Errorf("a full timeline store holds %.1f B per event, want <= 40", held)
+	}
+
+	commit, tree := gitstamp.Stamp()
 	doc := struct {
-		Benchmark string           `json:"benchmark"`
-		Go        string           `json:"go"`
-		Gate      string           `json:"gate"`
-		Cases     []obsBenchRecord `json:"cases"`
+		Schema     string           `json:"schema"`
+		Commit     string           `json:"commit"`
+		Tree       string           `json:"tree"`
+		Benchmark  string           `json:"benchmark"`
+		Go         string           `json:"go"`
+		RecordedAt string           `json:"recorded_at"`
+		Gate       string           `json:"gate"`
+		Cases      []obsBenchRecord `json:"cases"`
+		Timeline   map[string]any   `json:"timeline"`
 	}{
-		Benchmark: "BenchmarkSpan* (internal/obs)",
-		Go:        runtime.Version(),
-		Gate:      "span-unsampled and start-trace-unsampled must be 0 allocs/op",
-		Cases:     records,
+		Schema:     "senseaid-bench-obs/1",
+		Commit:     commit,
+		Tree:       tree,
+		Benchmark:  "BenchmarkSpan* (internal/obs)",
+		Go:         runtime.Version(),
+		RecordedAt: time.Now().UTC().Format(time.RFC3339),
+		Gate:       "span-unsampled and start-trace-unsampled must be 0 allocs/op; a full timeline store holds at most 40 B per event",
+		Cases:      records,
+		Timeline: map[string]any{
+			"tasks":                       256,
+			"events_per_task":             512,
+			"held_bytes_per_event":        held,
+			"slice_store_bytes_per_event": sliceHeld,
+		},
 	}
 	blob, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"senseaid/internal/geo"
+	"senseaid/internal/gitstamp"
 	"senseaid/internal/sensors"
 )
 
@@ -121,6 +123,26 @@ func coalesceWrites(tb testing.TB, burst, bursts int) int {
 	return w
 }
 
+// bufferedReadAllocs is what reading one upload frame from a
+// bufio.Reader allocates under codec c, as a session's read loop does.
+func bufferedReadAllocs(tb testing.TB, c Codec) float64 {
+	env, err := c.Encode(TypeSenseData, 7, benchUpload())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	frame, err := c.AppendFrame(nil, env)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const runs = 100
+	br := bufio.NewReader(bytes.NewReader(bytes.Repeat(frame, runs+1)))
+	return testing.AllocsPerRun(runs, func() {
+		if _, err := c.ReadFrame(br); err != nil {
+			tb.Fatal(err)
+		}
+	})
+}
+
 // wireBenchRecord is one measured case in BENCH_wire.json.
 type wireBenchRecord struct {
 	Name        string  `json:"name"`
@@ -135,8 +157,9 @@ type wireBenchRecord struct {
 // gated on SENSEAID_BENCH_OUT (ci.sh sets it); besides recording, it
 // FAILS when the binary codec's frame is not at least 2x smaller than
 // JSON's for either hot shape, when binary allocates at least as much
-// as JSON per round-trip, or when coalescing stops cutting write
-// syscalls by at least 2x on a notify burst.
+// as JSON per round-trip, when coalescing stops cutting write syscalls
+// by at least 2x on a notify burst, or when reading a binary or link
+// frame from a buffered reader allocates anything but its body.
 func TestRecordWireBench(t *testing.T) {
 	out := os.Getenv("SENSEAID_BENCH_OUT")
 	if out == "" {
@@ -208,15 +231,38 @@ func TestRecordWireBench(t *testing.T) {
 	t.Logf("coalescing: %d-frame bursts took %d writes for %d frames (%.1fx)",
 		burst, batched, base, writeRatio)
 
+	// Gate 4: a session's read loop pays one allocation per binary or
+	// link frame, its body; the length prefix is read in place.
+	readAllocs := make(map[string]float64)
+	for _, c := range []Codec{Binary, Link} {
+		readAllocs[c.Name()] = bufferedReadAllocs(t, c)
+		if readAllocs[c.Name()] != 1 {
+			t.Errorf("%s: ReadFrame on a buffered reader makes %.1f allocations, want 1 (the body)",
+				c.Name(), readAllocs[c.Name()])
+		}
+	}
+	t.Logf("buffered ReadFrame allocations per frame: %v", readAllocs)
+
+	commit, tree := gitstamp.Stamp()
 	doc := struct {
-		Benchmark  string            `json:"benchmark"`
-		Go         string            `json:"go"`
-		WriteRatio float64           `json:"write_syscall_ratio_uncoalesced_over_coalesced"`
-		Cases      []wireBenchRecord `json:"cases"`
+		Schema     string             `json:"schema"`
+		Commit     string             `json:"commit"`
+		Tree       string             `json:"tree"`
+		Benchmark  string             `json:"benchmark"`
+		Go         string             `json:"go"`
+		RecordedAt string             `json:"recorded_at"`
+		WriteRatio float64            `json:"write_syscall_ratio_uncoalesced_over_coalesced"`
+		ReadAllocs map[string]float64 `json:"buffered_read_allocs_per_frame"`
+		Cases      []wireBenchRecord  `json:"cases"`
 	}{
+		Schema:     "senseaid-bench-wire/1",
+		Commit:     commit,
+		Tree:       tree,
 		Benchmark:  "BenchmarkCodecRoundTrip (internal/wire)",
 		Go:         runtime.Version(),
+		RecordedAt: time.Now().UTC().Format(time.RFC3339),
 		WriteRatio: writeRatio,
+		ReadAllocs: readAllocs,
 		Cases:      records,
 	}
 	blob, err := json.MarshalIndent(doc, "", "  ")

@@ -219,19 +219,24 @@ func (binaryCodec) ReadFrame(r io.Reader) (Envelope, error) {
 // readUvarintBounded reads a uvarint length prefix byte by byte (at most
 // MaxVarintLen64 bytes), so no payload-sized read happens before the
 // bound check. A bare io.EOF on the very first byte passes through for
-// clean shutdown; EOF mid-varint is an unexpected-EOF error.
+// clean shutdown; EOF mid-varint is an unexpected-EOF error. A reader
+// that is an io.ByteReader (every bufio.Reader is) is read through it,
+// which allocates nothing; any other reader gets a one-byte wrapper.
 func readUvarintBounded(r io.Reader) (v uint64, n int, err error) {
-	var one [1]byte
+	br, ok := r.(io.ByteReader)
+	if !ok {
+		br = &oneByteReader{r: r}
+	}
 	var shift uint
 	for i := 0; i < binary.MaxVarintLen64; i++ {
-		if _, err := io.ReadFull(r, one[:]); err != nil {
+		b, err := br.ReadByte()
+		if err != nil {
 			if i == 0 {
 				return 0, 0, err
 			}
 			met.errIO.Inc()
 			return 0, 0, fmt.Errorf("wire: read frame length: %w", err)
 		}
-		b := one[0]
 		if shift >= 64 || (shift == 63 && b > 1) {
 			met.errFrame.Inc()
 			return 0, 0, fmt.Errorf("wire: frame length varint overflows")
@@ -244,6 +249,18 @@ func readUvarintBounded(r io.Reader) (v uint64, n int, err error) {
 	}
 	met.errFrame.Inc()
 	return 0, 0, fmt.Errorf("wire: frame length varint too long")
+}
+
+// oneByteReader reads a reader that is not an io.ByteReader one byte at
+// a time, with io.ReadFull's EOF semantics.
+type oneByteReader struct {
+	r   io.Reader
+	one [1]byte
+}
+
+func (o *oneByteReader) ReadByte() (byte, error) {
+	_, err := io.ReadFull(o.r, o.one[:])
+	return o.one[0], err
 }
 
 // --- primitive encoders ---

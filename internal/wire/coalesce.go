@@ -401,6 +401,7 @@ func (co *Coalescer) writeNow(buf []byte) (wrote int, err error, blocked bool) {
 func (co *Coalescer) writeOnce(fd uintptr) bool {
 	n, _, e := syscall.RawSyscall(syscall.SYS_WRITE, fd, uintptr(unsafe.Pointer(&co.rawBuf[0])), uintptr(len(co.rawBuf)))
 	co.rawN, co.rawErrno = int(n), e
+	met.write.note(n, e)
 	return true
 }
 
