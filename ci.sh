@@ -112,7 +112,8 @@ SENSEAID_BENCH_OUT="$PWD/BENCH_obs.json" \
 bench_diff BENCH_obs.json
 
 # Wire benchmark record: measures encode+frame+read+decode for the hot
-# schedule/upload shapes under the JSON and binary codecs plus the write
+# schedule/upload shapes under the binary codec and the v1 JSON framing
+# the hello still uses, plus the write
 # coalescer's syscall batching, writes BENCH_wire.json, and FAILS when
 # binary loses its 2x frame-size edge, stops allocating less than JSON,
 # a notify burst issued without yielding stops taking at most half a
@@ -215,11 +216,11 @@ done
     -tasks 4 -density 5 -period 1s -min-selections 1
 stop_server "$tmp/senseaidd.out" "$tmp/senseaidd.err"
 
-# Wire v2 smoke: 5k device connections speaking the binary codec against
+# Wire v2 smoke: 5k device connections (binary, the only codec) against
 # a server with a bounded RPC worker pool — the production transport
-# configuration at 5x the plain smoke's scale. -coalesce-interval is
-# deprecated and ignored; it stays on this command line, as on bench/'s,
-# to prove old command lines still parse.
+# configuration at 5x the plain smoke's scale. -codec binary (the only
+# value accepted) and -coalesce-interval (ignored) stay on this command
+# line because bench/ passes both: this proves its command line parses.
 # A tenth of the fleet rides faulty links (staggered mid-run connection
 # kills plus added latency) and 5% answers with wrong-sensor garbage:
 # the run fails if the server accepts a single garbage upload or a
@@ -235,7 +236,7 @@ for _ in $(seq 1 50); do
 done
 [ -n "$addr" ]
 "$tmp/senseaid-loadgen" -addr "$addr" -devices 5000 -duration 5s \
-    -codec binary -tasks 4 -density 5 -period 1s -min-selections 1 \
+    -tasks 4 -density 5 -period 1s -min-selections 1 \
     -chaos-fraction 0.1 -chaos-drop-writes 20 -chaos-delay 1ms -byzantine 0.05
 stop_server "$tmp/senseaidd2.out" "$tmp/senseaidd2.err"
 

@@ -36,6 +36,13 @@ func TestBinariesEndToEnd(t *testing.T) {
 		}
 	}
 
+	// Binary is the only wire codec: -codec json refuses to start, and
+	// says what it would take.
+	out, err := exec.Command(filepath.Join(bin, "senseaidd"), "-addr", "127.0.0.1:0", "-codec", "json").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "binary") {
+		t.Fatalf("senseaidd -codec json: %v, output %q; want a non-zero exit naming binary", err, out)
+	}
+
 	addr := freeAddr(t)
 	metricsAddr := freeAddr(t)
 
@@ -66,7 +73,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 	// Run a short campaign to completion.
 	casCmd := exec.Command(filepath.Join(bin, "senseaid-cas"),
 		"-addr", addr, "-period", "300ms", "-duration", "2s", "-density", "1")
-	out, err := casCmd.CombinedOutput()
+	out, err = casCmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("senseaid-cas: %v\n%s", err, out)
 	}

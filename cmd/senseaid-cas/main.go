@@ -1,7 +1,8 @@
 // Command senseaid-cas is a crowdsensing application server in a box: it
 // connects to a running senseaidd, submits one task built from flags, and
 // streams the validated readings to stdout — with an optional fused
-// hyperlocal map rendered when the task window closes.
+// hyperlocal map rendered when the task window closes. It speaks the v2
+// binary wire protocol, the only one senseaidd serves.
 //
 // Usage:
 //

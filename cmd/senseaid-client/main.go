@@ -2,7 +2,8 @@
 // senseaidd: it registers, reports state on the paper's service-thread
 // cadence, and answers sensing schedules with synthetic barometer
 // readings — a stand-in for the study's Android app, useful for demos
-// and manual testing.
+// and manual testing. It speaks the v2 binary wire protocol, the only one
+// senseaidd serves.
 //
 // Usage:
 //
@@ -39,7 +40,6 @@ func run() error {
 	report := flag.Duration("report", time.Minute, "state report period")
 	reconnectMin := flag.Duration("reconnect-min", 250*time.Millisecond, "first reconnect backoff after losing the server (negative disables reconnection)")
 	reconnectMax := flag.Duration("reconnect-max", 15*time.Second, "reconnect backoff ceiling")
-	codec := flag.String("codec", "json", "wire codec to request: json (v1) or binary (v2; falls back to json against a v1 server)")
 	flag.Parse()
 
 	pos := geo.Point{Lat: *lat, Lon: *lon}
@@ -55,7 +55,6 @@ func run() error {
 			Position:   pos,
 			BatteryPct: *battery,
 			Sensors:    []sensors.Type{sensors.Barometer, sensors.Accelerometer, sensors.GPS},
-			Codec:      *codec,
 		},
 		Sampler: func(t sensors.Type) (sensors.Reading, error) {
 			r := field.Sample(pos, time.Now())

@@ -140,7 +140,6 @@ func run() error {
 	traceOut := flag.Bool("trace", false, "scrape the admin /traces ring after the run and print per-stage p50/p99 (requires -metrics-url)")
 	dialWorkers := flag.Int("dial-workers", 64, "concurrent connection setups")
 	jsonOut := flag.Bool("json", false, "emit the summary as JSON")
-	codecName := flag.String("codec", "json", "wire codec devices request: json, binary, or mixed (every other device binary — exercises cross-codec interop)")
 	chaosFraction := flag.Float64("chaos-fraction", 0, "fraction of devices dialing through a fault-injecting link")
 	chaosDropWrites := flag.Int("chaos-drop-writes", 0, "kill a chaotic device's connection around the Nth write (0 disables; staggered per device so deaths spread over the run)")
 	chaosPartitionWrites := flag.Int("chaos-partition-writes", 0, "asymmetrically partition a chaotic device around the Nth write: its writes black-hole while reads keep flowing (0 disables)")
@@ -149,25 +148,6 @@ func run() error {
 	chaosDelay := flag.Duration("chaos-delay", 0, "latency added to every read and write on chaotic links")
 	byzantine := flag.Float64("byzantine", 0, "fraction of devices answering schedules with wrong-sensor garbage; the run fails if the server accepts any")
 	flag.Parse()
-
-	deviceCodec := func(i int) string {
-		switch *codecName {
-		case "json", "binary":
-			return *codecName
-		case "mixed":
-			if i%2 == 0 {
-				return "binary"
-			}
-			return "json"
-		default:
-			return ""
-		}
-	}
-	switch *codecName {
-	case "json", "binary", "mixed":
-	default:
-		return fmt.Errorf("unknown -codec %q (want json, binary, or mixed)", *codecName)
-	}
 
 	if *devices <= 0 || *tasks < 0 || *density <= 0 || *dialWorkers <= 0 {
 		return fmt.Errorf("devices, density and dial-workers must be positive")
@@ -228,7 +208,6 @@ func run() error {
 					Position:   positions[i],
 					BatteryPct: float64(30 + i%70),
 					Sensors:    []sensors.Type{sensors.Barometer},
-					Codec:      deviceCodec(i),
 				}
 				if chaotic(i) {
 					p := faultconn.Policy{
@@ -387,13 +366,7 @@ func run() error {
 	}
 
 	// Phase 4: the CAS side — submit the tasks and count deliveries.
-	// The CAS connection follows the run's codec (mixed runs binary:
-	// the delivery fan-out is where the compact framing pays most).
-	casCodec := ""
-	if *codecName != "json" {
-		casCodec = "binary"
-	}
-	appSrv, err := cas.DialCodec(*addr, casCodec)
+	appSrv, err := cas.Dial(*addr)
 	if err != nil {
 		return fmt.Errorf("cas dial: %w", err)
 	}

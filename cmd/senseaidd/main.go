@@ -7,21 +7,21 @@
 //	senseaidd [-addr host:port] [-metrics-addr host:port] [-tick duration]
 //	          [-handshake-timeout duration] [-idle-timeout duration]
 //	          [-state-dir path] [-state-recover] [-snapshot-interval duration]
-//	          [-codec binary|json] [-rpc-workers n]
+//	          [-rpc-workers n]
 //	          [-agg-window duration] [-agg-retention n]
 //	          [-regions name@lat,lon,radiusM]... [-pprof]
 //	          [-enroll host:port] [-node-id name] [-standby-of host:port]
 //	          [-trace-sample rate] [-trace-slow duration] [-v] [-vv]
 //
-// -codec caps the wire encoding the server will negotiate: "binary"
-// (default) lets v2 clients use the compact binary framing while v1
-// clients keep speaking JSON; "json" pins every connection to v1.
+// Every connection speaks the v2 binary protocol after its hello; a
+// peer asking for v1 JSON is refused with an error naming version 2.
 // Schedule/delivery pushes on one connection share one write syscall
 // when they are produced before the pushing goroutine yields (with
-// -enroll, a live reading is written before the upload's ack instead);
-// -coalesce-interval is deprecated and ignored (accepted so old command
-// lines still parse). -rpc-workers bounds concurrent RPC handling
-// (overflow is shed with senseaid_rpc_shed_total).
+// -enroll, a live reading is written before the upload's ack instead).
+// -codec (only "binary" is accepted) and -coalesce-interval (ignored)
+// are kept so the benchmark harness's command line still parses.
+// -rpc-workers bounds concurrent RPC handling (overflow is shed with
+// senseaid_rpc_shed_total).
 //
 // The server aggregates every validated upload into per-task/per-cell
 // rollup windows (count, mean, min/max, p50/p99, freshness) that CASes
@@ -141,7 +141,7 @@ func run() error {
 	stateDir := flag.String("state-dir", "", "directory for durable scheduling state; a restarted server resumes its campaigns (empty runs in-memory)")
 	stateRecover := flag.Bool("state-recover", false, "move corrupt state files aside and start fresh instead of refusing to start")
 	snapshotInterval := flag.Duration("snapshot-interval", time.Minute, "how often to fold the journal into a fresh snapshot (negative disables the periodic loop)")
-	codec := flag.String("codec", "binary", "newest wire codec to negotiate: binary (v2) or json (pins every connection to v1)")
+	codec := flag.String("codec", "binary", "deprecated: binary is the only wire codec, and the only value accepted")
 	_ = flag.Duration("coalesce-interval", 0, "deprecated and ignored: pushes flush as soon as the pushing goroutine yields")
 	rpcWorkers := flag.Int("rpc-workers", 0, "max concurrent RPC handlers across all connections (0 sizes from CPU count, negative runs handlers inline)")
 	aggWindow := flag.Duration("agg-window", 0, "live-aggregation window length (0 uses the 1m default, negative disables the tier)")
@@ -157,6 +157,9 @@ func run() error {
 	verbose := flag.Bool("v", false, "log lifecycle events to stderr")
 	debug := flag.Bool("vv", false, "log per-message traffic to stderr")
 	flag.Parse()
+	if _, err := wire.CodecByName(*codec); err != nil {
+		return err
+	}
 
 	var logger *log.Logger
 	level := obs.LevelInfo
@@ -210,11 +213,6 @@ func run() error {
 		fmt.Printf("admin endpoint on http://%s/metrics\n", admin.Addr())
 	}
 
-	maxCodec, err := wire.CodecByName(*codec)
-	if err != nil {
-		return err
-	}
-
 	if (*enroll != "" || *standbyOf != "") && len(regions) != 1 {
 		return fmt.Errorf("cluster modes (-enroll, -standby-of) require exactly one -regions, have %d", len(regions))
 	}
@@ -262,7 +260,6 @@ func run() error {
 		TickPeriod:       *tick,
 		HandshakeTimeout: *handshakeTimeout,
 		IdleTimeout:      *idleTimeout,
-		MaxWireVersion:   maxCodec.Version(),
 		RPCWorkers:       *rpcWorkers,
 		AggWindow:        *aggWindow,
 		AggRetention:     *aggRetention,

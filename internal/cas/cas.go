@@ -37,29 +37,27 @@ type CAS struct {
 	aggBacklog []wire.AggPush
 }
 
-// Dial connects a CAS to the Sense-Aid server with the default v1 JSON
-// codec.
-func Dial(addr string) (*CAS, error) {
-	return DialCodec(addr, "")
+// DialCodec is Dial with a codec name: "", "binary" or "v2", which all
+// mean binary, the only codec; anything else is an error. It is kept
+// only until the benchmark harness (bench/) stops calling it.
+func DialCodec(addr, codec string) (*CAS, error) {
+	if _, err := wire.CodecByName(codec); err != nil {
+		return nil, fmt.Errorf("cas: %w", err)
+	}
+	return Dial(addr)
 }
 
-// DialCodec connects requesting a named wire codec: "json" (the default
-// when empty) or "binary" (the compact v2 framing). A server capped at
-// v1 keeps the connection on JSON.
-func DialCodec(addr, codec string) (*CAS, error) {
+// Dial connects a CAS to the Sense-Aid server.
+func Dial(addr string) (*CAS, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("cas: empty server address")
-	}
-	cd, err := wire.CodecByName(codec)
-	if err != nil {
-		return nil, fmt.Errorf("cas: %w", err)
 	}
 	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("cas: dial %s: %w", addr, err)
 	}
 	c := &CAS{}
-	rc, err := wire.NewRPCConnCfg(nc, wire.RoleCAS, c.onPush, wire.ConnConfig{Codec: cd})
+	rc, err := wire.NewRPCConn(nc, wire.RoleCAS, c.onPush)
 	if err != nil {
 		_ = nc.Close()
 		return nil, err

@@ -33,20 +33,14 @@ func newScriptServer(t *testing.T, rejectUpdates bool) *scriptServer {
 		if err != nil {
 			return
 		}
-		env, err := wire.ReadFrame(nc)
-		if err != nil || env.Type != wire.TypeHello {
-			_ = nc.Close()
-			return
-		}
-		ack, err := wire.Encode(wire.TypeAck, env.Seq, wire.Ack{})
-		if err != nil || wire.WriteFrame(nc, ack) != nil {
+		if _, err := wire.AcceptHello(nc, nc, time.Second, time.Second); err != nil {
 			_ = nc.Close()
 			return
 		}
 		s.conns <- nc
 		taskN := 0
 		for {
-			env, err := wire.ReadFrame(nc)
+			env, err := wire.Binary.ReadFrame(nc)
 			if err != nil {
 				return
 			}
@@ -54,13 +48,13 @@ func newScriptServer(t *testing.T, rejectUpdates bool) *scriptServer {
 			switch {
 			case env.Type == wire.TypeSubmitTask:
 				taskN++
-				resp, err = wire.Encode(wire.TypeAck, env.Seq, wire.Ack{Ref: "task-" + string(rune('0'+taskN))})
+				resp, err = wire.Binary.Encode(wire.TypeAck, env.Seq, wire.Ack{Ref: "task-" + string(rune('0'+taskN))})
 			case s.rejectUpdates && (env.Type == wire.TypeUpdateTask || env.Type == wire.TypeDeleteTask):
-				resp, err = wire.Encode(wire.TypeError, env.Seq, wire.Error{Message: "unknown task"})
+				resp, err = wire.Binary.Encode(wire.TypeError, env.Seq, wire.Error{Message: "unknown task"})
 			default:
-				resp, err = wire.Encode(wire.TypeAck, env.Seq, wire.Ack{})
+				resp, err = wire.Binary.Encode(wire.TypeAck, env.Seq, wire.Ack{})
 			}
-			if err != nil || wire.WriteFrame(nc, resp) != nil {
+			if err != nil || wire.Binary.WriteFrame(nc, resp) != nil {
 				return
 			}
 		}
@@ -74,11 +68,11 @@ func (s *scriptServer) push(sd wire.SensedData) {
 	select {
 	case nc := <-s.conns:
 		s.conns <- nc
-		env, err := wire.Encode(wire.TypeSensedData, 0, sd)
+		env, err := wire.Binary.Encode(wire.TypeSensedData, 0, sd)
 		if err != nil {
 			s.t.Fatalf("encode: %v", err)
 		}
-		if err := wire.WriteFrame(nc, env); err != nil {
+		if err := wire.Binary.WriteFrame(nc, env); err != nil {
 			s.t.Fatalf("push: %v", err)
 		}
 	case <-time.After(2 * time.Second):
@@ -194,13 +188,16 @@ func TestCASTaskWithoutIDFails(t *testing.T) {
 		if err != nil {
 			return
 		}
+		if _, err := wire.AcceptHello(nc, nc, time.Second, time.Second); err != nil {
+			return
+		}
 		for {
-			env, err := wire.ReadFrame(nc)
+			env, err := wire.Binary.ReadFrame(nc)
 			if err != nil {
 				return
 			}
-			ack, err := wire.Encode(wire.TypeAck, env.Seq, wire.Ack{})
-			if err != nil || wire.WriteFrame(nc, ack) != nil {
+			ack, err := wire.Binary.Encode(wire.TypeAck, env.Seq, wire.Ack{})
+			if err != nil || wire.Binary.WriteFrame(nc, ack) != nil {
 				return
 			}
 		}

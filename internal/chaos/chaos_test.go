@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"senseaid/internal/gitstamp"
 )
 
 // Every scenario must finish with zero invariant violations; a failure
@@ -92,6 +94,9 @@ func TestSeedReproducesVirtualOutcome(t *testing.T) {
 
 // cityBenchRecord is the BENCH_city.json schema.
 type cityBenchRecord struct {
+	Schema             string  `json:"schema"`
+	Commit             string  `json:"commit"`
+	Tree               string  `json:"tree"`
 	Scenario           string  `json:"scenario"`
 	Seed               int64   `json:"seed"`
 	Devices            int     `json:"devices"`
@@ -131,7 +136,11 @@ func TestRecordCityBench(t *testing.T) {
 	if err != nil {
 		t.Fatalf("city-wide soak (seed %d): %v", seed, err)
 	}
+	commit, tree := gitstamp.Stamp()
 	rec := cityBenchRecord{
+		Schema:             "senseaid-bench-city/1",
+		Commit:             commit,
+		Tree:               tree,
 		Scenario:           rep.Scenario,
 		Seed:               rep.Seed,
 		Devices:            rep.Devices,

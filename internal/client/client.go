@@ -42,10 +42,9 @@ type Config struct {
 	// Dialer overrides how the client reaches the server; nil uses a
 	// plain 5 s TCP dial. Tests inject fault-wrapped connections here.
 	Dialer func(addr string) (net.Conn, error)
-	// Codec names the wire encoding to request: "json" (the v1 default
-	// when empty) or "binary" (the compact v2 framing). A server capped
-	// at v1 answers a binary request with a plain ack and the connection
-	// transparently stays on JSON.
+	// Codec may name the wire codec: "", "binary" or "v2", which all
+	// mean binary, the only one; anything else fails Dial. It is kept
+	// only until the benchmark harness (bench/) stops setting it.
 	Codec string
 }
 
@@ -79,8 +78,7 @@ func Dial(cfg Config) (*Client, error) {
 			return net.DialTimeout("tcp", addr, 5*time.Second)
 		}
 	}
-	codec, err := wire.CodecByName(cfg.Codec)
-	if err != nil {
+	if _, err := wire.CodecByName(cfg.Codec); err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
 	nc, err := dial(cfg.Addr)
@@ -88,7 +86,7 @@ func Dial(cfg Config) (*Client, error) {
 		return nil, fmt.Errorf("client: dial %s: %w", cfg.Addr, err)
 	}
 	c := &Client{cfg: cfg}
-	rc, err := wire.NewRPCConnCfg(nc, wire.RoleDevice, c.onPush, wire.ConnConfig{Codec: codec})
+	rc, err := wire.NewRPCConn(nc, wire.RoleDevice, c.onPush)
 	if err != nil {
 		_ = nc.Close()
 		return nil, err

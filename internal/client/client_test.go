@@ -32,25 +32,19 @@ func newScriptServer(t *testing.T) *scriptServer {
 		if err != nil {
 			return
 		}
-		env, err := wire.ReadFrame(nc)
-		if err != nil || env.Type != wire.TypeHello {
-			_ = nc.Close()
-			return
-		}
-		ack, err := wire.Encode(wire.TypeAck, env.Seq, wire.Ack{})
-		if err != nil || wire.WriteFrame(nc, ack) != nil {
+		if _, err := wire.AcceptHello(nc, nc, time.Second, time.Second); err != nil {
 			_ = nc.Close()
 			return
 		}
 		s.conns <- nc
 		// Ack everything else.
 		for {
-			env, err := wire.ReadFrame(nc)
+			env, err := wire.Binary.ReadFrame(nc)
 			if err != nil {
 				return
 			}
-			resp, err := wire.Encode(wire.TypeAck, env.Seq, wire.Ack{Ref: string(env.Type)})
-			if err != nil || wire.WriteFrame(nc, resp) != nil {
+			resp, err := wire.Binary.Encode(wire.TypeAck, env.Seq, wire.Ack{Ref: string(env.Type)})
+			if err != nil || wire.Binary.WriteFrame(nc, resp) != nil {
 				return
 			}
 		}
@@ -72,11 +66,11 @@ func (s *scriptServer) conn() net.Conn {
 }
 
 func (s *scriptServer) push(sch wire.Schedule) {
-	env, err := wire.Encode(wire.TypeSchedule, 0, sch)
+	env, err := wire.Binary.Encode(wire.TypeSchedule, 0, sch)
 	if err != nil {
 		s.t.Fatalf("encode schedule: %v", err)
 	}
-	if err := wire.WriteFrame(s.conn(), env); err != nil {
+	if err := wire.Binary.WriteFrame(s.conn(), env); err != nil {
 		s.t.Fatalf("push schedule: %v", err)
 	}
 }

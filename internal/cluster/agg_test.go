@@ -53,7 +53,7 @@ func subscribeVia(t *testing.T, app *cas.CAS, sub wire.SubscribeAgg) (string, fu
 // TestRouterFansOutAggSubscriptions drives the subscription tier across
 // the cluster: an unscoped subscribe_agg reaches every region primary,
 // and the client merges window pushes from all of them on one
-// connection — on both wire codecs, with identical payloads.
+// connection, and two subscribers see identical payloads.
 func TestRouterFansOutAggSubscriptions(t *testing.T) {
 	r := startRouter(t)
 	startAggWorker(t, r, westRegion, "west-1")
@@ -62,28 +62,28 @@ func TestRouterFansOutAggSubscriptions(t *testing.T) {
 	_, _ = routedDevice(t, r.Addr(), "dev-west", westCenter)
 	_, _ = routedDevice(t, r.Addr(), "dev-east", eastCenter)
 
-	appJSON, err := cas.Dial(r.Addr())
+	appA, err := cas.Dial(r.Addr())
 	if err != nil {
 		t.Fatalf("cas.Dial: %v", err)
 	}
-	defer func() { _ = appJSON.Close() }()
-	appBin, err := cas.DialCodec(r.Addr(), "binary")
+	defer func() { _ = appA.Close() }()
+	appB, err := cas.Dial(r.Addr())
 	if err != nil {
-		t.Fatalf("cas.DialCodec(binary): %v", err)
+		t.Fatalf("cas.Dial: %v", err)
 	}
-	defer func() { _ = appBin.Close() }()
+	defer func() { _ = appB.Close() }()
 
-	idJSON, winJSON := subscribeVia(t, appJSON, wire.SubscribeAgg{})
-	if len(strings.Split(idJSON, ",")) != 2 {
-		t.Fatalf("fan-out subscription id = %q, want one id per region", idJSON)
+	idA, winA := subscribeVia(t, appA, wire.SubscribeAgg{})
+	if len(strings.Split(idA, ",")) != 2 {
+		t.Fatalf("fan-out subscription id = %q, want one id per region", idA)
 	}
-	_, winBin := subscribeVia(t, appBin, wire.SubscribeAgg{})
+	_, winB := subscribeVia(t, appB, wire.SubscribeAgg{})
 
-	westTask, err := appJSON.Task(regionSpec(westCenter, 1, time.Second))
+	westTask, err := appA.Task(regionSpec(westCenter, 1, time.Second))
 	if err != nil {
 		t.Fatalf("west Task: %v", err)
 	}
-	eastTask, err := appJSON.Task(regionSpec(eastCenter, 1, time.Second))
+	eastTask, err := appA.Task(regionSpec(eastCenter, 1, time.Second))
 	if err != nil {
 		t.Fatalf("east Task: %v", err)
 	}
@@ -99,15 +99,14 @@ func TestRouterFansOutAggSubscriptions(t *testing.T) {
 		}
 		return
 	}
-	waitFor(t, 10*time.Second, "windows from both regions on both codecs", func() bool {
-		w1, e1 := regionsSeen(winJSON())
-		w2, e2 := regionsSeen(winBin())
+	waitFor(t, 10*time.Second, "windows from both regions on both subscribers", func() bool {
+		w1, e1 := regionsSeen(winA())
+		w2, e2 := regionsSeen(winB())
 		return w1 && e1 && w2 && e2
 	})
 
-	// Payload parity across the codec boundary: any window the two
-	// subscribers share must be identical (the router transcodes binary
-	// worker pushes for the v1 client).
+	// Payload parity: any window the two subscribers share must be
+	// identical.
 	time.Sleep(200 * time.Millisecond)
 	type key struct {
 		task  string
@@ -120,23 +119,23 @@ func TestRouterFansOutAggSubscriptions(t *testing.T) {
 		}
 		return m
 	}
-	m1, m2 := index(winJSON()), index(winBin())
+	m1, m2 := index(winA()), index(winB())
 	shared := 0
 	for k, a := range m1 {
 		if b, ok := m2[k]; ok {
 			shared++
 			if a != b {
-				t.Fatalf("codec divergence for %v:\n json:   %+v\n binary: %+v", k, a, b)
+				t.Fatalf("divergence for %v:\n first:  %+v\n second: %+v", k, a, b)
 			}
 		}
 	}
 	if shared == 0 {
-		t.Fatal("no shared windows between the json and binary subscribers")
+		t.Fatal("no shared windows between the two subscribers")
 	}
 
 	// A task-scoped subscription routes to that task's region only: a
 	// single-region subscription id, and only that task's windows.
-	idWest, winWest := subscribeVia(t, appJSON, wire.SubscribeAgg{Task: westTask})
+	idWest, winWest := subscribeVia(t, appA, wire.SubscribeAgg{Task: westTask})
 	if strings.Contains(idWest, ",") {
 		t.Fatalf("task-scoped subscription id = %q, want a single region's id", idWest)
 	}

@@ -47,7 +47,7 @@ func pipeClient(t *testing.T, r *Router) *sconn {
 	t.Helper()
 	c1, c2 := net.Pipe()
 	t.Cleanup(func() { _ = c1.Close(); _ = c2.Close() })
-	return r.newSconn(c1, bufio.NewReader(c1), wire.Binary)
+	return r.newSconn(c1, bufio.NewReader(c1))
 }
 
 // TestForwardDeliversExactlyOnceAcrossUpstreamSwaps pins the stream

@@ -192,7 +192,7 @@ func (l *link) shed() {
 // link's next write, normally the client frame that made the router
 // open it.
 func (l *link) open(owner streamOwner, client *sconn, role wire.Role) (*stream, error) {
-	hello, err := wire.Binary.Encode(wire.TypeHello, 0, wire.Hello{Role: role, Version: wire.ProtocolVersionBinary})
+	hello, err := wire.Binary.Encode(wire.TypeHello, 0, wire.Hello{Role: role, Version: wire.ProtocolVersion})
 	if err != nil {
 		return nil, err
 	}

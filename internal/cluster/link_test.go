@@ -54,13 +54,13 @@ func startWorkerCfg(t *testing.T, r *Router, cfg netserver.Config, nodeID string
 	return s
 }
 
-// binaryDevice dials a binary-codec device through the router and
-// registers it; uploads are the test's to send.
+// binaryDevice dials a device through the router and registers it;
+// uploads are the test's to send.
 func binaryDevice(t *testing.T, addr, id string, pos geo.Point) *client.Client {
 	t.Helper()
 	c, err := client.Dial(client.Config{
 		Addr: addr, DeviceID: id, Position: pos, BatteryPct: 90,
-		Sensors: []sensors.Type{sensors.Barometer}, Codec: "binary",
+		Sensors: []sensors.Type{sensors.Barometer},
 	})
 	if err != nil {
 		t.Fatalf("client.Dial: %v", err)
@@ -118,7 +118,7 @@ func (c *tapConn) Read(b []byte) (int, error) {
 	n, err := c.Conn.Read(b)
 	if n > 0 && !c.read {
 		c.head = append(c.head, b[:n]...)
-		if _, ferr := wire.JSON.ReadFrame(bytes.NewReader(c.head)); ferr == nil {
+		if _, ferr := wire.ReadFrame(bytes.NewReader(c.head)); ferr == nil {
 			c.read = true
 			c.link = bytes.Contains(c.head, []byte(`"role":"node"`))
 			if c.link {
@@ -176,15 +176,15 @@ func (tp *wireTap) frames(t *testing.T) []tapFrame {
 		}
 		buf.Write(ev.data)
 		for buf.Len() > 0 {
-			codec := wire.Binary
+			read := wire.Binary.ReadFrame
 			if ev.conn.link {
-				codec = wire.Link
+				read = wire.Link.ReadFrame
 			}
 			if !started[ev.conn] {
-				codec = wire.JSON
+				read = wire.ReadFrame
 			}
 			rd := bytes.NewReader(buf.Bytes())
-			env, err := codec.ReadFrame(rd)
+			env, err := read(rd)
 			if err != nil {
 				break // the rest of this frame comes with a later event
 			}
@@ -448,7 +448,7 @@ func fakeNode(t *testing.T, r *Router, nodeID string) (net.Conn, *bufio.Reader) 
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = nc.Close() })
-	hello, _ := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: wire.RoleNode, Version: wire.ProtocolVersionBinary})
+	hello, _ := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: wire.RoleNode, Version: wire.ProtocolVersion})
 	if err := wire.WriteFrame(nc, hello); err != nil {
 		t.Fatal(err)
 	}

@@ -87,7 +87,7 @@ func dialRawRoutedDevice(t *testing.T, addr string) *rawRoutedDevice {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = nc.Close() })
-	hello, _ := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: wire.RoleDevice, Version: wire.ProtocolVersionBinary})
+	hello, _ := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: wire.RoleDevice, Version: wire.ProtocolVersion})
 	if err := wire.WriteFrame(nc, hello); err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,6 @@ import (
 type Config struct {
 	// Addr is the TCP listen address clients and nodes dial.
 	Addr string
-	// MaxWireVersion caps the codec granted to client connections (a
-	// node's link always gets binary). 0 means binary.
-	MaxWireVersion int
 	// HandshakeTimeout bounds the hello exchange. Default 10s.
 	HandshakeTimeout time.Duration
 	// WriteTimeout bounds every frame write. Default 5s.
@@ -112,9 +109,6 @@ func Listen(cfg Config) (*Router, error) {
 func listen(cfg Config, wrap func(net.Conn) net.Conn) (*Router, error) {
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
-	}
-	if cfg.MaxWireVersion == 0 {
-		cfg.MaxWireVersion = wire.ProtocolVersionBinary
 	}
 	if cfg.HandshakeTimeout <= 0 {
 		cfg.HandshakeTimeout = 10 * time.Second
@@ -229,84 +223,32 @@ func (r *Router) untrack(nc net.Conn) {
 	r.connMu.Unlock()
 }
 
-// serveConn terminates one inbound connection: hello, codec
-// negotiation (the same rules as the worker's listener, except that a
-// node's link is always binary), then a role switch into serving a
-// node's link or relaying a client session.
+// serveConn terminates one inbound connection: the hello
+// (wire.AcceptHello), then a role switch into serving a node's link or
+// relaying a client session.
 func (r *Router) serveConn(nc net.Conn) {
-	if r.cfg.HandshakeTimeout > 0 {
-		_ = nc.SetReadDeadline(time.Now().Add(r.cfg.HandshakeTimeout))
-	}
 	br := wire.NewReader(nc, wire.SessionReadBuf)
-	env, err := wire.ReadFrame(br)
+	hello, err := wire.AcceptHello(nc, br, r.cfg.HandshakeTimeout, r.cfg.WriteTimeout)
 	if err != nil {
 		return
 	}
-	_ = nc.SetReadDeadline(time.Time{})
-	if env.Type != wire.TypeHello {
-		return
-	}
-	var hello wire.Hello
-	if err := wire.Decode(env, &hello); err != nil {
-		return
-	}
-	if _, known := wire.CodecForVersion(hello.Version); !known {
-		r.sendRawErr(nc, env.Seq, fmt.Errorf("cluster: protocol version %d unsupported", hello.Version))
-		return
-	}
-	negotiated := hello.Version
-	switch {
-	case hello.Role == wire.RoleNode && negotiated != wire.ProtocolVersionBinary:
-		r.sendRawErr(nc, env.Seq, fmt.Errorf("cluster: a node link speaks protocol version %d", wire.ProtocolVersionBinary))
-		return
-	case hello.Role != wire.RoleNode && negotiated > r.cfg.MaxWireVersion:
-		negotiated = wire.ProtocolVersion
-	}
-	ack := wire.Ack{}
-	if negotiated != wire.ProtocolVersion {
-		ack.Version = negotiated
-	}
-	ackEnv, err := wire.Encode(wire.TypeAck, env.Seq, ack)
-	if err != nil {
-		return
-	}
-	_ = nc.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
-	if err := wire.WriteFrame(nc, ackEnv); err != nil {
-		return
-	}
-	_ = nc.SetWriteDeadline(time.Time{})
 	if hello.Role == wire.RoleNode {
 		if br.Buffered() == 0 { // a node waits for the ack before its node_hello
 			r.serveNode(nc)
 		}
 		return
 	}
-	codec, _ := wire.CodecForVersion(negotiated)
-	sc := r.newSconn(nc, br, codec)
+	sc := r.newSconn(nc, br)
 	defer sc.co.Close()
-
-	switch hello.Role {
-	case wire.RoleDevice:
+	if hello.Role == wire.RoleDevice {
 		r.met.sessDevice.Add(1)
 		r.serveDeviceSession(sc)
 		r.met.sessDevice.Add(-1)
-	case wire.RoleCAS:
+	} else {
 		r.met.sessCAS.Add(1)
 		r.serveCASSession(sc)
 		r.met.sessCAS.Add(-1)
-	default:
-		sc.sendErr(env.Seq, fmt.Errorf("cluster: unknown role %q", hello.Role))
 	}
-}
-
-// sendRawErr writes a pre-negotiation v1 error frame.
-func (r *Router) sendRawErr(nc net.Conn, seq uint64, err error) {
-	env, eerr := wire.Encode(wire.TypeError, seq, wire.Error{Message: err.Error()})
-	if eerr != nil {
-		return
-	}
-	_ = nc.SetWriteDeadline(time.Now().Add(r.cfg.WriteTimeout))
-	_ = wire.WriteFrame(nc, env)
 }
 
 // serveNode enrolls one node over the connection it dialled and serves
@@ -336,11 +278,11 @@ func (r *Router) serveNode(nc net.Conn) {
 		replaced, err = r.reg.enroll(nh, l)
 	}
 	if err != nil {
-		_ = l.co.Send(mustEncode(wire.Link, wire.TypeError, env.Seq, wire.Error{Message: err.Error()}), true, nil)
+		_ = l.co.Send(mustEncode(wire.TypeError, env.Seq, wire.Error{Message: err.Error()}), true, nil)
 		l.openMu.Unlock()
 		return
 	}
-	_ = l.co.Send(mustEncode(wire.Link, wire.TypeAck, env.Seq, wire.Ack{Ref: nh.NodeID}), true, nil)
+	_ = l.co.Send(mustEncode(wire.TypeAck, env.Seq, wire.Ack{Ref: nh.NodeID}), true, nil)
 	l.openMu.Unlock()
 	if replaced != nil {
 		replaced.link.shed()
@@ -414,12 +356,12 @@ func (r *Router) hangUp(client *sconn) {
 	}()
 }
 
-// mustEncode wraps codec.Encode for payloads the router itself built —
-// an encode failure on our own structs is a programming error, but the
-// relay must not panic, so it degrades to an empty envelope the sender
-// drops.
-func mustEncode(c wire.Codec, t wire.MsgType, seq uint64, payload interface{}) wire.Envelope {
-	env, err := c.Encode(t, seq, payload)
+// mustEncode wraps wire.Binary.Encode for payloads the router itself
+// built — an encode failure on our own structs is a programming error,
+// but the relay must not panic, so it degrades to an empty envelope the
+// sender drops.
+func mustEncode(t wire.MsgType, seq uint64, payload interface{}) wire.Envelope {
+	env, err := wire.Binary.Encode(t, seq, payload)
 	if err != nil {
 		return wire.Envelope{Type: t, Seq: seq}
 	}

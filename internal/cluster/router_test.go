@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -341,5 +343,40 @@ func TestRouterPromotesStandbyAndStateSurvives(t *testing.T) {
 	}
 	if gotID != taskID {
 		t.Fatalf("failover lost the campaign: resubmit returned %q, originally %q", gotID, taskID)
+	}
+}
+
+// TestRouterRefusesV1Hello: a device or CAS hello asking for the retired
+// v1 protocol, or for no version at all, is answered with a readable
+// error naming version 2, and the connection is closed.
+func TestRouterRefusesV1Hello(t *testing.T) {
+	r := startRouter(t)
+	for _, role := range []wire.Role{wire.RoleDevice, wire.RoleCAS} {
+		for _, version := range []int{1, 0} {
+			nc, err := net.DialTimeout("tcp", r.Addr(), 2*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
+			hello, err := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: role, Version: version})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := wire.WriteFrame(nc, hello); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := wire.ReadFrame(nc)
+			if err != nil {
+				t.Fatalf("%s hello at version %d: no answer: %v", role, version, err)
+			}
+			var e wire.Error
+			if resp.Type != wire.TypeError || wire.Decode(resp, &e) != nil || !strings.Contains(e.Message, "version 2") {
+				t.Fatalf("%s hello at version %d answered %s %q, want an error naming version 2", role, version, resp.Type, e.Message)
+			}
+			if _, err := nc.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("%s hello at version %d: connection still open after the refusal (read: %v)", role, version, err)
+			}
+			_ = nc.Close()
+		}
 	}
 }

@@ -12,92 +12,33 @@ import (
 	"senseaid/internal/wire"
 )
 
-// sconn is one framed connection as a session sees it: reader, codec,
-// and a coalescing writer.
+// sconn is one client connection as a session sees it: its reader and
+// a coalescing writer, both in the binary framing.
 type sconn struct {
-	nc    net.Conn
-	br    *bufio.Reader
-	codec wire.Codec
-	co    *wire.Coalescer
+	nc net.Conn
+	br *bufio.Reader
+	co *wire.Coalescer
 }
 
-// newSconn wraps a connection once its codec is negotiated.
-func (r *Router) newSconn(nc net.Conn, br *bufio.Reader, codec wire.Codec) *sconn {
-	co := wire.NewCoalescer(nc, codec, wire.CoalescerConfig{WriteTimeout: r.cfg.WriteTimeout})
-	return &sconn{nc: nc, br: br, codec: codec, co: co}
+// newSconn wraps a connection whose hello has been answered.
+func (r *Router) newSconn(nc net.Conn, br *bufio.Reader) *sconn {
+	co := wire.NewCoalescer(nc, wire.Binary, wire.CoalescerConfig{WriteTimeout: r.cfg.WriteTimeout})
+	return &sconn{nc: nc, br: br, co: co}
 }
 
-// send relays one envelope, transcoding its payload when the frame was
-// read off a binary connection but this connection speaks v1 JSON (the
-// json codec refuses binary payloads rather than corrupt the stream).
+// send relays one envelope.
 func (sc *sconn) send(env wire.Envelope, urgent bool) error {
-	env, err := sc.fit(env)
-	if err != nil {
-		return err
-	}
 	return sc.co.Send(env, urgent, nil)
 }
 
 // queue buffers one envelope for the link reader's next relay to this
-// connection (see link.readLoop), transcoding as send does.
+// connection (see link.readLoop).
 func (sc *sconn) queue(env wire.Envelope) error {
-	env, err := sc.fit(env)
-	if err != nil {
-		return err
-	}
 	return sc.co.Queue(env, nil)
 }
 
-// fit re-encodes a binary payload for a v1 connection.
-func (sc *sconn) fit(env wire.Envelope) (wire.Envelope, error) {
-	if env.BinaryPayload() && sc.codec.Version() == wire.ProtocolVersion {
-		return transcode(env)
-	}
-	return env, nil
-}
-
 func (sc *sconn) sendErr(seq uint64, err error) {
-	env, eerr := sc.codec.Encode(wire.TypeError, seq, wire.Error{Message: err.Error()})
-	if eerr != nil {
-		return
-	}
-	_ = sc.co.Send(env, true, nil)
-}
-
-// payloadProto maps each payload-carrying message type to a fresh
-// instance of its payload struct, for decode/re-encode when a frame
-// must cross a codec boundary. Deregister and node_ping carry no
-// payload and are rebuilt empty.
-var payloadProto = map[wire.MsgType]func() interface{}{
-	wire.TypeAck:          func() interface{} { return &wire.Ack{} },
-	wire.TypeError:        func() interface{} { return &wire.Error{} },
-	wire.TypeRegister:     func() interface{} { return &wire.Register{} },
-	wire.TypeUpdatePrefs:  func() interface{} { return &wire.UpdatePrefs{} },
-	wire.TypeStateReport:  func() interface{} { return &wire.StateReport{} },
-	wire.TypeSenseData:    func() interface{} { return &wire.SenseData{} },
-	wire.TypeSchedule:     func() interface{} { return &wire.Schedule{} },
-	wire.TypeSubmitTask:   func() interface{} { return &wire.TaskSpec{} },
-	wire.TypeUpdateTask:   func() interface{} { return &wire.UpdateTask{} },
-	wire.TypeDeleteTask:   func() interface{} { return &wire.DeleteTask{} },
-	wire.TypeSensedData:   func() interface{} { return &wire.SensedData{} },
-	wire.TypeSubscribeAgg: func() interface{} { return &wire.SubscribeAgg{} },
-	wire.TypeAggPush:      func() interface{} { return &wire.AggPush{} },
-}
-
-// transcode rebuilds a binary-payload envelope as a JSON-payload one.
-func transcode(env wire.Envelope) (wire.Envelope, error) {
-	if len(env.Payload) == 0 {
-		return wire.Encode(env.Type, env.Seq, nil)
-	}
-	proto, ok := payloadProto[env.Type]
-	if !ok {
-		return wire.Envelope{}, fmt.Errorf("cluster: cannot transcode %s for a v1 peer", env.Type)
-	}
-	v := proto()
-	if err := wire.Decode(env, v); err != nil {
-		return wire.Envelope{}, err
-	}
-	return wire.Encode(env.Type, env.Seq, v)
+	_ = sc.send(mustEncode(wire.TypeError, seq, wire.Error{Message: err.Error()}), true)
 }
 
 // deviceSession relays one device's connection to the worker owning
@@ -125,7 +66,7 @@ func (r *Router) serveDeviceSession(client *sconn) {
 		}
 	}()
 	for {
-		env, err := client.codec.ReadFrame(client.br)
+		env, err := wire.Binary.ReadFrame(client.br)
 		if err != nil {
 			return
 		}
@@ -360,7 +301,7 @@ func (r *Router) serveCASSession(client *sconn) {
 		}
 	}()
 	for {
-		env, err := client.codec.ReadFrame(client.br)
+		env, err := wire.Binary.ReadFrame(client.br)
 		if err != nil {
 			return
 		}
@@ -472,7 +413,7 @@ func (cs *casSession) routeSubscribeAgg(env wire.Envelope, sa wire.SubscribeAgg)
 		}
 		refs = append(refs, ack.Ref)
 	}
-	return cs.client.send(mustEncode(cs.client.codec, wire.TypeAck, env.Seq,
+	return cs.client.send(mustEncode(wire.TypeAck, env.Seq,
 		wire.Ack{Ref: strings.Join(refs, ",")}), true)
 }
 

@@ -6,13 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"os/exec"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"senseaid/internal/geo"
+	"senseaid/internal/gitstamp"
 	"senseaid/internal/power"
 	"senseaid/internal/sensors"
 	"senseaid/internal/simclock"
@@ -357,11 +357,13 @@ func TestRecordSelectionBench(t *testing.T) {
 		t.Errorf("a cell move costs %.1fx an in-cell report, want <= %d", r, moveOverReportMax)
 	}
 
+	commit, tree := gitstamp.Stamp()
 	doc := map[string]interface{}{
 		"schema":                   "senseaid-bench-selection/2",
 		"go":                       runtime.Version(),
 		"recorded_at":              time.Now().UTC().Format(time.RFC3339),
-		"commit":                   headCommit(),
+		"commit":                   commit,
+		"tree":                     tree,
 		"region_pct_of_population": 1,
 		"ratios":                   ratios,
 		"cases":                    records,
@@ -380,18 +382,4 @@ func TestRecordSelectionBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s (%v)", out, ratios)
-}
-
-// headCommit names the commit the recording ran on top of ("unknown"
-// outside a git checkout; "-dirty" when the tree had local changes).
-func headCommit() string {
-	rev, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	commit := strings.TrimSpace(string(rev))
-	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(st) > 0 {
-		commit += "-dirty"
-	}
-	return commit
 }

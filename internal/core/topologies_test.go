@@ -460,10 +460,40 @@ func TestTopologiesAgree(t *testing.T) {
 		if got, want := a.o.Stats(), ref.o.Stats(); got != want {
 			t.Errorf("%s stats %+v, %s %+v", a.name, got, ref.name, want)
 		}
-		if got, want := topoSnapshot(t, a.o), topoSnapshot(t, ref.o); !reflect.DeepEqual(got, want) {
+		if got, want := topoShard(t, a.o, 0).Snapshot(), topoShard(t, ref.o, 0).Snapshot(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s snapshot differs from %s's", a.name, ref.name)
 		}
 	}
+
+	// Each arm's journals, replayed shard by shard into a fresh
+	// orchestrator of the same topology, rebuild the state it ended in.
+	// The shards share one reputation tracker, so every shard replays
+	// before any is compared.
+	fresh := []*topoArm{newTopoServerArm(t), newTopoShardedArm(t, "one shard", nil), newTopoShardedArm(t, "regions", regions)}
+	for k, a := range arms {
+		for i, j := range a.journals {
+			if _, err := topoShard(t, fresh[k].o, i).Recover(nil, jsonRoundTrip(t, j.records()), func(TaskID) DataSink { return nopSink }); err != nil {
+				t.Fatalf("%s shard %d: recover: %v", a.name, i, err)
+			}
+		}
+		for i := range a.journals {
+			got, want := replayedState(topoShard(t, fresh[k].o, i).Snapshot()), replayedState(topoShard(t, a.o, i).Snapshot())
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s shard %d: its journal replays to a different state: %s", a.name, i, snapshotDiff(want, got))
+			}
+		}
+	}
+}
+
+// replayedState is a snapshot without the device fields recovery does
+// not restore: state reports are not journaled (DESIGN.md §11, "What
+// gets journaled"), so a device's position, battery and last contact
+// come back as of its last journaled record, until its next report.
+func replayedState(s SnapshotState) SnapshotState {
+	for d := range s.Devices {
+		s.Devices[d].Position, s.Devices[d].BatteryPct, s.Devices[d].LastComm = geo.Point{}, 0, time.Time{}
+	}
+	return s
 }
 
 func sortCalls(cs []topoCall) {
@@ -491,14 +521,36 @@ func firstDiff(got, want []string) string {
 	return fmt.Sprintf("one is a prefix of the other (%d vs %d records)", len(got), len(want))
 }
 
-// topoSnapshot is a region-less arm's one store's snapshot.
-func topoSnapshot(t *testing.T, o topoOrchestrator) SnapshotState {
+// topoShard is an arm's shard i: a bare Server is its own only shard.
+func topoShard(t *testing.T, o topoOrchestrator, i int) *Server {
 	if ss, ok := o.(*ShardedServer); ok {
-		sh, _, err := ss.Shard(0)
+		sh, _, err := ss.Shard(i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sh.Snapshot()
+		return sh
 	}
-	return o.(*Server).Snapshot()
+	return o.(*Server)
+}
+
+// snapshotDiff names the first field two snapshots differ in, with both
+// values (the first differing element, for a list).
+func snapshotDiff(want, got SnapshotState) string {
+	w, g := reflect.ValueOf(want), reflect.ValueOf(got)
+	for i := 0; i < w.NumField(); i++ {
+		wf, gf := w.Field(i), g.Field(i)
+		if reflect.DeepEqual(wf.Interface(), gf.Interface()) {
+			continue
+		}
+		name := w.Type().Field(i).Name
+		if wf.Kind() == reflect.Slice && wf.Len() == gf.Len() {
+			for k := 0; k < wf.Len(); k++ {
+				if !reflect.DeepEqual(wf.Index(k).Interface(), gf.Index(k).Interface()) {
+					return fmt.Sprintf("%s[%d]: live %+v, replayed %+v", name, k, wf.Index(k).Interface(), gf.Index(k).Interface())
+				}
+			}
+		}
+		return fmt.Sprintf("%s: live %+v, replayed %+v", name, wf.Interface(), gf.Interface())
+	}
+	return "no field differs"
 }

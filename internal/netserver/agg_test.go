@@ -131,21 +131,21 @@ func TestAggSubscribeRejectedWhenDisabled(t *testing.T) {
 	}
 }
 
-// TestAggMixedCodecSubscribersSeeIdenticalWindows pins codec parity on
-// the push path: a v1 JSON CAS and a v2 binary CAS subscribed to the
-// same aggregate receive byte-for-byte equal window payloads.
-func TestAggMixedCodecSubscribersSeeIdenticalWindows(t *testing.T) {
+// TestAggSubscribersSeeIdenticalWindows pins parity on the push path:
+// two CASes subscribed to the same aggregate receive equal window
+// payloads.
+func TestAggSubscribersSeeIdenticalWindows(t *testing.T) {
 	s := aggServer(t, 150*time.Millisecond)
 	autoDevice(t, s.Addr(), "device-1")
 
 	v1, err := cas.Dial(s.Addr())
 	if err != nil {
-		t.Fatalf("cas.Dial (json): %v", err)
+		t.Fatalf("cas.Dial: %v", err)
 	}
 	defer func() { _ = v1.Close() }()
-	v2, err := cas.DialCodec(s.Addr(), "binary")
+	v2, err := cas.Dial(s.Addr())
 	if err != nil {
-		t.Fatalf("cas.DialCodec(binary): %v", err)
+		t.Fatalf("cas.Dial: %v", err)
 	}
 	defer func() { _ = v2.Close() }()
 
@@ -169,7 +169,7 @@ func TestAggMixedCodecSubscribersSeeIdenticalWindows(t *testing.T) {
 		}
 		return m
 	}
-	waitFor(t, 5*time.Second, "windows on both codecs", func() bool {
+	waitFor(t, 5*time.Second, "windows on both subscribers", func() bool {
 		return len(forTask(w1())) >= 1 && len(forTask(w2())) >= 1
 	})
 	// Give the slower side a beat to drain in-flight pushes, then demand
@@ -184,11 +184,11 @@ func TestAggMixedCodecSubscribersSeeIdenticalWindows(t *testing.T) {
 		}
 		shared++
 		if a != b {
-			t.Fatalf("codec payload divergence for window %v:\n json:   %+v\n binary: %+v", start, a, b)
+			t.Fatalf("payload divergence for window %v:\n first:  %+v\n second: %+v", start, a, b)
 		}
 	}
 	if shared == 0 {
-		t.Fatalf("no shared window between codecs (json %d windows, binary %d)", len(m1), len(m2))
+		t.Fatalf("no shared window between subscribers (%d windows, %d)", len(m1), len(m2))
 	}
 }
 

@@ -46,7 +46,7 @@ func (e *enrollment) serveLink(c *conn) {
 	l := &link{e: e, c: c, streams: make(map[uint64]*conn)}
 	defer l.closeAll()
 	for {
-		env, err := c.codec.ReadFrame(c.br)
+		env, err := wire.Link.ReadFrame(c.br)
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				e.log.Errorf("router link to %s: %v; closing it", c.nc.RemoteAddr(), err)
@@ -117,13 +117,11 @@ func (l *link) open(id uint64, env wire.Envelope) {
 		return
 	}
 	st := &conn{
-		nc:           l.c.nc,
-		codec:        wire.Binary,
-		co:           l.c.co,
-		writeTimeout: l.c.writeTimeout,
-		stream:       id,
-		inbox:        make(chan wire.Envelope, streamInbox),
-		ended:        make(chan struct{}),
+		nc:     l.c.nc,
+		co:     l.c.co,
+		stream: id,
+		inbox:  make(chan wire.Envelope, streamInbox),
+		ended:  make(chan struct{}),
 	}
 	l.mu.Lock()
 	l.streams[id] = st

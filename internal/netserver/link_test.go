@@ -20,7 +20,7 @@ type rawLink struct {
 }
 
 // enrollRawLink enrolls s with a hand-driven router: it accepts the
-// server's dial, grants the binary codec to its node hello, and acks its
+// server's dial, acks its hello in the node role, and acks its
 // node_hello on stream 0.
 func enrollRawLink(t *testing.T, s *Server) *rawLink {
 	t.Helper()
@@ -46,10 +46,10 @@ func enrollRawLink(t *testing.T, s *Server) *rawLink {
 		t.Fatal(err)
 	}
 	var hello wire.Hello
-	if err := wire.Decode(env, &hello); err != nil || hello.Role != wire.RoleNode || hello.Version != wire.ProtocolVersionBinary {
+	if err := wire.Decode(env, &hello); err != nil || hello.Role != wire.RoleNode || hello.Version != wire.ProtocolVersion {
 		t.Fatalf("enrollment opened with %s %+v (%v), want a binary hello in the node role", env.Type, hello, err)
 	}
-	ack, err := wire.Encode(wire.TypeAck, env.Seq, wire.Ack{Version: wire.ProtocolVersionBinary})
+	ack, err := wire.Encode(wire.TypeAck, env.Seq, wire.Ack{Version: wire.ProtocolVersion})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func (l *rawLink) next() wire.Envelope {
 }
 
 func (l *rawLink) hello(stream uint64, role wire.Role) []byte {
-	return l.frame(stream, wire.TypeHello, 0, wire.Hello{Role: role, Version: wire.ProtocolVersionBinary})
+	return l.frame(stream, wire.TypeHello, 0, wire.Hello{Role: role, Version: wire.ProtocolVersion})
 }
 
 func (l *rawLink) register(stream, seq uint64, id string) []byte {
@@ -201,7 +201,7 @@ func TestLinkControlStream(t *testing.T) {
 // neither; only a router's stream may.
 func TestRehomeRequestsOnlyOnALink(t *testing.T) {
 	s := startServer(t)
-	rc := rpcDial(t, s.Addr(), wire.Binary)
+	rc := rpcDial(t, s.Addr())
 	registerOver(t, rc, "direct-1")
 	if _, err := rc.Call(wire.TypeExportDevice, wire.ExportDevice{DeviceID: "direct-1"}); err == nil {
 		t.Fatal("a device socket exported its own record")

@@ -65,12 +65,6 @@ type Config struct {
 	// surfaces as a send error instead of wedging the writer. Default
 	// 5 s.
 	WriteTimeout time.Duration
-	// MaxWireVersion caps the protocol revision the server will
-	// negotiate: 1 pins every connection to the v1 JSON codec, 2 (the
-	// default when zero) lets peers that ask for it use the v2 binary
-	// codec. Versions outside {1, 2} in a peer's Hello are rejected
-	// either way.
-	MaxWireVersion int
 	// RPCWorkers bounds how many RPC handlers run concurrently across
 	// all connections (per-connection ordering is preserved). 0 sizes
 	// the pool from the CPU count; negative disables the pool and runs
@@ -206,10 +200,9 @@ type Server struct {
 	closeMu sync.Once
 }
 
-// conn is one peer session. Until the Hello exchange finishes it writes
-// raw v1 JSON frames under writeMu; once the codec is negotiated all
-// writes go through the coalescer, which serialises them and batches
-// pushes into shared syscalls.
+// conn is one peer session. Once the hello is answered (wire.AcceptHello)
+// every frame is v2 binary, and every write goes through the coalescer,
+// which serialises them and batches pushes into shared syscalls.
 //
 // A session relayed by a router is a stream of the router's link
 // (link.go) instead of a socket of its own: stream is its id, its
@@ -217,12 +210,9 @@ type Server struct {
 // the link's coalescer (co) tagged with the id; ended closes when the
 // stream does. nc is then the link's socket, and br is unused.
 type conn struct {
-	nc           net.Conn
-	br           *bufio.Reader
-	codec        wire.Codec
-	co           *wire.Coalescer
-	writeTimeout time.Duration
-	writeMu      sync.Mutex
+	nc net.Conn
+	br *bufio.Reader
+	co *wire.Coalescer
 
 	stream  uint64
 	inbox   chan wire.Envelope
@@ -234,20 +224,11 @@ type conn struct {
 // send writes one frame that the peer is waiting on (a response): it
 // flushes immediately, carrying along any coalesced pushes.
 func (c *conn) send(t wire.MsgType, seq uint64, payload interface{}) error {
-	env, err := c.codec.Encode(t, seq, payload)
+	env, err := wire.Binary.Encode(t, seq, payload)
 	if err != nil {
 		return err
 	}
-	if c.co != nil {
-		return c.write(env, true, nil)
-	}
-	// Pre-negotiation: the Hello exchange is always v1 JSON framing.
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if err := c.nc.SetWriteDeadline(time.Now().Add(c.writeTimeout)); err != nil {
-		return fmt.Errorf("netserver: set deadline: %w", err)
-	}
-	return wire.WriteFrame(c.nc, env)
+	return c.write(env, true, nil)
 }
 
 // notify queues one server-initiated push. done fires exactly once with
@@ -255,7 +236,7 @@ func (c *conn) send(t wire.MsgType, seq uint64, payload interface{}) error {
 // — the next response's, or the deferred flusher's once the pushing
 // goroutine has yielded (wire.Coalescer).
 func (c *conn) notify(t wire.MsgType, payload interface{}, done func(error)) {
-	env, err := c.codec.Encode(t, 0, payload)
+	env, err := wire.Binary.Encode(t, 0, payload)
 	if err != nil {
 		done(err)
 		return
@@ -289,7 +270,7 @@ func (c *conn) read(idle time.Duration) (wire.Envelope, error) {
 		if idle > 0 {
 			_ = c.nc.SetReadDeadline(time.Now().Add(idle))
 		}
-		return c.codec.ReadFrame(c.br)
+		return wire.Binary.ReadFrame(c.br)
 	}
 	var expired <-chan time.Time
 	if idle > 0 {
@@ -356,9 +337,6 @@ func Listen(cfg Config) (*Server, error) {
 	}
 	if cfg.WriteTimeout <= 0 {
 		cfg.WriteTimeout = 5 * time.Second
-	}
-	if cfg.MaxWireVersion == 0 {
-		cfg.MaxWireVersion = wire.ProtocolVersionBinary
 	}
 	if cfg.SnapshotInterval == 0 {
 		cfg.SnapshotInterval = time.Minute
@@ -614,12 +592,7 @@ func (s *Server) acceptLoop() {
 		if s.cfg.WrapConn != nil {
 			nc = s.cfg.WrapConn(nc)
 		}
-		c := &conn{
-			nc:           nc,
-			br:           wire.NewReader(nc, wire.SessionReadBuf),
-			codec:        wire.JSON,
-			writeTimeout: s.cfg.WriteTimeout,
-		}
+		c := &conn{nc: nc, br: wire.NewReader(nc, wire.SessionReadBuf)}
 		s.connMu.Lock()
 		s.conns[c] = true
 		s.connMu.Unlock()
@@ -828,10 +801,7 @@ func (s *Server) serveConn(c *conn) {
 	// connects and sends nothing (a scanner, a wedged client, a phone
 	// whose radio died mid-dial) would otherwise pin this goroutine for
 	// the process lifetime.
-	if s.cfg.HandshakeTimeout > 0 {
-		_ = c.nc.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
-	}
-	env, err := wire.ReadFrame(c.br)
+	hello, err := wire.AcceptHello(c.nc, c.br, s.cfg.HandshakeTimeout, s.cfg.WriteTimeout)
 	if err != nil {
 		if isTimeout(err) {
 			s.met.handshakeTimeouts.Inc()
@@ -839,41 +809,7 @@ func (s *Server) serveConn(c *conn) {
 		}
 		return
 	}
-	_ = c.nc.SetReadDeadline(time.Time{})
-	if env.Type != wire.TypeHello {
-		c.sendErr(env.Seq, fmt.Errorf("netserver: expected hello, got %s", env.Type))
-		return
-	}
-	var hello wire.Hello
-	if err := wire.Decode(env, &hello); err != nil {
-		c.sendErr(env.Seq, err)
-		return
-	}
-	// Codec negotiation: the peer names the newest revision it speaks;
-	// the server grants min(peer, MaxWireVersion). A revision this build
-	// has never heard of is rejected outright — downgrading it silently
-	// would hide a misconfigured fleet.
-	if _, known := wire.CodecForVersion(hello.Version); !known {
-		c.sendErr(env.Seq, fmt.Errorf("netserver: protocol version %d unsupported", hello.Version))
-		return
-	}
-	negotiated := hello.Version
-	if negotiated > s.cfg.MaxWireVersion {
-		negotiated = wire.ProtocolVersion
-	}
-	ack := wire.Ack{}
-	if negotiated != wire.ProtocolVersion {
-		// The v1 ack stays byte-identical for old clients; only an
-		// upgraded connection learns its granted revision.
-		ack.Version = negotiated
-	}
-	if err := c.send(wire.TypeAck, env.Seq, ack); err != nil {
-		return
-	}
-	// The ack was the last v1-framed write; everything after speaks the
-	// negotiated codec, batched through the coalescer.
-	c.codec, _ = wire.CodecForVersion(negotiated)
-	c.co = wire.NewCoalescer(c.nc, c.codec, wire.CoalescerConfig{WriteTimeout: s.cfg.WriteTimeout})
+	c.co = wire.NewCoalescer(c.nc, wire.Binary, wire.CoalescerConfig{WriteTimeout: s.cfg.WriteTimeout})
 	defer c.co.Close()
 
 	switch hello.Role {
@@ -884,16 +820,13 @@ func (s *Server) serveConn(c *conn) {
 		s.serveNode(c)
 		s.met.connsNode.Add(-1)
 	default:
-		if !s.serveSession(c, hello.Role) {
-			c.sendErr(env.Seq, fmt.Errorf("netserver: unknown role %q", hello.Role))
-		}
+		s.serveSession(c, hello.Role)
 	}
 }
 
 // serveSession runs one device or CAS session — a connection of its own
-// or a stream of a router link — to its end, counted under its role. It
-// reports false for any other role.
-func (s *Server) serveSession(c *conn, role wire.Role) bool {
+// or a stream of a router link — to its end, counted under its role.
+func (s *Server) serveSession(c *conn, role wire.Role) {
 	switch role {
 	case wire.RoleDevice:
 		s.met.acceptedDevice.Inc()
@@ -907,10 +840,7 @@ func (s *Server) serveSession(c *conn, role wire.Role) bool {
 		s.log.Debugf("CAS session from %s", c.nc.RemoteAddr())
 		s.serveCAS(c)
 		s.met.connsCAS.Add(-1)
-	default:
-		return false
 	}
-	return true
 }
 
 // serveDevice handles a device connection's message loop. Each message is

@@ -28,7 +28,7 @@ import (
 // shipping: enrollments run in the other direction (the node dials the
 // router), so anything else here is a misdirected peer.
 func (s *Server) serveNode(c *conn) {
-	env, err := c.codec.ReadFrame(c.br)
+	env, err := c.read(0)
 	if err != nil {
 		return
 	}
@@ -58,7 +58,7 @@ func (s *Server) serveNode(c *conn) {
 	// The replica sends nothing but liveness pings; this loop exists to
 	// answer them and to notice the replica's death (EOF detaches it).
 	for {
-		env, err := c.codec.ReadFrame(c.br)
+		env, err := c.read(0)
 		if err != nil {
 			s.log.Infof("replica %s detached", nh.NodeID)
 			return
@@ -118,15 +118,15 @@ func (e *enrollment) start() error {
 	return nil
 }
 
-// dial opens a link to the router and enrolls over it: a v1 hello in the
-// node role, answered with the binary codec, then the NodeHello on
-// stream 0, answered with an ack.
+// dial opens a link to the router and enrolls over it: the hello in the
+// node role (wire.DialHello), then the NodeHello on stream 0, answered
+// with an ack.
 func (e *enrollment) dial() (*conn, error) {
 	nc, err := net.DialTimeout("tcp", e.routerAddr, 5*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("netserver: dial router %s: %w", e.routerAddr, err)
 	}
-	c := &conn{nc: nc, br: wire.NewReader(nc, 16<<10), codec: wire.Link, writeTimeout: e.writeTimeout}
+	c := &conn{nc: nc, br: wire.NewReader(nc, 16<<10)}
 	if err := e.handshake(c); err != nil {
 		_ = nc.Close()
 		return nil, err
@@ -146,25 +146,10 @@ func (e *enrollment) dial() (*conn, error) {
 }
 
 func (e *enrollment) handshake(c *conn) error {
+	if err := wire.DialHello(c.nc, c.br, wire.RoleNode, 5*time.Second); err != nil {
+		return fmt.Errorf("netserver: router %s: %w", e.routerAddr, err)
+	}
 	_ = c.nc.SetDeadline(time.Now().Add(5 * time.Second))
-	hello, err := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: wire.RoleNode, Version: wire.ProtocolVersionBinary})
-	if err != nil {
-		return err
-	}
-	if err := wire.WriteFrame(c.nc, hello); err != nil {
-		return err
-	}
-	env, err := wire.ReadFrame(c.br)
-	if err != nil {
-		return fmt.Errorf("netserver: router hello: %w", err)
-	}
-	var ack wire.Ack
-	if err := replyErr(env); err != nil {
-		return err
-	}
-	if err := wire.Decode(env, &ack); err != nil || ack.Version != wire.ProtocolVersionBinary {
-		return fmt.Errorf("netserver: router %s granted no binary link", e.routerAddr)
-	}
 	nh, err := wire.Link.Encode(wire.TypeNodeHello, 1, e.hello)
 	if err != nil {
 		return err
@@ -172,7 +157,8 @@ func (e *enrollment) handshake(c *conn) error {
 	if err := wire.Link.WriteFrame(c.nc, nh); err != nil {
 		return err
 	}
-	if env, err = wire.Link.ReadFrame(c.br); err != nil {
+	env, err := wire.Link.ReadFrame(c.br)
+	if err != nil {
 		return fmt.Errorf("netserver: enroll with router: %w", err)
 	}
 	if err := replyErr(env); err != nil {

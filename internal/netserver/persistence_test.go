@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -22,6 +21,7 @@ import (
 	"senseaid/internal/core"
 	"senseaid/internal/faultconn"
 	"senseaid/internal/geo"
+	"senseaid/internal/gitstamp"
 	"senseaid/internal/obs"
 	"senseaid/internal/persist"
 	"senseaid/internal/power"
@@ -830,20 +830,6 @@ func benchAppend(t *testing.T) map[string]interface{} {
 	return res
 }
 
-// headCommit names the commit the recording ran on top of ("unknown"
-// outside a git checkout; "-dirty" when the tree had local changes).
-func headCommit() string {
-	rev, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return "unknown"
-	}
-	commit := strings.TrimSpace(string(rev))
-	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(st) > 0 {
-		commit += "-dirty"
-	}
-	return commit
-}
-
 // TestRecordRecoveryBench measures boot-time recovery over a 10k-record
 // journal, persist.Load over a loadBenchMB journal against the
 // sequential oracle, persist.Store.Append against the write(2) per
@@ -916,11 +902,13 @@ func TestRecordRecoveryBench(t *testing.T) {
 	}
 	sort.Slice(cases, func(i, j int) bool { return cases[i].Name < cases[j].Name })
 
+	commit, tree := gitstamp.Stamp()
 	doc := map[string]interface{}{
 		"schema":      "senseaid-bench-recovery/4",
 		"go":          runtime.Version(),
 		"recorded_at": time.Now().UTC().Format(time.RFC3339),
-		"commit":      headCommit(),
+		"commit":      commit,
+		"tree":        tree,
 		"replay": map[string]interface{}{
 			"records":          records,
 			"replayed":         rec.Replayed,

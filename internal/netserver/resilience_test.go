@@ -2,7 +2,6 @@ package netserver
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"net"
 	"sync"
@@ -96,27 +95,24 @@ func TestDeviceIdleTimeoutDisconnects(t *testing.T) {
 // working — no stranded fan-out entry, no dangling core registration.
 func TestDuplicateRegisterRejected(t *testing.T) {
 	s := startServer(t)
-	nc := rawDial(t, s.Addr())
+	nc := rawSession(t, s.Addr(), wire.RoleDevice)
 
 	exchange := func(seq uint64, typ wire.MsgType, payload interface{}) wire.Envelope {
 		t.Helper()
-		env, err := wire.Encode(typ, seq, payload)
+		env, err := wire.Binary.Encode(typ, seq, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wire.WriteFrame(nc, env); err != nil {
+		if err := wire.Binary.WriteFrame(nc, env); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := wire.ReadFrame(nc)
+		resp, err := wire.Binary.ReadFrame(nc)
 		if err != nil {
 			t.Fatalf("no response to %s: %v", typ, err)
 		}
 		return resp
 	}
 
-	if resp := exchange(1, wire.TypeHello, wire.Hello{Role: wire.RoleDevice, Version: wire.ProtocolVersion}); resp.Type != wire.TypeAck {
-		t.Fatalf("hello response = %s, want ack", resp.Type)
-	}
 	reg := wire.Register{DeviceID: "alpha", Position: geo.CSDepartment, BatteryPct: 70,
 		Sensors: []sensors.Type{sensors.Barometer}}
 	if resp := exchange(2, wire.TypeRegister, reg); resp.Type != wire.TypeAck {
@@ -144,27 +140,24 @@ func TestDuplicateRegisterRejected(t *testing.T) {
 // existing update_preferences guard.
 func TestPreRegisterMessagesRejected(t *testing.T) {
 	s := startServer(t)
-	nc := rawDial(t, s.Addr())
+	nc := rawSession(t, s.Addr(), wire.RoleDevice)
 
 	exchange := func(seq uint64, typ wire.MsgType, payload interface{}) wire.Envelope {
 		t.Helper()
-		env, err := wire.Encode(typ, seq, payload)
+		env, err := wire.Binary.Encode(typ, seq, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wire.WriteFrame(nc, env); err != nil {
+		if err := wire.Binary.WriteFrame(nc, env); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := wire.ReadFrame(nc)
+		resp, err := wire.Binary.ReadFrame(nc)
 		if err != nil {
 			t.Fatalf("no response to %s: %v", typ, err)
 		}
 		return resp
 	}
 
-	if resp := exchange(1, wire.TypeHello, wire.Hello{Role: wire.RoleDevice, Version: wire.ProtocolVersion}); resp.Type != wire.TypeAck {
-		t.Fatalf("hello response = %s, want ack", resp.Type)
-	}
 	sr := wire.StateReport{Position: geo.CSDepartment, BatteryPct: 50, LastComm: time.Now()}
 	if resp := exchange(2, wire.TypeStateReport, sr); resp.Type != wire.TypeError {
 		t.Fatalf("pre-register state_report = %s, want error", resp.Type)
@@ -197,8 +190,8 @@ func TestDispatchWriteFailureMarksDeviceUnresponsive(t *testing.T) {
 			if accepted.Add(1) != 1 {
 				return nc // only the device conn (first) is faulty
 			}
-			// Server writes to the device: hello ack (pre-negotiation raw
-			// framing is two writes: header+body) = 1-2, register ack
+			// Server writes to the device: hello ack (its v1 framing is
+			// two writes: header+body) = 1-2, register ack
 			// (one coalesced flush) = 3, schedule flush = write 4, which
 			// stalls.
 			return faultconn.Wrap(nc, faultconn.Policy{Seed: 1, StallAfterWrites: 4})
@@ -330,13 +323,13 @@ func TestCASDeliveryFailureCleansTask(t *testing.T) {
 // write: the bytes ahead of that frame go out, the ack among them even
 // when it shares the write, and the rest of the write and every later
 // one fail. It frames what the server writes: the hello ack in v1
-// framing, then the codec that ack granted.
+// framing, then binary frames.
 type deliveryFault struct {
 	net.Conn
 	mu     sync.Mutex
-	out    []byte     // written bytes not yet framed
-	codec  wire.Codec // nil until the hello ack is framed
-	acks   int        // acks framed, the hello's included
+	out    []byte // written bytes not yet framed
+	hello  bool   // the hello ack has been framed
+	acks   int    // acks framed, the hello's included
 	failed bool
 }
 
@@ -379,25 +372,12 @@ func (c *deliveryFault) Write(b []byte) (int, error) {
 // frame returns the type and length of the first whole frame in c.out,
 // or a zero length when it is not all there yet.
 func (c *deliveryFault) frame() (wire.MsgType, int) {
-	if c.codec == nil || c.codec == wire.JSON {
+	if !c.hello {
 		if len(c.out) < 4 || len(c.out) < 4+int(binary.BigEndian.Uint32(c.out)) {
 			return "", 0
 		}
-		n := 4 + int(binary.BigEndian.Uint32(c.out))
-		var env struct {
-			Type    wire.MsgType `json:"type"`
-			Payload struct {
-				Version int `json:"version"`
-			} `json:"payload"`
-		}
-		_ = json.Unmarshal(c.out[4:n], &env)
-		if c.codec == nil {
-			c.codec = wire.JSON
-			if cd, ok := wire.CodecForVersion(env.Payload.Version); ok {
-				c.codec = cd
-			}
-		}
-		return env.Type, n
+		c.hello = true
+		return wire.TypeAck, 4 + int(binary.BigEndian.Uint32(c.out))
 	}
 	body, k := binary.Uvarint(c.out)
 	if k <= 0 || len(c.out) < k+int(body) {

@@ -87,6 +87,17 @@ func rawDial(t *testing.T, addr string) net.Conn {
 	return nc
 }
 
+// rawSession dials addr and opens it in role through the v1-framed
+// hello; every frame after it is binary.
+func rawSession(t *testing.T, addr string, role wire.Role) net.Conn {
+	t.Helper()
+	nc := rawDial(t, addr)
+	if err := wire.DialHello(nc, nc, role, 2*time.Second); err != nil {
+		t.Fatalf("hello: %v", err)
+	}
+	return nc
+}
+
 func TestGarbageBytesDoNotCrashServer(t *testing.T) {
 	s := startServer(t)
 	nc := rawDial(t, s.Addr())
@@ -163,10 +174,7 @@ func TestUnknownRoleRejected(t *testing.T) {
 	if err := wire.WriteFrame(nc, env); err != nil {
 		t.Fatal(err)
 	}
-	// Hello is acked first, then the unknown role is refused.
-	if _, err := wire.ReadFrame(nc); err != nil {
-		t.Fatal(err)
-	}
+	// The unknown role is refused in place of the hello's ack.
 	resp, err := wire.ReadFrame(nc)
 	if err != nil {
 		t.Fatalf("no refusal for unknown role: %v", err)
@@ -178,26 +186,16 @@ func TestUnknownRoleRejected(t *testing.T) {
 
 func TestDeviceSendsCASMessageRejected(t *testing.T) {
 	s := startServer(t)
-	nc := rawDial(t, s.Addr())
-	hello, err := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: wire.RoleDevice, Version: wire.ProtocolVersion})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(nc, hello); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.ReadFrame(nc); err != nil { // hello ack
-		t.Fatal(err)
-	}
+	nc := rawSession(t, s.Addr(), wire.RoleDevice)
 	// A device must not submit tasks.
-	bad, err := wire.Encode(wire.TypeSubmitTask, 2, barometerSpec(1))
+	bad, err := wire.Binary.Encode(wire.TypeSubmitTask, 2, barometerSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(nc, bad); err != nil {
+	if err := wire.Binary.WriteFrame(nc, bad); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := wire.ReadFrame(nc)
+	resp, err := wire.Binary.ReadFrame(nc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,28 +207,18 @@ func TestDeviceSendsCASMessageRejected(t *testing.T) {
 func TestDeviceDisconnectMidTask(t *testing.T) {
 	s := startServer(t)
 	// A device that registers and immediately vanishes.
-	nc := rawDial(t, s.Addr())
-	hello, err := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: wire.RoleDevice, Version: wire.ProtocolVersion})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(nc, hello); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.ReadFrame(nc); err != nil {
-		t.Fatal(err)
-	}
-	reg, err := wire.Encode(wire.TypeRegister, 2, wire.Register{
+	nc := rawSession(t, s.Addr(), wire.RoleDevice)
+	reg, err := wire.Binary.Encode(wire.TypeRegister, 2, wire.Register{
 		DeviceID: "ghost", Position: barometerSpec(1).Center, BatteryPct: 90,
 		Sensors: barometerSensors(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(nc, reg); err != nil {
+	if err := wire.Binary.WriteFrame(nc, reg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadFrame(nc); err != nil {
+	if _, err := wire.Binary.ReadFrame(nc); err != nil {
 		t.Fatal(err)
 	}
 	_ = nc.Close() // vanish

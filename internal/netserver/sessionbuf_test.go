@@ -14,8 +14,8 @@ import (
 	"senseaid/internal/wire"
 )
 
-// openIdleDevice opens a device session the way a phone does — a v1
-// hello granted the binary codec, then a registration — and leaves it
+// openIdleDevice opens a device session the way a phone does — the
+// v1-framed hello, then a binary registration — and leaves it
 // idle. It reads with no buffer of its own, so the heap it adds is the
 // server's session plus one client socket; the caller closes it.
 func openIdleDevice(t *testing.T, addr, id string) net.Conn {
@@ -24,7 +24,7 @@ func openIdleDevice(t *testing.T, addr, id string) net.Conn {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	hello, err := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: wire.RoleDevice, Version: wire.ProtocolVersionBinary})
+	hello, err := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: wire.RoleDevice, Version: wire.ProtocolVersion})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func syscalls(op, result string) float64 {
 // plus one more for the frame that does not fit the reader.
 func TestReadsPerDeviceFrame(t *testing.T) {
 	s := startServer(t)
-	c := rpcDial(t, s.Addr(), wire.Binary)
+	c := rpcDial(t, s.Addr())
 	registerOver(t, c, "reads-1")
 
 	// An upload's reading padded to the paper's ~600 B payload, and one
@@ -152,20 +152,18 @@ func TestReadsPerDeviceFrame(t *testing.T) {
 
 // TestLargeFrameRoundTrips: a frame far larger than the session reader
 // — a CAS task whose client task ID nearly fills wire.MaxMessageBytes —
-// is read whole on both codecs, and the session stays framed after it.
+// is read whole, and the session stays framed after it.
 func TestLargeFrameRoundTrips(t *testing.T) {
 	s := startServer(t)
-	for _, codec := range []wire.Codec{wire.JSON, wire.Binary} {
-		t.Run(codec.Name(), func(t *testing.T) {
-			nc := rawDial(t, s.Addr())
-			c, err := wire.NewRPCConnCfg(nc, wire.RoleCAS, nil, wire.ConnConfig{Codec: codec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = c.Close() })
-			largeTaskRoundTrip(t, c, geo.CSDepartment)
-		})
-	}
+	t.Run("binary", func(t *testing.T) {
+		nc := rawDial(t, s.Addr())
+		c, err := wire.NewRPCConn(nc, wire.RoleCAS, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		largeTaskRoundTrip(t, c, geo.CSDepartment)
+	})
 }
 
 // largeTaskRoundTrip submits a task whose client task ID nearly fills

@@ -204,12 +204,12 @@ func (sb *Standby) replicateOnce() error {
 	// Parts of a snapshot shipped in pieces, per store, for this session
 	// only: the read loop applies frames one at a time, in order.
 	parts := make(map[string]*snapshotParts)
-	rc, err := wire.NewRPCConnCfg(nc, wire.RoleNode, func(env wire.Envelope) {
+	rc, err := wire.NewRPCConn(nc, wire.RoleNode, func(env wire.Envelope) {
 		if err := sb.applyShipped(env, parts); err != nil {
 			sb.log.Errorf("standby: %v; dropping the replication link", err)
 			_ = nc.Close()
 		}
-	}, wire.ConnConfig{Codec: wire.Binary})
+	})
 	if err != nil {
 		_ = nc.Close()
 		return err

@@ -108,28 +108,18 @@ func TestTickLoopDrivenByInjectedClock(t *testing.T) {
 // connection and returns it.
 func registerRaw(t *testing.T, addr, deviceID string) net.Conn {
 	t.Helper()
-	nc := rawDial(t, addr)
-	hello, err := wire.Encode(wire.TypeHello, 1, wire.Hello{Role: wire.RoleDevice, Version: wire.ProtocolVersion})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(nc, hello); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.ReadFrame(nc); err != nil {
-		t.Fatal(err)
-	}
-	reg, err := wire.Encode(wire.TypeRegister, 2, wire.Register{
+	nc := rawSession(t, addr, wire.RoleDevice)
+	reg, err := wire.Binary.Encode(wire.TypeRegister, 2, wire.Register{
 		DeviceID: deviceID, Position: barometerSpec(1).Center, BatteryPct: 90,
 		Sensors: barometerSensors(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wire.WriteFrame(nc, reg); err != nil {
+	if err := wire.Binary.WriteFrame(nc, reg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wire.ReadFrame(nc); err != nil {
+	if _, err := wire.Binary.ReadFrame(nc); err != nil {
 		t.Fatal(err)
 	}
 	return nc
@@ -187,7 +177,7 @@ func TestDispatchRetriesOnRedialedConnection(t *testing.T) {
 	// The schedule must land on the live connection...
 	_ = ncB.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for {
-		env, err := wire.ReadFrame(ncB)
+		env, err := wire.Binary.ReadFrame(ncB)
 		if err != nil {
 			t.Fatalf("live connection never saw the schedule: %v", err)
 		}

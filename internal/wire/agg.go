@@ -5,9 +5,8 @@ import "time"
 // Live-aggregation subscription channel (DESIGN.md §15). A CAS that
 // wants "the 1-minute mean per cell" subscribes once instead of
 // collecting raw receive_sensed_data points; the server then streams
-// agg_push frames as windows close. Both messages exist in the v1 JSON
-// and v2 binary codecs and negotiate like every other feature — a
-// router relays them between mixed-codec peers by transcoding.
+// agg_push frames as windows close. Both messages have binary payload
+// encoders, and a router relays them like every other session frame.
 
 // Aggregation message types.
 const (

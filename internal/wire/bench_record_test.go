@@ -68,7 +68,8 @@ func codecRoundTrip(tb testing.TB, c Codec, mt MsgType, payload interface{}, out
 }
 
 // BenchmarkCodecRoundTrip measures encode+frame+read+decode for the
-// two hot message shapes under both codecs.
+// two hot message shapes under the binary codec and, for comparison,
+// the v1 JSON framing the hello still uses.
 func BenchmarkCodecRoundTrip(b *testing.B) {
 	cases := []struct {
 		name    string
@@ -79,7 +80,7 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 		{"schedule", TypeSchedule, benchSchedule(), func() interface{} { return &Schedule{} }},
 		{"upload", TypeSenseData, benchUpload(), func() interface{} { return &SenseData{} }},
 	}
-	for _, codec := range []Codec{JSON, Binary} {
+	for _, codec := range []Codec{jsonV1, Binary} {
 		for _, c := range cases {
 			b.Run(fmt.Sprintf("%s/%s", codec.Name(), c.name), func(b *testing.B) {
 				b.ReportAllocs()
@@ -156,8 +157,8 @@ type wireBenchRecord struct {
 // BENCH_wire.json so the wire-cost trajectory is recorded in CI. It is
 // gated on SENSEAID_BENCH_OUT (ci.sh sets it); besides recording, it
 // FAILS when the binary codec's frame is not at least 2x smaller than
-// JSON's for either hot shape, when binary allocates at least as much
-// as JSON per round-trip, when coalescing stops cutting write syscalls
+// the v1 JSON framing's (jsonV1) for either hot shape, when binary
+// allocates at least as much as JSON per round-trip, when coalescing stops cutting write syscalls
 // by at least 2x on a notify burst, or when reading a binary or link
 // frame from a buffered reader allocates anything but its body.
 func TestRecordWireBench(t *testing.T) {
@@ -176,7 +177,7 @@ func TestRecordWireBench(t *testing.T) {
 	}
 	var records []wireBenchRecord
 	byName := make(map[string]wireBenchRecord)
-	for _, codec := range []Codec{JSON, Binary} {
+	for _, codec := range []Codec{jsonV1, Binary} {
 		for _, c := range cases {
 			name := fmt.Sprintf("%s/%s", codec.Name(), c.name)
 			var frameBytes int

@@ -111,7 +111,6 @@ const (
 type binaryCodec struct{}
 
 func (binaryCodec) Name() string { return "binary" }
-func (binaryCodec) Version() int { return ProtocolVersionBinary }
 
 func (binaryCodec) Encode(t MsgType, seq uint64, payload interface{}) (Envelope, error) {
 	if _, ok := typeToCode[t]; !ok {

@@ -4,8 +4,8 @@ import "encoding/json"
 
 // This file is the node-to-node slice of the protocol: the messages the
 // router tier, the per-region workers, and the journal-shipping standbys
-// exchange. Node links always negotiate the v2 binary codec (the Hello
-// exchange works exactly as for devices); the payloads below have no
+// exchange. A node opens with the same hello as a device; the payloads
+// below have no
 // hand-rolled binary encoders, so they ride the binary frame's JSON
 // fallback byte — cheap enough for control traffic, and forward
 // compatible for free.

@@ -18,7 +18,7 @@ var batchEmptiers = []struct {
 	empty func(t *testing.T, co *Coalescer)
 }{
 	{"urgent", func(t *testing.T, co *Coalescer) {
-		if err := co.Send(mustEnv(t, JSON, TypeAck, 1, Ack{}), true, nil); err != nil {
+		if err := co.Send(mustEnv(t, Binary, TypeAck, 1, Ack{}), true, nil); err != nil {
 			t.Fatal(err)
 		}
 	}},
@@ -26,7 +26,7 @@ var batchEmptiers = []struct {
 		co.mu.Lock()
 		co.maxBytes = 1
 		co.mu.Unlock()
-		if err := co.Send(mustEnv(t, JSON, TypeSchedule, 0, Schedule{RequestID: "big"}), false, nil); err != nil {
+		if err := co.Send(mustEnv(t, Binary, TypeSchedule, 0, Schedule{RequestID: "big"}), false, nil); err != nil {
 			t.Fatal(err)
 		}
 		co.mu.Lock()
@@ -44,12 +44,12 @@ func TestCoalescerStaleTickDoesNotFlushNewFrames(t *testing.T) {
 	for _, tc := range batchEmptiers {
 		t.Run(tc.name, func(t *testing.T) {
 			nc := &countingConn{}
-			co := NewCoalescer(nc, JSON, CoalescerConfig{})
+			co := NewCoalescer(nc, Binary, CoalescerConfig{})
 			// B's callback runs on the flusher goroutine.
 			var fired atomic.Int32
 			count := func(error) { fired.Add(1) }
 			// Frame A queues a flusher; the inline flush writes A.
-			if err := co.Send(mustEnv(t, JSON, TypeSchedule, 0, Schedule{RequestID: "a"}), false, count); err != nil {
+			if err := co.Send(mustEnv(t, Binary, TypeSchedule, 0, Schedule{RequestID: "a"}), false, count); err != nil {
 				t.Fatal(err)
 			}
 			tc.empty(t, co)
@@ -59,7 +59,7 @@ func TestCoalescerStaleTickDoesNotFlushNewFrames(t *testing.T) {
 			if !stillQueued {
 				t.Fatal("the inline flush ran a's flusher early")
 			}
-			if err := co.Send(mustEnv(t, JSON, TypeSchedule, 0, Schedule{RequestID: "b"}), false, count); err != nil {
+			if err := co.Send(mustEnv(t, Binary, TypeSchedule, 0, Schedule{RequestID: "b"}), false, count); err != nil {
 				t.Fatal(err)
 			}
 			if w, _ := nc.stats(); w != 1 || fired.Load() != 1 {
@@ -70,7 +70,7 @@ func TestCoalescerStaleTickDoesNotFlushNewFrames(t *testing.T) {
 			if writes != 2 || fired.Load() != 2 {
 				t.Fatalf("after the flusher: %d writes, %d callbacks; want 2, 2", writes, fired.Load())
 			}
-			frames := drainFrames(t, JSON, data)
+			frames := drainFrames(t, Binary, data)
 			var sch Schedule
 			if err := Decode(frames[len(frames)-1], &sch); err != nil || sch.RequestID != "b" {
 				t.Fatalf("last frame = %v (err %v), want schedule b", frames[len(frames)-1].Type, err)
@@ -87,9 +87,9 @@ func TestCoalescerEmptyTickNoSyscall(t *testing.T) {
 	for _, tc := range batchEmptiers {
 		t.Run(tc.name, func(t *testing.T) {
 			nc := &countingConn{}
-			co := NewCoalescer(nc, JSON, CoalescerConfig{})
+			co := NewCoalescer(nc, Binary, CoalescerConfig{})
 			fired := 0
-			if err := co.Send(mustEnv(t, JSON, TypeSchedule, 0, Schedule{RequestID: "a"}), false, func(error) { fired++ }); err != nil {
+			if err := co.Send(mustEnv(t, Binary, TypeSchedule, 0, Schedule{RequestID: "a"}), false, func(error) { fired++ }); err != nil {
 				t.Fatal(err)
 			}
 			tc.empty(t, co)
@@ -109,9 +109,9 @@ func TestCoalescerEmptyTickNoSyscall(t *testing.T) {
 func TestCoalescerFlusherAfterCloseIsNoop(t *testing.T) {
 	oneProc(t)
 	nc := &countingConn{}
-	co := NewCoalescer(nc, JSON, CoalescerConfig{})
+	co := NewCoalescer(nc, Binary, CoalescerConfig{})
 	fired := 0
-	if err := co.Send(mustEnv(t, JSON, TypeSchedule, 0, Schedule{RequestID: "a"}), false, func(error) { fired++ }); err != nil {
+	if err := co.Send(mustEnv(t, Binary, TypeSchedule, 0, Schedule{RequestID: "a"}), false, func(error) { fired++ }); err != nil {
 		t.Fatal(err)
 	}
 	// The flusher is queued and has not run: nothing has yielded.

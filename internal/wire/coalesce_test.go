@@ -153,9 +153,9 @@ func TestCoalescerBatchesNotifies(t *testing.T) {
 // soon as its sender blocks, without an explicit flush.
 func TestCoalescerYieldFlushes(t *testing.T) {
 	nc := &countingConn{}
-	co := NewCoalescer(nc, JSON, CoalescerConfig{})
+	co := NewCoalescer(nc, Binary, CoalescerConfig{})
 	out := newOutcomes()
-	if err := co.Send(mustEnv(t, JSON, TypeSchedule, 0, Schedule{RequestID: "r"}), false, out.done); err != nil {
+	if err := co.Send(mustEnv(t, Binary, TypeSchedule, 0, Schedule{RequestID: "r"}), false, out.done); err != nil {
 		t.Fatal(err)
 	}
 	out.wait(t, 1)

@@ -1,31 +1,22 @@
 package wire
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 )
 
-// Codec is one wire encoding: how payload structs become bytes and how
-// frames are laid out on the stream. Two implementations exist — the v1
-// JSON envelope (kept byte-identical for interop with old peers) and the
-// v2 compact binary framing. The codec is chosen per connection during
-// the Hello exchange; see Negotiate semantics in DESIGN.md §13.
+// Codec is one wire framing: how payload structs become bytes and how
+// frames are laid out on the stream. After the hello every connection
+// speaks the v2 binary payloads, framed by Binary on a connection of its
+// own and by Link on a router↔worker link (DESIGN.md §13).
 //
 // All implementations are stateless and safe for concurrent use.
 type Codec interface {
-	// Name is the operator-facing codec name ("json", "binary").
+	// Name is the framing's name ("binary", "link").
 	Name() string
-	// Version is the ProtocolVersion value that selects this codec in
-	// the Hello exchange.
-	Version() int
-	// Encode marshals a payload into an envelope in this codec's payload
-	// encoding.
+	// Encode marshals a payload into an envelope.
 	Encode(t MsgType, seq uint64, payload interface{}) (Envelope, error)
-	// Decode unmarshals an envelope payload into out. Envelopes remember
-	// their payload encoding, so decoding an envelope produced by a
-	// different codec still works.
+	// Decode unmarshals an envelope payload into out.
 	Decode(env Envelope, out interface{}) error
 	// AppendFrame appends one framed envelope to dst and returns the
 	// extended slice — the building block write coalescing batches into a
@@ -39,79 +30,18 @@ type Codec interface {
 	ReadFrame(r io.Reader) (Envelope, error)
 }
 
-// The two codec implementations. Both are stateless singletons.
-var (
-	JSON   Codec = jsonCodec{}
-	Binary Codec = binaryCodec{}
-)
+// Binary is the v2 framing of a connection of its own.
+var Binary Codec = binaryCodec{}
 
-// CodecByName resolves an operator-facing codec name; empty means JSON
-// (the v1 default).
+// CodecByName resolves a codec name: "", "binary" and "v2" are Binary,
+// the only data-path codec. The name is kept only because command lines
+// and callers that predate the single codec still pass one; it goes
+// once they no longer do.
 func CodecByName(name string) (Codec, error) {
 	switch name {
-	case "", "json", "v1":
-		return JSON, nil
-	case "binary", "v2":
+	case "", "binary", "v2":
 		return Binary, nil
 	default:
-		return nil, fmt.Errorf("wire: unknown codec %q (want json or binary)", name)
+		return nil, fmt.Errorf("wire: unknown codec %q: binary is the only codec", name)
 	}
-}
-
-// CodecForVersion maps a negotiated protocol version to its codec.
-func CodecForVersion(v int) (Codec, bool) {
-	switch v {
-	case ProtocolVersion:
-		return JSON, true
-	case ProtocolVersionBinary:
-		return Binary, true
-	default:
-		return nil, false
-	}
-}
-
-// jsonCodec is the v1 encoding: a 4-byte big-endian length prefix
-// followed by the JSON envelope {"type":...,"seq":...,"payload":{...}}.
-// It delegates to the package-level free functions, which predate the
-// codec split and remain the compatibility surface for old peers, the
-// fuzz corpus, and every existing test.
-type jsonCodec struct{}
-
-func (jsonCodec) Name() string { return "json" }
-func (jsonCodec) Version() int { return ProtocolVersion }
-
-func (jsonCodec) Encode(t MsgType, seq uint64, payload interface{}) (Envelope, error) {
-	return Encode(t, seq, payload)
-}
-
-func (jsonCodec) Decode(env Envelope, out interface{}) error {
-	return Decode(env, out)
-}
-
-func (jsonCodec) AppendFrame(dst []byte, env Envelope) ([]byte, error) {
-	if env.binPayload {
-		met.errEncode.Inc()
-		return dst, fmt.Errorf("wire: envelope holds a binary payload; re-encode for the json codec")
-	}
-	body, err := json.Marshal(env)
-	if err != nil {
-		met.errEncode.Inc()
-		return dst, fmt.Errorf("wire: marshal envelope: %w", err)
-	}
-	if len(body) > MaxMessageBytes {
-		met.errFrame.Inc()
-		return dst, fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...), nil
-}
-
-func (jsonCodec) WriteFrame(w io.Writer, env Envelope) error {
-	return WriteFrame(w, env)
-}
-
-func (jsonCodec) ReadFrame(r io.Reader) (Envelope, error) {
-	return ReadFrame(r)
 }

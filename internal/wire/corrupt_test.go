@@ -52,7 +52,7 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 // its deadline, either with a decode/frame error or (when the mangled
 // length promises bytes that never arrive) a read timeout.
 func TestCorruptedFrameNeverHangsReader(t *testing.T) {
-	for _, codec := range []Codec{JSON, Binary} {
+	for _, codec := range []Codec{jsonV1, Binary} {
 		codec := codec
 		t.Run(codec.Name(), func(t *testing.T) {
 			for seed := int64(1); seed <= 25; seed++ {
@@ -111,7 +111,7 @@ func TestHostileLengthPrefixRejectedBeforeAllocation(t *testing.T) {
 		}
 		done := make(chan error, 1)
 		go func() {
-			_, err := JSON.ReadFrame(srv)
+			_, err := ReadFrame(srv)
 			done <- err
 		}()
 		select {
@@ -164,7 +164,7 @@ func TestTruncatedFrameTimesOutNotHangs(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, err := JSON.ReadFrame(srv)
+	_, err := ReadFrame(srv)
 	if err == nil {
 		t.Fatal("truncated frame read succeeded")
 	}

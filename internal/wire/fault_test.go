@@ -153,15 +153,15 @@ func TestCallSurvivesInjectedDrop(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
 		addr := fakeServer(t, func(nc net.Conn) {
 			for {
-				env, err := ReadFrame(nc)
+				env, err := Binary.ReadFrame(nc)
 				if err != nil {
 					return
 				}
-				resp, err := Encode(TypeAck, env.Seq, Ack{})
+				resp, err := Binary.Encode(TypeAck, env.Seq, Ack{})
 				if err != nil {
 					return
 				}
-				if err := WriteFrame(nc, resp); err != nil {
+				if err := Binary.WriteFrame(nc, resp); err != nil {
 					return
 				}
 			}

@@ -168,16 +168,16 @@ func FuzzReadLinkFrame(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:1]) // stream id only
 	f.Add(valid[:3]) // truncated inner frame
-	f.Add(frame(1, TypeHello, 0, Hello{Role: RoleDevice, Version: ProtocolVersionBinary}))
-	f.Add(frame(1<<40, TypeStreamClose, 0, nil))                                           // close for a stream nobody opened
-	f.Add(frame(^uint64(0), TypeAck, 1, Ack{Ref: "x"}))                                    // largest stream id
-	f.Add(append([]byte{0}, valid[1:]...))                                                 // stream 0
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})        // overlong stream id
-	f.Add([]byte{0x80})                                                                    // stream id cut mid-varint
-	f.Add(append(append([]byte{}, valid...), valid...))                                    // two frames back to back
-	f.Add(frame(0, TypeSubmitTask, 1<<62, TaskSpec{}))                                     // a control type stream 0 does not carry
-	f.Add(frame(0, TypeAck, 1<<62+7, Ack{}))                                               // a reply to a seq nobody sent
-	f.Add(frame(0, TypeHello, 0, Hello{Role: RoleDevice, Version: ProtocolVersionBinary})) // a device hello on stream 0
+	f.Add(frame(1, TypeHello, 0, Hello{Role: RoleDevice, Version: ProtocolVersion}))
+	f.Add(frame(1<<40, TypeStreamClose, 0, nil))                                     // close for a stream nobody opened
+	f.Add(frame(^uint64(0), TypeAck, 1, Ack{Ref: "x"}))                              // largest stream id
+	f.Add(append([]byte{0}, valid[1:]...))                                           // stream 0
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})  // overlong stream id
+	f.Add([]byte{0x80})                                                              // stream id cut mid-varint
+	f.Add(append(append([]byte{}, valid...), valid...))                              // two frames back to back
+	f.Add(frame(0, TypeSubmitTask, 1<<62, TaskSpec{}))                               // a control type stream 0 does not carry
+	f.Add(frame(0, TypeAck, 1<<62+7, Ack{}))                                         // a reply to a seq nobody sent
+	f.Add(frame(0, TypeHello, 0, Hello{Role: RoleDevice, Version: ProtocolVersion})) // a device hello on stream 0
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReaderSize(bytes.NewReader(data), 64)

@@ -29,7 +29,6 @@ var Link Codec = linkCodec{}
 type linkCodec struct{}
 
 func (linkCodec) Name() string { return "link" }
-func (linkCodec) Version() int { return ProtocolVersionBinary }
 
 func (linkCodec) Encode(t MsgType, seq uint64, payload interface{}) (Envelope, error) {
 	return Binary.Encode(t, seq, payload)

@@ -25,14 +25,6 @@ const DefaultWriteTimeout = 5 * time.Second
 // stay cheap across tens of thousands of connections.
 const readBufBytes = 16 << 10
 
-// ConnConfig tunes an RPCConn beyond the defaults.
-type ConnConfig struct {
-	// Codec is the encoding to request in the Hello exchange; nil means
-	// JSON (v1). If the server caps at v1 the connection transparently
-	// falls back to JSON — see the negotiation rules in DESIGN.md §13.
-	Codec Codec
-}
-
 // RPCConn layers request/response and push-message handling over a framed
 // connection. The device client and the CAS library both build on it.
 //
@@ -44,7 +36,6 @@ type ConnConfig struct {
 type RPCConn struct {
 	nc      net.Conn
 	br      *bufio.Reader
-	codec   Codec
 	co      *Coalescer
 	timeout time.Duration
 
@@ -79,27 +70,12 @@ func (c *onceConn) Close() error {
 	return c.err
 }
 
-// NewRPCConn wraps an established connection with the default v1 JSON
-// codec; see NewRPCConnCfg.
+// NewRPCConn wraps an established connection and opens it in role
+// (DialHello). push receives server-initiated messages and is called
+// from the read loop (handlers must not block). The hello runs under a
+// deadline of DefaultCallTimeout, so a stalled or silent server fails
+// the dial instead of hanging it.
 func NewRPCConn(nc net.Conn, role Role, push func(Envelope)) (*RPCConn, error) {
-	return NewRPCConnCfg(nc, role, push, ConnConfig{})
-}
-
-// NewRPCConnCfg wraps an established connection and performs the Hello
-// handshake for the given role, negotiating the requested codec. push
-// receives server-initiated messages and is called from the read loop
-// (handlers must not block). The handshake runs under read and write
-// deadlines, so a stalled or silent server fails the dial instead of
-// hanging it.
-//
-// The Hello itself is always framed with the v1 JSON codec so any server
-// can read it. A server that accepts the binary codec echoes version 2
-// in its Ack; one that caps at v1 sends a plain Ack and the connection
-// stays on JSON — a v2-capable client never fails against a v1 server.
-func NewRPCConnCfg(nc net.Conn, role Role, push func(Envelope), cfg ConnConfig) (*RPCConn, error) {
-	if cfg.Codec == nil {
-		cfg.Codec = JSON
-	}
 	nc = &onceConn{Conn: nc}
 	c := &RPCConn{
 		nc:      nc,
@@ -109,49 +85,16 @@ func NewRPCConnCfg(nc net.Conn, role Role, push func(Envelope), cfg ConnConfig) 
 		push:    push,
 		done:    make(chan struct{}),
 	}
-	// Handshake synchronously, before the read loop starts. Always v1
-	// JSON framing, whatever codec is being requested.
-	env, err := Encode(TypeHello, 0, Hello{Role: role, Version: cfg.Codec.Version()})
-	if err != nil {
+	// Handshake synchronously, before the read loop starts.
+	if err := DialHello(nc, c.br, role, c.timeout); err != nil {
 		return nil, err
 	}
-	_ = nc.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
-	if err := WriteFrame(nc, env); err != nil {
-		return nil, fmt.Errorf("wire: hello: %w", err)
-	}
-	_ = nc.SetReadDeadline(time.Now().Add(c.timeout))
-	resp, err := ReadFrame(c.br)
-	if err != nil {
-		return nil, fmt.Errorf("wire: hello response: %w", err)
-	}
-	_ = nc.SetReadDeadline(time.Time{})
-	if resp.Type == TypeError {
-		var e Error
-		_ = Decode(resp, &e)
-		return nil, fmt.Errorf("wire: server rejected hello: %s", e.Message)
-	}
-	if resp.Type != TypeAck {
-		return nil, fmt.Errorf("wire: unexpected hello response %s", resp.Type)
-	}
-	c.codec = JSON
-	if cfg.Codec.Version() != ProtocolVersion {
-		var ack Ack
-		if len(resp.Payload) > 0 {
-			_ = Decode(resp, &ack)
-		}
-		if neg, ok := CodecForVersion(ack.Version); ok {
-			c.codec = neg
-		}
-	}
-	c.co = NewCoalescer(nc, c.codec, CoalescerConfig{})
+	c.co = NewCoalescer(nc, Binary, CoalescerConfig{})
 
 	c.wg.Add(1)
 	go c.readLoop()
 	return c, nil
 }
-
-// Codec reports the encoding the connection negotiated.
-func (c *RPCConn) Codec() Codec { return c.codec }
 
 // SetTimeouts adjusts the call-response and frame-write deadlines
 // (tests tighten them; zero leaves a value unchanged).
@@ -198,7 +141,7 @@ func (c *RPCConn) Call(t MsgType, payload interface{}) (Ack, error) {
 		c.mu.Unlock()
 	}()
 
-	env, err := c.codec.Encode(t, seq, payload)
+	env, err := Binary.Encode(t, seq, payload)
 	if err != nil {
 		return Ack{}, err
 	}
@@ -234,7 +177,7 @@ func (c *RPCConn) Call(t MsgType, payload interface{}) (Ack, error) {
 // sequence number and matches the reply by it. Replies flush
 // immediately: the router is blocked on them.
 func (c *RPCConn) Reply(t MsgType, seq uint64, payload interface{}) error {
-	env, err := c.codec.Encode(t, seq, payload)
+	env, err := Binary.Encode(t, seq, payload)
 	if err != nil {
 		return err
 	}
@@ -246,7 +189,7 @@ func (c *RPCConn) Reply(t MsgType, seq uint64, payload interface{}) error {
 // this goroutine sends before it yields; a write failure surfaces
 // through Done.
 func (c *RPCConn) Notify(t MsgType, payload interface{}) error {
-	env, err := c.codec.Encode(t, 0, payload)
+	env, err := Binary.Encode(t, 0, payload)
 	if err != nil {
 		return err
 	}
@@ -272,7 +215,7 @@ func (c *RPCConn) Close() error {
 func (c *RPCConn) readLoop() {
 	defer c.wg.Done()
 	for {
-		env, err := c.codec.ReadFrame(c.br)
+		env, err := Binary.ReadFrame(c.br)
 		if err != nil {
 			// The error may be a protocol fault on a live socket, not
 			// just a peer disconnect: close the conn so it never leaks.

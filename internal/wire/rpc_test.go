@@ -9,7 +9,8 @@ import (
 	"time"
 )
 
-// fakeServer accepts one connection, acks the hello, then runs handle.
+// fakeServer accepts one connection, answers its hello, then runs
+// handle, which speaks the binary framing.
 func fakeServer(t *testing.T, handle func(nc net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -23,15 +24,7 @@ func fakeServer(t *testing.T, handle func(nc net.Conn)) string {
 			return
 		}
 		defer func() { _ = nc.Close() }()
-		env, err := ReadFrame(nc)
-		if err != nil || env.Type != TypeHello {
-			return
-		}
-		ack, err := Encode(TypeAck, env.Seq, Ack{})
-		if err != nil {
-			return
-		}
-		if err := WriteFrame(nc, ack); err != nil {
+		if _, err := AcceptHello(nc, nc, time.Second, time.Second); err != nil {
 			return
 		}
 		if handle != nil {
@@ -59,15 +52,15 @@ func dialRPC(t *testing.T, addr string, push func(Envelope)) *RPCConn {
 func TestRPCCallAckRoundTrip(t *testing.T) {
 	addr := fakeServer(t, func(nc net.Conn) {
 		for {
-			env, err := ReadFrame(nc)
+			env, err := Binary.ReadFrame(nc)
 			if err != nil {
 				return
 			}
-			resp, err := Encode(TypeAck, env.Seq, Ack{Ref: "ok-" + string(env.Type)})
+			resp, err := Binary.Encode(TypeAck, env.Seq, Ack{Ref: "ok-" + string(env.Type)})
 			if err != nil {
 				return
 			}
-			if err := WriteFrame(nc, resp); err != nil {
+			if err := Binary.WriteFrame(nc, resp); err != nil {
 				return
 			}
 		}
@@ -84,15 +77,15 @@ func TestRPCCallAckRoundTrip(t *testing.T) {
 
 func TestRPCCallErrorResponse(t *testing.T) {
 	addr := fakeServer(t, func(nc net.Conn) {
-		env, err := ReadFrame(nc)
+		env, err := Binary.ReadFrame(nc)
 		if err != nil {
 			return
 		}
-		resp, err := Encode(TypeError, env.Seq, Error{Message: "nope"})
+		resp, err := Binary.Encode(TypeError, env.Seq, Error{Message: "nope"})
 		if err != nil {
 			return
 		}
-		_ = WriteFrame(nc, resp)
+		_ = Binary.WriteFrame(nc, resp)
 	})
 	c := dialRPC(t, addr, nil)
 	_, err := c.Call(TypeRegister, Register{DeviceID: "x"})
@@ -103,11 +96,11 @@ func TestRPCCallErrorResponse(t *testing.T) {
 
 func TestRPCPushDelivery(t *testing.T) {
 	addr := fakeServer(t, func(nc net.Conn) {
-		sch, err := Encode(TypeSchedule, 0, Schedule{RequestID: "task-1#0"})
+		sch, err := Binary.Encode(TypeSchedule, 0, Schedule{RequestID: "task-1#0"})
 		if err != nil {
 			return
 		}
-		_ = WriteFrame(nc, sch)
+		_ = Binary.WriteFrame(nc, sch)
 		// Keep the connection open briefly.
 		time.Sleep(200 * time.Millisecond)
 	})
@@ -141,7 +134,7 @@ func TestRPCServerDisconnectUnblocksCalls(t *testing.T) {
 	release := make(chan struct{})
 	addr := fakeServer(t, func(nc net.Conn) {
 		// Read the request, never answer, then drop the connection.
-		_, _ = ReadFrame(nc)
+		_, _ = Binary.ReadFrame(nc)
 		<-release
 	})
 	c := dialRPC(t, addr, nil)

@@ -1,8 +1,10 @@
-// Package wire defines the Sense-Aid network protocol: length-prefixed
-// JSON messages exchanged between devices, the Sense-Aid server, and
-// crowdsensing application servers (CAS).
+// Package wire defines the Sense-Aid network protocol: the messages
+// exchanged between devices, the Sense-Aid server, and crowdsensing
+// application servers (CAS), in a compact binary framing.
 //
-// Every connection starts with a Hello identifying the peer's role. The
+// Every connection starts with a Hello identifying the peer's role,
+// framed in v1 JSON so that a peer of any revision can read the answer
+// (hello.go); everything after it is the v2 binary framing. The
 // device API mirrors the paper's client-side library (register,
 // deregister, update_preferences, start_sensing, send_sense_data) and the
 // CAS API mirrors its server-side library (task, update_task_param,
@@ -89,38 +91,23 @@ func (e Envelope) OnStream(id uint64) Envelope {
 	return e
 }
 
-// BinaryPayload reports whether the envelope's payload is in the v2
-// wire-binary encoding. A relay (the router tier) uses it to decide
-// whether a frame read from one connection can be re-framed verbatim
-// for another: a JSON payload fits either codec, a binary payload must
-// be decoded and re-encoded before it can ride a v1 connection.
-func (e Envelope) BinaryPayload() bool { return e.binPayload }
-
-// Hello opens every connection. It is always framed with the v1 JSON
-// codec, whatever Version asks for, so any server can read it; the
-// negotiated codec takes over after the Hello/Ack exchange (see
-// CodecForVersion).
+// Hello opens every connection. It is always framed in v1 JSON, so a
+// peer of any revision can read it and the answer to it.
 type Hello struct {
 	Role Role `json:"role"`
-	// Version names the protocol revision — and thereby the codec — the
-	// peer wants to speak: 1 is the JSON envelope, 2 the binary framing.
+	// Version names the protocol revision the peer speaks; only
+	// ProtocolVersion is accepted.
 	Version int `json:"version"`
 }
 
-// ProtocolVersion is the v1 protocol revision: JSON envelopes behind a
-// 4-byte length prefix. Old peers speak only this.
-const ProtocolVersion = 1
-
-// ProtocolVersionBinary is the v2 protocol revision: compact binary
-// framing (varint length + type byte + binary payloads). Negotiated in
-// the Hello exchange; servers that cap at v1 answer a v2 Hello with a
-// plain Ack and the connection stays on JSON.
-const ProtocolVersionBinary = 2
+// ProtocolVersion is the one protocol revision this build speaks: the
+// v2 binary framing (varint length + type byte + binary payloads) after
+// a v1-framed hello. Revision 1, JSON envelopes throughout, is refused.
+const ProtocolVersion = 2
 
 // Ack is a generic success response; Ref optionally names a created
-// resource (a task ID, a device ID). On the Hello ack, Version reports
-// the protocol revision the server accepted (omitted when v1, so the v1
-// ack stays byte-identical for old clients).
+// resource (a task ID, a device ID). On the Hello ack, Version names
+// the protocol revision the server speaks; a v1-only server sends none.
 type Ack struct {
 	Ref     string `json:"ref,omitempty"`
 	Version int    `json:"version,omitempty"`
@@ -159,9 +146,7 @@ type StateReport struct {
 //
 // TraceID/SpanID carry the task's trace context to the device; a
 // well-behaved client echoes them on the resulting SenseData so the
-// upload joins the trace. Both are optional — old peers that omit them
-// (and old servers that ignore them) interoperate unchanged, because
-// the JSON codec drops unknown fields and omits empty ones.
+// upload joins the trace. Both are optional: empty means untraced.
 type Schedule struct {
 	RequestID string       `json:"request_id"`
 	TaskID    string       `json:"task_id"`
@@ -239,7 +224,8 @@ type SensedData struct {
 	SpanID  string `json:"span_id,omitempty"`
 }
 
-// Encode marshals a payload into an envelope.
+// Encode marshals a payload into a JSON envelope, for the v1-framed
+// hello exchange.
 func Encode(t MsgType, seq uint64, payload interface{}) (Envelope, error) {
 	var raw json.RawMessage
 	if payload != nil {
@@ -254,8 +240,8 @@ func Encode(t MsgType, seq uint64, payload interface{}) (Envelope, error) {
 }
 
 // Decode unmarshals an envelope payload into out, honouring the payload
-// encoding the envelope was framed with (JSON for v1 envelopes and
-// JSON-fallback binary frames, wire-binary for v2 envelopes).
+// encoding the envelope was framed with (JSON for the hello exchange and
+// JSON-fallback binary frames, wire-binary otherwise).
 func Decode(env Envelope, out interface{}) error {
 	if len(env.Payload) == 0 {
 		met.errDecode.Inc()
@@ -272,11 +258,11 @@ func Decode(env Envelope, out interface{}) error {
 }
 
 // WriteFrame writes one envelope as a 4-byte big-endian length followed by
-// its JSON encoding — the v1 framing.
+// its JSON encoding — the v1 framing the hello exchange uses.
 func WriteFrame(w io.Writer, env Envelope) error {
 	if env.binPayload {
 		met.errEncode.Inc()
-		return fmt.Errorf("wire: envelope holds a binary payload; re-encode for the json codec")
+		return fmt.Errorf("wire: envelope holds a binary payload; the v1 framing carries only the hello")
 	}
 	body, err := json.Marshal(env)
 	if err != nil {
@@ -301,8 +287,9 @@ func WriteFrame(w io.Writer, env Envelope) error {
 	return nil
 }
 
-// ReadFrame reads one v1 envelope. The length prefix is validated
-// against MaxMessageBytes before the payload buffer is allocated.
+// ReadFrame reads one v1 envelope, as the hello exchange frames it. The
+// length prefix is validated against MaxMessageBytes before the payload
+// buffer is allocated.
 func ReadFrame(r io.Reader) (Envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
