@@ -43,12 +43,14 @@ rm -f "$race_log"
 # join the retained record, not corrupt the ring.
 go test -race -count=50 -run '^TestEndToEndTrace$' ./internal/netserver
 # The device-homing net, five times over: the seeded model test (every
-# device operation against a plain map and the parent commit's journal
-# bytes), the topology net (one seeded sequence of every operation,
-# region-less and in three regions, held to the same results) and the two
-# concurrent storms, whose interleavings differ run to run.
+# device operation against a plain map and the recorded journal bytes),
+# the topology net (one seeded sequence of every operation, region-less
+# and in three regions, held to the same results), the replay that skips
+# superseded device records held to the record-by-record replay on
+# seeded hostile journals, and the two concurrent storms, whose
+# interleavings differ run to run.
 go test -race -shuffle=on -count=5 \
-    -run '^(TestHomingAgainstModelAndParentJournal|TestTopologiesAgree|TestStripedRoutingStorm|TestOrchestratorConcurrentUse)$' \
+    -run '^(TestHomingAgainstModelAndParentJournal|TestTopologiesAgree|TestRecoverSkipMatchesPlainReplay|TestStripedRoutingStorm|TestOrchestratorConcurrentUse)$' \
     ./internal/core
 # Journal codec fuzz smoke: ten seconds of holding JournalRecord's hand
 # encoder and parser to encoding/json (byte-identical output, identical

@@ -26,9 +26,9 @@ type DeviceState struct {
 	// BatteryPct is the current battery level (CBL_i).
 	BatteryPct float64 `json:"battery_pct"`
 	// EnergySpentJ is crowdsensing energy used this accounting window (E_i).
-	EnergySpentJ float64 `json:"energy_spent_j"`
+	EnergySpentJ float64 `json:"energy_spent_j,omitempty"`
 	// TimesUsed counts selections this accounting window (U_i).
-	TimesUsed int `json:"times_used"`
+	TimesUsed int `json:"times_used,omitempty"`
 	// LastComm is the most recent radio communication; now-LastComm is
 	// the selector's TTL_i factor.
 	LastComm time.Time `json:"last_comm"`
@@ -281,11 +281,17 @@ func (s *DeviceStore) Restore(d DeviceState) error {
 
 // restore is Restore returning the store's new length.
 func (s *DeviceStore) restore(d DeviceState) (int, error) {
-	if err := validate(&d); err != nil {
+	d.Sensors = slices.Clone(d.Sensors)
+	return s.restoreOwned(&d)
+}
+
+// restoreOwned is restore keeping d's Sensors array, which its caller
+// hands over and never writes again (recovery's decoded records).
+func (s *DeviceStore) restoreOwned(d *DeviceState) (int, error) {
+	if err := validate(d); err != nil {
 		return 0, err
 	}
-	d.Sensors = slices.Clone(d.Sensors)
-	return s.put(&d), nil
+	return s.put(d), nil
 }
 
 // Deregister removes a device.

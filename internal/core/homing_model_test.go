@@ -27,10 +27,13 @@ import (
 // the old code would have failed it.
 //
 // testdata/golden/homing.sums holds a running SHA-256 of each shard's
-// journal bytes, every homingCheckEvery operations, as commit 7fef99e —
-// the last with a device-routing index beside the stores — wrote them for
-// this sequence: this file ran there unchanged with
-// SENSEAID_WRITE_GOLDEN=<dir>. Do not regenerate it from a later commit.
+// journal bytes, every homingCheckEvery operations. Commit 7fef99e — the
+// last with a device-routing index beside the stores — first wrote them
+// for this sequence, running this file with SENSEAID_WRITE_GOLDEN=<dir>.
+// They were re-recorded once, deliberately, when journal records began
+// leaving out their zero "at" and zero fairness counters; the sequence
+// and the routing it records are unchanged. Regenerate them only with a
+// change that means to alter the journal's bytes, and say so.
 
 const (
 	homingOps        = 3000

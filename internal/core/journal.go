@@ -52,6 +52,7 @@ import (
 //	reject        ReqID, DeviceID       reading failed validation (stats only)
 //	outcome       DeviceID, Outcome     reputation event (explicit, no inference)
 //	reset_window  At                    fairness counters zeroed
+//	open_window   At                    fairness window anchored (counters kept)
 //
 // Reputation outcomes are journaled explicitly rather than re-derived
 // from receive/miss records, so replay never re-runs truth discovery:
@@ -75,6 +76,7 @@ const (
 	opReject       = "reject"
 	opOutcome      = "outcome"
 	opResetWindow  = "reset_window"
+	opOpenWindow   = "open_window"
 )
 
 // RequestRef names one request without its task pointer, so queue and
@@ -109,7 +111,7 @@ func (s *Server) reqFromRef(ref *RequestRef) (Request, bool) {
 type JournalRecord struct {
 	Seq      uint64        `json:"n"`
 	Op       string        `json:"op"`
-	At       time.Time     `json:"at,omitempty"`
+	At       time.Time     `json:"at,omitzero"`
 	Task     *Task         `json:"task,omitempty"`
 	NextTask int           `json:"next_task,omitempty"`
 	TaskID   TaskID        `json:"task_id,omitempty"`
@@ -315,6 +317,12 @@ type RecoveryResult struct {
 // persisted, so the frontend rebinds them (the netserver routes to
 // whichever CAS currently claims the task).
 //
+// A register or restore whose device is replaced or removed by the next
+// record naming it is validated and counted but never stored (see
+// superseded). The device records of snap and records may be kept by the
+// store as they stand, Sensors arrays included: the caller must not
+// modify them afterwards.
+//
 // Recover must run before the server serves traffic: it refuses a
 // server that already holds tasks, devices, or journal history.
 func (s *Server) Recover(snap *SnapshotState, records []JournalRecord, sinkFor func(TaskID) DataSink) (RecoveryResult, error) {
@@ -347,18 +355,20 @@ func (s *Server) Recover(snap *SnapshotState, records []JournalRecord, sinkFor f
 		}
 		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(records[a].Seq, records[b].Seq) })
 	}
+	skip := superseded(records, order, last)
 	for k := range records {
-		rec := &records[k]
+		i := k
 		if order != nil {
-			rec = &records[order[k]]
+			i = int(order[k])
 		}
+		rec := &records[i]
 		if rec.Seq <= last {
 			// Inside the snapshot already, a duplicate from the retained
 			// previous epoch, or an unnumbered (hostile) record.
 			res.Skipped++
 			continue
 		}
-		if s.applyRecord(rec, sinkFor) {
+		if skip[i] || s.applyRecord(rec, sinkFor) {
 			res.Applied++
 		} else {
 			res.Skipped++
@@ -369,6 +379,56 @@ func (s *Server) Recover(snap *SnapshotState, records []JournalRecord, sinkFor f
 	s.met.devices.Set(float64(s.devices.Len()))
 	s.syncGauges()
 	return res, nil
+}
+
+// superseded marks, by index into records, the register and restore
+// records whose effect replay would discard unseen: a valid record of
+// device X whose next replayed record naming X — as its DeviceID, its
+// Device.ID or one of its Devices — is a deregister of X or another
+// valid register or restore of X. That record removes or wholly replaces
+// X's store entry, and every op that reads or writes an entry names its
+// device (applyRecord), so nothing in between saw the skipped one. A
+// reset_window, which writes every entry without naming any, cancels
+// the skips pending across it. order and last are Recover's: records
+// are visited in the order, and past the same duplicate filter, as its
+// replay loop visits them. A skipped record still counts as applied.
+func superseded(records []JournalRecord, order []int32, last uint64) []bool {
+	skip := make([]bool, len(records))
+	pending := make(map[string]int32) // device -> its latest unread valid register/restore
+	see := func(id string, replaces bool) {
+		if j, ok := pending[id]; ok {
+			skip[j] = replaces
+			delete(pending, id)
+		}
+	}
+	for k := range records {
+		i := int32(k)
+		if order != nil {
+			i = order[k]
+		}
+		rec := &records[i]
+		if rec.Seq <= last {
+			continue
+		}
+		last = rec.Seq
+		if rec.Op == opResetWindow {
+			clear(pending)
+		}
+		stores := (rec.Op == opRegister || rec.Op == opRestore) && rec.Device != nil && validate(rec.Device) == nil
+		if rec.DeviceID != "" {
+			see(rec.DeviceID, rec.Op == opDeregister)
+		}
+		if rec.Device != nil {
+			see(rec.Device.ID, stores)
+		}
+		for _, id := range rec.Devices {
+			see(id, false)
+		}
+		if stores {
+			pending[rec.Device.ID] = i
+		}
+	}
+	return skip
 }
 
 // installSnapshotLocked loads a snapshot's contents. Caller holds s.mu
@@ -429,7 +489,7 @@ func (s *Server) installSnapshotLocked(snap *SnapshotState, sinkFor func(TaskID)
 		s.collected[req] = cp
 	}
 	for i := range snap.Devices {
-		if err := s.devices.Restore(snap.Devices[i]); err != nil {
+		if _, err := s.devices.restoreOwned(&snap.Devices[i]); err != nil {
 			res.Skipped++
 		}
 	}
@@ -548,10 +608,8 @@ func (s *Server) applyRecord(rec *JournalRecord, sinkFor func(TaskID) DataSink) 
 		if rec.Device == nil {
 			return false
 		}
-		if err := s.devices.Restore(*rec.Device); err != nil {
-			return false
-		}
-		return true
+		_, err := s.devices.restoreOwned(rec.Device)
+		return err == nil
 
 	case opDeregister:
 		if rec.DeviceID == "" {
@@ -686,6 +744,10 @@ func (s *Server) applyRecord(rec *JournalRecord, sinkFor func(TaskID) DataSink) 
 		if !rec.At.IsZero() {
 			s.windowStart = rec.At
 		}
+		return true
+
+	case opOpenWindow:
+		s.windowStart = rec.At
 		return true
 
 	default:

@@ -471,6 +471,38 @@ func TestFairnessWindowSurvivesRecovery(t *testing.T) {
 	if !ok || d.EnergySpentJ != 0 {
 		t.Errorf("window reset not replayed: %+v", d)
 	}
+
+	// A crash before the first reset: the anchor comes back from its own
+	// record, which keeps the counters, and the next tick resets at the
+	// boundary the live server would have.
+	j = &memJournal{}
+	cfg.Journal = j
+	live, err = NewServer(cfg, &recordingDispatcher{})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	registerJournaled(t, live, "dev-a")
+	live.ProcessDue(simclock.Epoch)
+	live.NoteDeviceEnergy("dev-a", 5)
+	live.ProcessDue(simclock.Epoch.Add(5 * time.Minute))
+	restored, err = NewServer(cfg2, &recordingDispatcher{})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	if _, err := restored.Recover(nil, jsonRoundTrip(t, j.records()), func(TaskID) DataSink { return nopSink }); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if got, want := restored.Snapshot(), live.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered before the first reset\nlive:     %+v\nrestored: %+v", want, got)
+	}
+	for _, s := range []*Server{live, restored} {
+		s.ProcessDue(simclock.Epoch.Add(12 * time.Minute))
+	}
+	got, want = restored.Snapshot(), live.Snapshot()
+	got.JournalSeq = want.JournalSeq // only the live server journals the reset
+	if !reflect.DeepEqual(got, want) || !want.WindowStart.Equal(simclock.Epoch.Add(10*time.Minute)) {
+		t.Errorf("the first reset after recovery\nlive:     %+v\nrestored: %+v", want, got)
+	}
 }
 
 func TestShardedRecoveryAndRouting(t *testing.T) {

@@ -19,8 +19,11 @@ import (
 // what encoding/json produces for the same struct (journalRecordPlain
 // below is that oracle, and FuzzJournalRecordCodec holds the two
 // together), and UnmarshalJSON parses only that canonical form itself,
-// handing everything else to encoding/json. Old journals replay,
-// standbys receive the bytes they always did, and a field added to
+// handing everything else to encoding/json. The canonical form leaves
+// out a zero "at" and a device's zero fairness counters; the parser also
+// takes them written out, as journals from before that change carry
+// them, so old journals replay at full speed and a standby of that age
+// reads the new records through encoding/json. A field added to
 // JournalRecord without a matching line here fails the fuzz test instead
 // of silently vanishing from the journal.
 
@@ -68,10 +71,12 @@ func (w *jsonWriter) record(r *JournalRecord) {
 	w.b = strconv.AppendUint(w.b, r.Seq, 10)
 	w.raw(`,"op":`)
 	w.str(r.Op)
-	// A struct is never "empty" to encoding/json, so omitempty on At does
-	// nothing: the zero time is always written.
-	w.raw(`,"at":`)
-	w.time(r.At)
+	// omitzero asks the value itself: a zero instant in any zone is left
+	// out.
+	if !r.At.IsZero() {
+		w.raw(`,"at":`)
+		w.time(r.At)
+	}
 	if r.Task != nil {
 		b, err := json.Marshal(r.Task)
 		if err != nil {
@@ -98,10 +103,14 @@ func (w *jsonWriter) record(r *JournalRecord) {
 		w.float(d.Position.Lon)
 		w.raw(`},"battery_pct":`)
 		w.float(d.BatteryPct)
-		w.raw(`,"energy_spent_j":`)
-		w.float(d.EnergySpentJ)
-		w.raw(`,"times_used":`)
-		w.int(d.TimesUsed)
+		if d.EnergySpentJ != 0 { // omitempty: -0 is left out too, NaN is not
+			w.raw(`,"energy_spent_j":`)
+			w.float(d.EnergySpentJ)
+		}
+		if d.TimesUsed != 0 {
+			w.raw(`,"times_used":`)
+			w.int(d.TimesUsed)
+		}
 		w.raw(`,"last_comm":`)
 		w.time(d.LastComm)
 		if d.Sensors == nil {
@@ -195,8 +204,9 @@ func (w *jsonWriter) raw(s string) { w.b = append(w.b, s...) }
 
 func (w *jsonWriter) int(n int) { w.b = strconv.AppendInt(w.b, int64(n), 10) }
 
-// zeroTimeJSON is the zero time.Time as the journal carries it — on most
-// records (receive, outcome, miss, every device op), which is why both
+// zeroTimeJSON is the zero time.Time as JSON. Journals written before
+// "at" became omitzero carry it on most records (receive, outcome, miss,
+// every device op), and a device's last_comm still may, so both
 // directions short-cut it.
 const zeroTimeJSON = `"0001-01-01T00:00:00Z"`
 
@@ -351,7 +361,11 @@ type jsonCursor struct {
 // record parses one whole canonical record. A "task" key (submit,
 // update_task) matches nothing below and falls out at the closing brace.
 func (d *jsonCursor) record(r *JournalRecord) bool {
-	if !(d.has(`{"n":`) && d.uint(&r.Seq) && d.has(`,"op":`) && d.op(&r.Op) && d.has(`,"at":`) && d.time(&r.At)) {
+	if !(d.has(`{"n":`) && d.uint(&r.Seq) && d.has(`,"op":`) && d.op(&r.Op)) {
+		return false
+	}
+	// Left out when zero; older journals write the zero time instead.
+	if d.key(`,"at":`) && !d.time(&r.At) {
 		return false
 	}
 	if d.key(`,"next_task":`) && !d.int(&r.NextTask) {
@@ -420,11 +434,17 @@ func (d *jsonCursor) record(r *JournalRecord) bool {
 func (d *jsonCursor) device(v *DeviceState) bool {
 	if !(d.has(`{"id":`) && d.str(&v.ID) &&
 		d.has(`,"position":{"lat":`) && d.float(&v.Position.Lat) && d.has(`,"lon":`) && d.float(&v.Position.Lon) &&
-		d.has(`},"battery_pct":`) && d.float(&v.BatteryPct) &&
-		d.has(`,"energy_spent_j":`) && d.float(&v.EnergySpentJ) &&
-		d.has(`,"times_used":`) && d.int(&v.TimesUsed) &&
-		d.has(`,"last_comm":`) && d.time(&v.LastComm) &&
-		d.has(`,"sensors":`)) {
+		d.has(`},"battery_pct":`) && d.float(&v.BatteryPct)) {
+		return false
+	}
+	// The counters are left out when zero; older journals write them.
+	if d.has(`,"energy_spent_j":`) && !d.float(&v.EnergySpentJ) {
+		return false
+	}
+	if d.has(`,"times_used":`) && !d.int(&v.TimesUsed) {
+		return false
+	}
+	if !(d.has(`,"last_comm":`) && d.time(&v.LastComm) && d.has(`,"sensors":`)) {
 		return false
 	}
 	switch {
@@ -432,6 +452,7 @@ func (d *jsonCursor) device(v *DeviceState) bool {
 	case d.has(`[]`):
 		v.Sensors = []sensors.Type{}
 	case d.has(`[`):
+		v.Sensors = make([]sensors.Type, 0, d.countItems())
 		for {
 			var s int
 			if !d.int(&s) {
@@ -537,12 +558,26 @@ func (d *jsonCursor) countStrings() int {
 	return n
 }
 
+// countItems counts the items of the number array the cursor stands in,
+// without consuming it, as countStrings does for strings.
+func (d *jsonCursor) countItems() int {
+	n := 1
+	for _, c := range d.b[d.i:] {
+		if c == ',' {
+			n++
+		} else if c == ']' {
+			break
+		}
+	}
+	return n
+}
+
 // journalOps lists the grammar's op names, commonest first, so decoding
 // a record reuses the constant instead of allocating its op string.
 var journalOps = [...]string{
 	opReceive, opOutcome, opDispatch, opRestore, opDeregister, opRegister,
 	opMiss, opEnergy, opPrefs, opWaitlist, opReqExpired, opDispatchFail,
-	opReject, opResetWindow, opDeleteTask,
+	opReject, opResetWindow, opOpenWindow, opDeleteTask,
 }
 
 // op is str for the Op field.

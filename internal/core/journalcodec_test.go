@@ -25,6 +25,8 @@ func hotSeedRecords() []JournalRecord {
 	empty.Responsive = false
 	bare := freshDevice("dev-\u00e7a-va") // valid UTF-8 needs no escape
 	bare.Sensors = nil
+	used := freshDevice("dev-used")
+	used.EnergySpentJ, used.TimesUsed = 2.5, 3
 	ref := &RequestRef{TaskID: "west/task-1", Seq: 3, Due: simclock.Epoch, Deadline: simclock.Epoch.Add(10 * time.Minute)}
 	budget := power.Budget{TotalJ: 250.5}
 	return []JournalRecord{
@@ -32,6 +34,7 @@ func hotSeedRecords() []JournalRecord {
 		{Seq: 4, Op: opRegister, Device: &dev},
 		{Seq: 5, Op: opRestore, Device: &empty},
 		{Seq: 6, Op: opRegister, Device: &bare},
+		{Seq: 6, Op: opRestore, Device: &used},
 		{Seq: 7, Op: opDeregister, DeviceID: "dev-a"},
 		{Seq: 8, Op: opPrefs, DeviceID: "dev-a", Budget: &budget},
 		{Seq: 9, Op: opEnergy, DeviceID: "dev-a", Joules: 0.30000000000000004},
@@ -53,8 +56,9 @@ func hotSeedRecords() []JournalRecord {
 // hostileSeedRecords is the cold ops plus the shapes two encoders
 // disagree on first when they disagree at all: strings that need every
 // kind of escaping, floats at the notation cut-offs, negative zero, an
-// empty but present slice, zoned times, and a time still carrying its
-// monotonic reading.
+// empty but present slice, zoned times, the zero instant in a zone
+// (omitzero leaves it out), and a time still carrying its monotonic
+// reading.
 func hostileSeedRecords() []JournalRecord {
 	task := validTask()
 	task.ID = "west/task-1"
@@ -68,6 +72,10 @@ func hostileSeedRecords() []JournalRecord {
 	hostile.Budget = power.Budget{TotalJ: 1e21, CriticalBatteryPct: 5e-324}
 	hostile.LastComm = time.Date(2017, 12, 11, 9, 0, 0, 1, time.FixedZone("", -(5*3600+30*60)))
 	ref := &RequestRef{TaskID: "west/<task>", Seq: -3, Due: simclock.Epoch.In(time.FixedZone("CET", 3600))}
+	zeroInZone := time.Time{}.In(time.FixedZone("CET", 3600))
+	negZero := freshDevice("dev-neg-zero")
+	negZero.EnergySpentJ = math.Copysign(0, -1)
+	negZero.LastComm = zeroInZone
 	// Either side of every edge of the float writer's integer path.
 	var edges []JournalRecord
 	for _, f := range []float64{
@@ -80,6 +88,8 @@ func hostileSeedRecords() []JournalRecord {
 		{Seq: 1, Op: opSubmit, At: simclock.Epoch, Task: &task, NextTask: 1},
 		{Seq: 2, Op: opUpdateTask, Task: &task},
 		{Seq: 5, Op: opRestore, Device: &hostile},
+		{Seq: 6, Op: opRestore, At: zeroInZone, Device: &negZero},
+		{Seq: 7, Op: opResetWindow, At: zeroInZone},
 		{Seq: 10, Op: opDispatch, At: simclock.Epoch, Req: ref, Devices: []string{"dev <b>", "\"", ""}},
 		{Seq: math.MaxUint64, Op: "\\", At: time.Now(), Devices: []string{}, Joules: math.Copysign(0, -1)},
 	}...)
@@ -238,6 +248,12 @@ func FuzzJournalRecordCodec(f *testing.F) {
 		`{"n":1,"op":"dispatch","at":"0001-01-01T00:00:00Z","devices":["a","b\\u0041","c]\\"d"],"req":null}`,
 		`{"n":1,"op":"register","at":"0001-01-01T00:00:00Z","device":{"id":"a","position":{"lat":1,"lon":2},"battery_pct":3,"energy_spent_j":4,"times_used":5,"last_comm":"0001-01-01T00:00:00Z","sensors":[1,2],"budget":{"totalj":1,"CriticalBatteryPct":2},"responsive":true,"reliability":1}}`,
 		`{"n":18446744073709551615,"op":"reset_window","at":"9999-12-31T23:59:59.999999999Z"}`,
+		// The form written before "at" and the counters were left out when
+		// zero, and the zero instant written in a zone.
+		`{"n":1,"op":"deregister","at":"0001-01-01T00:00:00Z","device_id":"a"}`,
+		`{"n":1,"op":"restore","at":"0001-01-01T00:00:00Z","device":{"id":"a","position":{"lat":1,"lon":2},"battery_pct":3,"energy_spent_j":0,"times_used":0,"last_comm":"0001-01-01T00:00:00Z","sensors":[1,2],"budget":{"TotalJ":1,"CriticalBatteryPct":2},"responsive":true,"reliability":1}}`,
+		`{"n":1,"op":"restore","device":{"id":"a","position":{"lat":1,"lon":2},"battery_pct":3,"energy_spent_j":-0,"times_used":-0,"last_comm":"0001-01-01T01:00:00+01:00","sensors":[],"budget":{"TotalJ":1,"CriticalBatteryPct":2},"responsive":false,"reliability":1}}`,
+		`{"n":1,"op":"reset_window","at":"0001-01-01T01:00:00+01:00"}`,
 		`{"n":1,"op":"x","at":"0001-01-01T00:00:00Z"}trailing`,
 		`null`, `[]`, `{`, ``, "{\"n\":1,\"op\":\"\xff\",\"at\":\"0001-01-01T00:00:00Z\"}",
 	} {

@@ -627,6 +627,7 @@ func (s *Server) processDueLocked(now time.Time, out *[]outbound) {
 	if s.cfg.FairnessWindow > 0 {
 		if s.windowStart.IsZero() {
 			s.windowStart = now
+			s.jlog(JournalRecord{Op: opOpenWindow, At: now})
 		}
 		if elapsed := now.Sub(s.windowStart); elapsed >= s.cfg.FairnessWindow {
 			// However many window boundaries passed, one reset covers them

@@ -49,13 +49,13 @@ func sinkFor(core.TaskID) core.DataSink { return discard }
 // newSweepServer builds the deployment. The shards share one reputation
 // tracker (a ServerConfig is copied per shard), and each shard's
 // snapshot carries all of it; so every task, and with it every outcome,
-// is in east, the region recovered last. There is no fairness window:
-// its anchor is set at the first tick and journaled only with the first
-// reset, so a crash before that re-anchors at the restarted server's
-// first tick (ROADMAP item 8).
+// is in east, the region recovered last. The ten-minute fairness window
+// is anchored at the first tick, after the first commit, so the points
+// before the first reset recover the anchor from its own record.
 func newSweepServer(journal func(region string) core.JournalSink) (*core.ShardedServer, error) {
 	cfg := core.DefaultServerConfig()
 	cfg.Reputation = reputation.NewTracker(reputation.Config{})
+	cfg.FairnessWindow = 10 * time.Minute
 	cfg.ShardJournal = journal
 	return core.NewShardedServer(cfg, core.DispatcherFunc(func(core.Request, core.DeviceState) {}), sweepRegions)
 }
